@@ -19,6 +19,7 @@ SIGN_CONVENTION_TAG = "extraspecial-min-heightlex-v1"
 from .rootsys import (  # noqa: E402,F401
     CartanData,
     CartanMatrixError,
+    InvariantError,
     ResourceCapError,
     RootSystem,
     build_root_system,

@@ -11,7 +11,14 @@ data — block dimensions, block weights, and integer matrices for every root
 raising/lowering operator in lattice coordinates — which is what the modular
 layer consumes.
 
-Everything is exact (Fraction / int); nothing here depends on a prime.
+Everything is exact (Fraction / int); nothing here depends on a prime. The
+hot paths keep Fraction work to a minimum: matrix-vector products walk only
+the nonzero entries, the Gram product Gram(mid) @ E_i u is computed once per
+candidate column, block ranks come from fraction-free elimination
+(``linalg.rank_dense``), and operators are rewritten in lattice coordinates
+by integer forward substitution against the block's Hermite basis, which is
+square, upper triangular and has a positive diagonal. A failed invariant
+raises ``InvariantError``, which ``python -O`` does not strip.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import ScaledLattice, rank_dense, solve_dense
-from .rootsys import ResourceCapError, RootSystem, build_root_system
+from .rootsys import InvariantError, ResourceCapError, RootSystem, build_root_system
 
 Coords = Tuple[int, ...]
 Weight = Tuple[int, ...]
@@ -34,7 +41,17 @@ def _zeros(nrows: int, ncols: int) -> Matrix:
 
 
 def _mat_vec(mat: Sequence[Sequence], vec: Sequence) -> List[Fraction]:
-    return [sum((Fraction(row[c]) * vec[c] for c in range(len(vec))), Fraction(0)) for row in mat]
+    """mat @ vec over the nonzero entries of vec; entries are always Fraction."""
+    nz = [(c, v) for c, v in enumerate(vec) if v]
+    out = []
+    for row in mat:
+        acc = Fraction(0)
+        for c, v in nz:
+            x = row[c]
+            if x:
+                acc += x * v
+        out.append(acc)
+    return out
 
 
 def _mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
@@ -46,8 +63,8 @@ def _mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
         ar = a[r]
         orow = out[r]
         for t in range(k):
-            v = Fraction(ar[t])
-            if v == 0:
+            v = ar[t]
+            if not v:
                 continue
             brow = b[t]
             for c in range(m):
@@ -137,7 +154,7 @@ class HWModuleQ:
                 self.blocks[t] = blk
                 total += blk.dim
         if total != self.dim:
-            raise AssertionError(
+            raise InvariantError(
                 f"constructed dimension {total} != Weyl dimension {self.dim}"
             )
 
@@ -161,33 +178,38 @@ class HWModuleQ:
         gram = _zeros(n, n)
         for col, (j, bp) in enumerate(cands):
             up_j = self._up(t, j)
-            e_cols: Dict[int, List[Fraction]] = {}
+            # gm_by_root[i] = Gram(mid) @ E_i u_{bp}, where E_i maps u_{bp} in
+            # block t - e_j to mid = t - e_j - e_i; it depends on (col, i) only.
+            gm_by_root: Dict[int, List[Fraction]] = {}
             for i in {c[0] for c in cands}:
-                # E_i applied to u_{bp} in block t - e_j, landing in t - e_j - e_i.
                 if up_j.key[i] == 0:
                     continue
                 mat = up_j.emat[i]
                 if mat is None or not mat:
                     continue
-                e_cols[i] = [mat[r][bp] for r in range(len(mat))]
+                w = [mat[r][bp] for r in range(len(mat))]
+                if not any(w):
+                    continue
+                mid = self.blocks.get(tuple(
+                    v - (1 if k == i else 0) - (1 if k == j else 0)
+                    for k, v in enumerate(t)
+                ))
+                if mid is not None and mid.dim:
+                    gm_by_root[i] = _mat_vec(mid.gram, w)
             for row, (i, b) in enumerate(cands):
                 if row > col:
                     break  # symmetric: fill upper triangle, mirror below
                 up_i = self._up(t, i)
                 val = Fraction(0)
-                w = e_cols.get(i)
-                if w is not None and any(w):
-                    mid_key = tuple(
-                        v - (1 if k == i else 0) - (1 if k == j else 0)
-                        for k, v in enumerate(t)
-                    )
-                    mid = self.blocks.get(mid_key)
-                    if mid is not None and mid.dim:
-                        vb = up_i.emat[j]
-                        if vb:
-                            left = [vb[r][b] for r in range(len(vb))]
-                            gm = _mat_vec(mid.gram, w)
-                            val += sum(left[r] * gm[r] for r in range(len(gm)))
+                gm = gm_by_root.get(i)
+                if gm is not None:
+                    vb = up_i.emat[j]
+                    if vb:
+                        for r, g in enumerate(gm):
+                            if g:
+                                x = vb[r][b]
+                                if x:
+                                    val += x * g
                 if i == j:
                     h = up_i.weight[i]
                     val += h * up_i.gram[b][bp]
@@ -238,8 +260,7 @@ class HWModuleQ:
             if i == j:
                 h = src.weight[i]
                 if h:
-                    for r in range(tgt.dim):
-                        out[r][col] += h * (Fraction(1) if r == b else Fraction(0))
+                    out[b][col] += h  # i == j, so tgt is src and b < tgt.dim
         return out
 
     # -- public accessors -----------------------------------------------------
@@ -311,7 +332,8 @@ class HWModuleQ:
             rpos = self.system.pos_index[rest]
             alpha = tuple(1 if m == i else 0 for m in range(self.system.rank))
             n_const = self.system.structure_constant(alpha, rest)
-            assert n_const != 0
+            if n_const == 0:
+                raise InvariantError(f"zero structure constant for root {beta}")
             t_rest = self._shift(t, rest, +1)
             t_alpha = self._shift(t, alpha, +1)
             a = self._mul_shaped(self.f_simple(t_rest, i), self.f_root(t, rpos),
@@ -346,7 +368,8 @@ class HWModuleQ:
             rpos = self.system.pos_index[rest]
             alpha = tuple(1 if m == i else 0 for m in range(self.system.rank))
             n_const = self.system.structure_constant(alpha, rest)
-            assert n_const != 0
+            if n_const == 0:
+                raise InvariantError(f"zero structure constant for root {beta}")
             t_rest = self._shift(t, rest, -1)
             t_alpha = self._shift(t, alpha, -1)
             a = self._mul_shaped(self.e_simple(t_rest, i), self.e_root(t, rpos),
@@ -463,7 +486,7 @@ class AdmissibleLattice:
         for t, blk in module.blocks.items():
             den, basis = lattices[t].finalize()
             if len(basis) != blk.dim:
-                raise AssertionError(
+                raise InvariantError(
                     f"lattice rank {len(basis)} != block dimension {blk.dim} at {t}"
                 )
             dens[t] = den
@@ -474,22 +497,25 @@ class AdmissibleLattice:
             sdim, tdim = module.blocks[src].dim, module.blocks[tgt].dim
             if not mat:
                 return [[0] * sdim for _ in range(tdim)]
-            rhs = []
-            for a in range(sdim):
-                col = _mat_vec(mat, [Fraction(v) for v in rows[src][a]])
-                rhs.append(col)
-            lhs = [[Fraction(rows[tgt][a][r]) for a in range(tdim)]
-                   for r in range(tdim)]
-            sol = solve_dense(lhs, rhs)
+            # rows[tgt] is the HNF basis of a full-rank lattice: square, upper
+            # triangular, positive diagonal. Solving basis^T @ x = image is a
+            # forward substitution, and x is integral iff every step divides.
+            basis = rows[tgt]
             scale = Fraction(dens[tgt], dens[src])
             out: List[List[int]] = [[0] * sdim for _ in range(tdim)]
             for a in range(sdim):
+                image = _mat_vec(mat, rows[src][a])
+                x: List[int] = []
                 for r in range(tdim):
-                    v = sol[a][r] * scale
-                    assert v.denominator == 1, (
-                        f"operator matrix not integral on the lattice at {src}"
-                    )
-                    out[r][a] = int(v)
+                    v = image[r] * scale
+                    acc = v.numerator - sum(basis[k][r] * x[k] for k in range(r) if x[k])
+                    q, rem = divmod(acc, basis[r][r])
+                    if rem or v.denominator != 1:
+                        raise InvariantError(
+                            f"operator matrix not integral on the lattice at {src}"
+                        )
+                    x.append(q)
+                    out[r][a] = q
             return out
 
         e_gen: Dict[Tuple[int, Coords], List[List[int]]] = {}

@@ -211,27 +211,37 @@ def invert_dense(mat: Sequence[Sequence]) -> List[List[Fraction]]:
 
 
 def rank_dense(mat: Sequence[Sequence]) -> Tuple[int, List[int]]:
-    """Exact rank and pivot-column list of a rectangular Fraction/int matrix."""
+    """Exact rank and pivot-column list of a rectangular Fraction/int matrix.
+
+    Scaling a row changes neither the rank nor the pivot columns, so each row
+    is first cleared of denominators; the integer rows are then reduced to
+    echelon form by fraction-free Bareiss steps (every division by the
+    previous pivot is exact), so no Fraction arithmetic remains.
+    """
     if not mat:
         return 0, []
-    rows = [[Fraction(v) for v in r] for r in mat]
-    ncols = len(rows[0])
+    rows = [clear_denominators(r) for r in mat]
+    nrows, ncols = len(rows), len(rows[0])
     pivots: List[int] = []
+    prev = 1
     r0 = 0
     for col in range(ncols):
-        piv = next((r for r in range(r0, len(rows)) if rows[r][col] != 0), None)
+        piv = next((r for r in range(r0, nrows) if rows[r][col]), None)
         if piv is None:
             continue
         rows[r0], rows[piv] = rows[piv], rows[r0]
-        pv = rows[r0][col]
-        for r in range(len(rows)):
-            if r != r0 and rows[r][col] != 0:
-                f = rows[r][col] / pv
-                for c in range(col, ncols):
-                    rows[r][c] -= f * rows[r0][c]
+        top = rows[r0]
+        pv = top[col]
+        for r in range(r0 + 1, nrows):
+            row = rows[r]
+            f = row[col]
+            for c in range(col + 1, ncols):
+                row[c] = (pv * row[c] - f * top[c]) // prev
+            row[col] = 0
+        prev = pv
         pivots.append(col)
         r0 += 1
-        if r0 == len(rows):
+        if r0 == nrows:
             break
     return len(pivots), pivots
 

@@ -40,6 +40,14 @@ class ResourceCapError(RuntimeError):
     """Raised when a requested computation exceeds a configured cap."""
 
 
+class InvariantError(AssertionError):
+    """Raised when a mathematical invariant of a construction fails.
+
+    Unlike a bare ``assert`` it is not stripped by ``python -O``; it
+    subclasses AssertionError so existing handlers still catch it.
+    """
+
+
 _LABEL_MATRICES: Dict[str, Tuple[Tuple[int, ...], ...]] = {
     "B2": ((2, -1), (-2, 2)),
     "C2": ((2, -2), (-1, 2)),

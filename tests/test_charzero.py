@@ -1,11 +1,18 @@
 """Highest-weight modules over Q and their minimal integral forms."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from weylpbw import AdmissibleLattice, HWModuleQ, ResourceCapError, build_root_system
-from weylpbw.cache import stable_dumps
+import weylpbw
+from weylpbw import (AdmissibleLattice, HWModuleQ, InvariantError, ResourceCapError,
+                     build_root_system)
+from weylpbw.cache import stable_dumps, stable_hash
+from weylpbw.linalg import ScaledLattice
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +115,70 @@ def test_lattice_payload_cartan_preserved():
     assert payload["cartan"] == [[2, -1], [-1, 2]]
     assert payload["highest_weight"] == [1, 1]
     assert sum(b["dim"] for b in payload["blocks"]) == 8
+
+
+# Digests of ``stable_hash(lattice.to_payload())``: any change to the lattice
+# kernel must reproduce these bytes exactly.
+GOLDEN_PAYLOAD_DIGESTS = [
+    ("G2", (1, 0), "e4ded631fe30f42be9885fbd8b87aba56304cff21572fc3ecf327553524c6064"),
+    ("G2", (0, 1), "4c2243586d6816253462f167a3f7345a594cf1703d416f89e05e25f8c8577e16"),
+    ("G2", (1, 1), "e9107debaa68647a98e10669df122077dd533b6184463cbeddebc72c0fe75e8c"),
+    ("A2", (1, 1), "8d474d5eae9455a17634d99c49bd7dea5c4ca1f3bbb6a21b2d1ce8ed9afe56df"),
+    ("B2", (2, 3), "2042f68a89a5efc8ad7b3aa61a77cade3944302536466a3eb55e478495bf308e"),
+    ("C3", (0, 1, 1), "e711ac5347d57ce35ecf3195c5040e8e1f157e5beba76ea1bdea0fba6fe20238"),
+    ("B3", (1, 0, 1), "f76a3906febc3ce7f2038fe50f6e7caeaf9828248bf686ba9778226db99d72b4"),
+    ("A3", (1, 0, 1), "fec4a2bcf0cbce5cd8aea9d4f3280bf597f5ad6466542598b493da734d9db206"),
+]
+
+
+@pytest.mark.parametrize("typ,weight,digest", GOLDEN_PAYLOAD_DIGESTS)
+def test_lattice_payload_golden_digest(typ, weight, digest):
+    lattice = AdmissibleLattice.build(typ, weight)
+    assert stable_hash(lattice.to_payload()) == digest
+
+
+def build_with_corrupt_block():
+    """Build G2 (1,0) with the lattice basis of its second block doubled.
+
+    F maps the highest vector onto half of the doubled basis vector, so the
+    operator matrices are no longer integral on the lattice.
+    """
+    original = ScaledLattice.finalize
+    calls = []
+
+    def corrupted(self):
+        den, basis = original(self)
+        calls.append(self)
+        if len(calls) == 2:
+            basis = [tuple(2 * v for v in basis[0])] + basis[1:]
+        return den, basis
+
+    ScaledLattice.finalize = corrupted
+    try:
+        return AdmissibleLattice.build("G2", (1, 0))
+    finally:
+        ScaledLattice.finalize = original
+
+
+def test_corrupt_lattice_raises_invariant_error():
+    with pytest.raises(InvariantError, match="not integral on the lattice"):
+        build_with_corrupt_block()
+    assert issubclass(InvariantError, AssertionError)
+
+
+def test_invariant_error_survives_optimize_flag():
+    """``python -O`` strips asserts; the integrality check must still fire."""
+    here = Path(__file__).resolve().parent
+    src = Path(weylpbw.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import test_charzero\n"
+            "try:\n"
+            "    test_charzero.build_with_corrupt_block()\n"
+            "except test_charzero.InvariantError as exc:\n"
+            "    print('InvariantError:', exc)\n")
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "InvariantError: operator matrix not integral on the lattice" in result.stdout
