@@ -33,7 +33,6 @@ from .weylmod import (  # noqa: E402,F401
     DualModuleP,
     HyperMonomial,
     WeylModuleP,
-    dual_pairing,
     tensor_act,
     tensor_of,
 )

@@ -221,10 +221,15 @@ class HWModuleQ:
             return _Block(t, weight, 0, cands, [], [], [[] for _ in range(rank)])
 
         sel = [[gram[r][c] for c in pivots] for r in pivots]
-        cross = [[gram[r][c] for c in range(n)] for r in pivots]
-        # expand[:, c] = coordinates of candidate c in the pivot basis
-        cols = solve_dense(sel, [[cross[r][c] for r in range(dim)] for c in range(n)])
-        expand = [[cols[c][r] for c in range(n)] for r in range(dim)]
+        # expand[:, c] = coordinates of candidate c in the pivot basis; the
+        # j-th pivot candidate is the j-th basis vector, so only the other
+        # candidates need a solve
+        unit = {c: j for j, c in enumerate(pivots)}
+        others = [c for c in range(n) if c not in unit]
+        solved = dict(zip(others, solve_dense(sel, [[gram[r][c] for r in pivots]
+                                                     for c in others])))
+        expand = [[solved[c][r] if c in solved else Fraction(int(unit[c] == r))
+                   for c in range(n)] for r in range(dim)]
         basis_gram = [[gram[pivots[r]][pivots[c]] for c in range(dim)] for r in range(dim)]
 
         blk = _Block(t, weight, dim, cands, basis_gram, expand, [None] * rank)
@@ -265,15 +270,9 @@ class HWModuleQ:
 
     # -- public accessors -----------------------------------------------------
 
-    def block_keys(self) -> List[Coords]:
-        return list(self.blocks)
-
     def block_dim(self, t: Coords) -> int:
         blk = self.blocks.get(tuple(t))
         return blk.dim if blk else 0
-
-    def block_weight(self, t: Coords) -> Weight:
-        return self._block_weight(tuple(t))
 
     def gram(self, t: Coords) -> Matrix:
         return self.blocks[tuple(t)].gram
@@ -392,29 +391,6 @@ class HWModuleQ:
         if nrows == 0 or ninner == 0 or ncols == 0:
             return _zeros(nrows, ncols)
         return _mat_mul(self._pad(a, nrows, ninner), self._pad(b, ninner, ncols))
-
-    def monomial_vector(self, exponents: Sequence[int]) -> Tuple[Coords, List[Fraction]]:
-        """Apply the ordered divided lowering monomial F^s to the highest vector.
-
-        Returns (block key, coordinate vector); the vector is all zeros when
-        the monomial annihilates the highest vector. Rightmost factor acts
-        first.
-        """
-        if len(exponents) != self.system.n_pos:
-            raise ValueError("exponent list must cover every positive root")
-        t: Coords = tuple(0 for _ in range(self.system.rank))
-        vec: List[Fraction] = [Fraction(1)]
-        for pos in range(self.system.n_pos - 1, -1, -1):
-            beta = self.system.positive_roots[pos]
-            for step in range(1, exponents[pos] + 1):
-                mat = self.f_root(t, pos)
-                t = self._shift(t, beta, +1)
-                if not mat or self.blocks.get(t) is None:
-                    return t, [Fraction(0)] * self.block_dim(t)
-                vec = [v / step for v in _mat_vec(mat, vec)]
-                if not any(vec):
-                    return t, vec
-        return t, vec
 
 
 class AdmissibleLattice:

@@ -11,16 +11,13 @@ the chain of finite identities that reduces the full criterion to modules
 of dimension at most 196 plus polynomial computations: annihilation
 identities on a tensor of sections, three polynomial symbols, a uniqueness
 statement read off an inequality table, one monomial coefficient, and a
-closing tensor identity. Every verdict is reproducible bit for bit; timing
-and memory numbers ride along outside the canonical payload.
+closing tensor identity. Every verdict is reproducible bit for bit.
 """
 from __future__ import annotations
 
 import math
-import resource
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from . import SCHEMA_VERSION, SIGN_CONVENTION_TAG, __version__
 from .cache import stable_hash
@@ -67,17 +64,6 @@ def _input_hash(system: RootSystem, p: int, condition: str) -> str:
     })
 
 
-class _Stats:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.wall_ms = (time.perf_counter() - self.t0) * 1000.0
-        self.max_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return False
-
-
 @dataclass
 class CriterionReport:
     """One verdict about gamma = 2(p-1)rho for one root system and prime."""
@@ -89,11 +75,9 @@ class CriterionReport:
     witness: dict
     schema_version: int
     input_hash: str
-    wall_ms: float
-    max_rss_kb: int
 
-    def to_payload(self, include_stats: bool = False) -> dict:
-        out = {
+    def to_payload(self) -> dict:
+        return {
             "schema_version": self.schema_version,
             "label": self.label,
             "p": self.p,
@@ -103,10 +87,6 @@ class CriterionReport:
             "witness": self.witness,
             "input_hash": self.input_hash,
         }
-        if include_stats:
-            out["stats"] = {"wall_ms": self.wall_ms,
-                            "max_rss_kb": self.max_rss_kb}
-        return out
 
 
 def check_condition2(system: RootSystem, p: int,
@@ -119,37 +99,35 @@ def check_condition2(system: RootSystem, p: int,
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    with _Stats() as st:
-        gamma = gamma_weight(system, p)
-        level = (p - 1) * system.n_pos
-        m = WeylModuleP.build(system, gamma, p, dim_cap)
-        f0 = f_zero(system.n_pos, p)
-        f0v = m.act(f0, m.highest_vector())
-        witness: dict = {
-            "dim_v_gamma": sum(m.dims.values()),
-            "top_level": level,
-        }
-        if m.is_zero(f0v):
-            # would force the verdict false; no case is expected to hit this
-            witness["f0_annihilates"] = True
-            verdict = False
-        else:
-            witness["f0_annihilates"] = False
-            ten = tensor_of((f0v, f0v), reduce=m.reduce)
-            group = tuple(2 * v for v in system.monomial_depth(f0.exponents))
-            filt = InducedFiltration(system, gamma, gamma, p, up_to=level,
-                                     dim_cap=dim_cap, weight_group=group)
-            below = filt.contains_at(ten, level - 1)
-            at = filt.contains_at(ten, level)
-            verdict = not below
-            witness["weight_group"] = list(group)
-            witness["group_level_dims"] = list(filt.level_dims)
-            witness["in_top_level"] = at
-            witness["in_level_below"] = below
+    gamma = gamma_weight(system, p)
+    level = (p - 1) * system.n_pos
+    m = WeylModuleP.build(system, gamma, p, dim_cap)
+    f0 = f_zero(system.n_pos, p)
+    f0v = m.act(f0, m.highest_vector())
+    witness: dict = {
+        "dim_v_gamma": sum(m.dims.values()),
+        "top_level": level,
+    }
+    if m.is_zero(f0v):
+        # would force the verdict false; no case is expected to hit this
+        witness["f0_annihilates"] = True
+        verdict = False
+    else:
+        witness["f0_annihilates"] = False
+        ten = tensor_of((f0v, f0v), reduce=m.reduce)
+        group = tuple(2 * v for v in system.monomial_depth(f0.exponents))
+        filt = InducedFiltration(system, gamma, gamma, p, up_to=level,
+                                 dim_cap=dim_cap, weight_group=group)
+        below = filt.contains_at(ten, level - 1)
+        at = filt.contains_at(ten, level)
+        verdict = not below
+        witness["weight_group"] = list(group)
+        witness["group_level_dims"] = list(filt.level_dims)
+        witness["in_top_level"] = at
+        witness["in_level_below"] = below
     return CriterionReport(_label(system), p, gamma, "condition2", verdict,
                            witness, SCHEMA_VERSION,
-                           _input_hash(system, p, "condition2"),
-                           st.wall_ms, st.max_rss_kb)
+                           _input_hash(system, p, "condition2"))
 
 
 def check_v0(system: RootSystem, p: int,
@@ -161,37 +139,34 @@ def check_v0(system: RootSystem, p: int,
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    with _Stats() as st:
-        gamma = gamma_weight(system, p)
-        level = (p - 1) * system.n_pos
-        m = WeylModuleP.build(system, gamma, p, dim_cap)
-        f0 = f_zero(system.n_pos, p)
-        f0v = m.act(f0, m.highest_vector())
-        witness = {"dim_v_gamma": sum(m.dims.values()), "top_level": level}
-        if m.is_zero(f0v):
-            witness["f0_annihilates"] = True
-            verdict = False
-        else:
-            witness["f0_annihilates"] = False
-            block = system.monomial_depth(f0.exponents)
-            space = row_space(p)
-            considered = 0
-            for t in monomials_with_depth(system, block):
-                if sum(t) <= level - 1:
-                    vec = m.act(HyperMonomial("F", t), m.highest_vector())
-                    coords = vec.get(block)
-                    if coords and any(coords):
-                        considered += 1
-                        space.insert({i: v for i, v in enumerate(coords) if v})
-            target = {i: v for i, v in enumerate(f0v[block]) if v}
-            verdict = not space.contains(target)
-            witness["weight_block"] = list(block)
-            witness["block_dim"] = m.dims[block]
-            witness["lower_span_rank"] = space.rank
-            witness["lower_monomials"] = considered
+    gamma = gamma_weight(system, p)
+    level = (p - 1) * system.n_pos
+    m = WeylModuleP.build(system, gamma, p, dim_cap)
+    f0 = f_zero(system.n_pos, p)
+    f0v = m.act(f0, m.highest_vector())
+    witness = {"dim_v_gamma": sum(m.dims.values()), "top_level": level}
+    if m.is_zero(f0v):
+        witness["f0_annihilates"] = True
+        verdict = False
+    else:
+        witness["f0_annihilates"] = False
+        block = system.monomial_depth(f0.exponents)
+        space = row_space(p)
+        considered = 0
+        for t in monomials_with_depth(system, block):
+            if sum(t) <= level - 1:
+                coords = m.monomial_coords(t)
+                if coords is not None:
+                    considered += 1
+                    space.insert({i: v for i, v in enumerate(coords) if v})
+        target = {i: v for i, v in enumerate(f0v[block]) if v}
+        verdict = not space.contains(target)
+        witness["weight_block"] = list(block)
+        witness["block_dim"] = m.dims[block]
+        witness["lower_span_rank"] = space.rank
+        witness["lower_monomials"] = considered
     return CriterionReport(_label(system), p, gamma, "v0", verdict, witness,
-                           SCHEMA_VERSION, _input_hash(system, p, "v0"),
-                           st.wall_ms, st.max_rss_kb)
+                           SCHEMA_VERSION, _input_hash(system, p, "v0"))
 
 
 def implication_consistent(condition2: CriterionReport,
@@ -421,8 +396,6 @@ class G2Report:
     certified: bool
     schema_version: int
     input_hash: str
-    wall_ms: float
-    max_rss_kb: int
 
     def step(self, name: str) -> StepVerdict:
         for s in self.steps:
@@ -430,8 +403,8 @@ class G2Report:
                 return s
         raise KeyError(name)
 
-    def to_payload(self, include_stats: bool = False) -> dict:
-        out = {
+    def to_payload(self) -> dict:
+        return {
             "schema_version": self.schema_version,
             "type": "G2",
             "p": self.p,
@@ -441,10 +414,6 @@ class G2Report:
             "certified": self.certified,
             "input_hash": self.input_hash,
         }
-        if include_stats:
-            out["stats"] = {"wall_ms": self.wall_ms,
-                            "max_rss_kb": self.max_rss_kb}
-        return out
 
 
 def g2_verify(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> G2Report:
@@ -455,18 +424,16 @@ def g2_verify(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> G2Report:
     used by the surrounding argument needs p >= 11).
     """
     _require_prime(p)
-    with _Stats() as st:
-        steps = [
-            g2_annihilation_check(p, dim_cap),
-            g2_section_symbols_check(p, dim_cap),
-            g2_highest_section_check(p, dim_cap),
-            g2_coefficient_check(p, dim_cap),
-            g2_final_lemma_check(p, dim_cap),
-        ]
-        overall = all(s.ok for s in steps)
-        exploration = p < 11
-        system = _g2()
+    steps = [
+        g2_annihilation_check(p, dim_cap),
+        g2_section_symbols_check(p, dim_cap),
+        g2_highest_section_check(p, dim_cap),
+        g2_coefficient_check(p, dim_cap),
+        g2_final_lemma_check(p, dim_cap),
+    ]
+    overall = all(s.ok for s in steps)
+    exploration = p < 11
+    system = _g2()
     return G2Report(p, steps, overall, exploration,
                     overall and not exploration, SCHEMA_VERSION,
-                    _input_hash(system, p, "g2_verify"),
-                    st.wall_ms, st.max_rss_kb)
+                    _input_hash(system, p, "g2_verify"))

@@ -202,14 +202,6 @@ def solve_mod_p(mat: Sequence[Sequence[int]], rhs_cols: Sequence[Sequence[int]],
     return [[b[r][c] for r in range(n)] for c in range(m)]
 
 
-def invert_dense(mat: Sequence[Sequence]) -> List[List[Fraction]]:
-    n = len(mat)
-    eye = [[Fraction(int(r == c)) for r in range(n)] for c in range(n)]
-    cols = solve_dense(mat, eye)
-    # cols[c][r] is entry (r, c) of the inverse; return row-major.
-    return [[cols[c][r] for c in range(n)] for r in range(n)]
-
-
 def rank_dense(mat: Sequence[Sequence]) -> Tuple[int, List[int]]:
     """Exact rank and pivot-column list of a rectangular Fraction/int matrix.
 

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .charzero import DIM_CAP_DEFAULT
 from .linalg import row_space, solve_dense, solve_mod_p
-from .rootsys import RootSystem
+from .rootsys import InvariantError, RootSystem
 from .weylmod import (DualModuleP, HyperMonomial, Vector, WeylModuleP,
                       tensor_act, tensor_of)
 
@@ -185,15 +185,15 @@ def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...]) -> BlockSweep:
     essential: List[MultiIndex] = []
     vectors: Dict[MultiIndex, List[int]] = {}
     for s in indices:
-        vec = m.act(HyperMonomial("F", s), m.highest_vector())
-        coords = vec.get(depth)
-        if coords is None or not any(coords):
+        coords = m.monomial_coords(s)
+        if coords is None:
             continue
         if space.insert({i: v for i, v in enumerate(coords) if v}):
             essential.append(s)
-            vectors[s] = list(coords)
-    assert space.rank == m.dims.get(depth, 0), (
-        f"monomial vectors fail to span the block at depth {depth}")
+            vectors[s] = coords
+    if space.rank != m.dims.get(depth, 0):
+        raise InvariantError(
+            f"monomial vectors fail to span the block at depth {depth}")
     essential.sort(key=order_key)
     return BlockSweep(depth, indices, essential, vectors)
 
@@ -237,9 +237,8 @@ def pbw_filtration(m: WeylModuleP, n: int) -> FiltrationTable:
             depth = m.system.monomial_depth(s)
             if depth not in m.dims:
                 continue
-            vec = m.act(HyperMonomial("F", s), m.highest_vector())
-            coords = vec.get(depth)
-            if coords is None or not any(coords):
+            coords = m.monomial_coords(s)
+            if coords is None:
                 continue
             space = spaces.get(depth)
             if space is None:
@@ -402,32 +401,10 @@ class InducedSections:
     def xi(self, s: Sequence[int]) -> Vector:
         return self.essentials.dual_functional(s)
 
-    def pair(self, xi: Vector, vec: Vector):
-        return self.dual.pair(xi, vec)
-
-    def monomial_vector(self, t: Sequence[int]) -> Vector:
-        return self.module.act(HyperMonomial("F", t), self.module.highest_vector())
-
-    def act(self, mono: HyperMonomial, xi: Vector) -> Vector:
-        return self.dual.act(mono, xi)
-
     def functional_weight(self, xi: Vector):
         """The weight of a homogeneous functional (None for zero or mixed)."""
-        seen = None
-        for blk, coords in xi.items():
-            if not any(coords):
-                continue
-            w = self.dual.functional_weight(blk)
-            if seen is None:
-                seen = w
-            elif seen != w:
-                return None
-        return seen
-
-
-def dual_basis_element(sections: InducedSections, s: Sequence[int]) -> Vector:
-    """The essential dual-basis functional xi_lam(s), s in es(lam*)."""
-    return sections.xi(s)
+        w = self.module.vector_weight(xi)
+        return None if w is None else tuple(-v for v in w)
 
 
 def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
@@ -447,7 +424,7 @@ def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
             continue
         sweep = sections.essentials.by_block[blk]
         for s in sweep.essential:
-            c = sections.pair(xi, {blk: sweep.vectors[s]})
+            c = sections.dual.pair(xi, {blk: sweep.vectors[s]})
             if not c:
                 continue
             if sum(s) < n:
@@ -461,7 +438,10 @@ def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
             for t in monomials_with_depth(sections.system, blk, degree=n):
                 if order_compare(t, s) < 0:
                     continue
-                val = sections.pair(xi_s, sections.monomial_vector(t))
+                coords = sections.module.monomial_coords(t)
+                if coords is None:
+                    continue
+                val = sections.dual.pair(xi_s, {blk: coords})
                 if val:
                     term[t] = c * val if sections.p is None else (c * val) % sections.p
             out = out + Polynomial(term)
@@ -530,7 +510,10 @@ def _chain_constants(system: RootSystem, beta_pos: int,
             break
         run *= system.structure_constant(beta, cur)
         val = Fraction(run, math.factorial(r))
-        assert val.denominator == 1, "divided chain coefficient not integral"
+        if val.denominator != 1:
+            raise InvariantError(
+                f"divided chain coefficient {val} of root #{gamma_pos} along"
+                f" root #{beta_pos} is not integral")
         out.append(int(val))
         cur = nxt
         r += 1

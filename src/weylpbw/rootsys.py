@@ -420,40 +420,6 @@ class RootSystem:
             return {self._elem_index("E", s): n}
         return {self._elem_index("F", _neg(s)): n}
 
-    def ad_matrix(self, idx: int) -> List[List[int]]:
-        """Integer matrix of ad(x_idx) on the adjoint basis (columns = inputs)."""
-        n = self.adjoint_dim
-        mat = [[0] * n for _ in range(n)]
-        for j in range(n):
-            for r, v in self.bracket_basis(idx, j).items():
-                mat[r][j] = v
-        return mat
-
-    def ad_divided(self, idx: int, k: int) -> List[List[int]]:
-        """ad(x_idx)^k / k! — integer-valued on the Chevalley basis (asserted)."""
-        n = self.adjoint_dim
-        cur = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-        base = self.ad_matrix(idx)
-        for step in range(1, k + 1):
-            nxt = [[Fraction(0)] * n for _ in range(n)]
-            for r in range(n):
-                for t in range(n):
-                    if base[r][t]:
-                        br = base[r][t]
-                        row = cur[t]
-                        for c in range(n):
-                            if row[c]:
-                                nxt[r][c] += br * row[c]
-            cur = [[v / step for v in row] for row in nxt]
-        out = []
-        for row in cur:
-            irow = []
-            for v in row:
-                assert v.denominator == 1, "divided adjoint power must be integral"
-                irow.append(int(v))
-            out.append(irow)
-        return out
-
     # -- weights --------------------------------------------------------------
 
     @property

@@ -8,6 +8,17 @@ induced modules enter: H0(lam) is the dual of the Weyl module with highest
 weight lam*. Tensor actions go through the divided-power coproduct
 Delta X^(n) = sum X^(i) (x) X^(j), leg by leg.
 
+Every action, on a module, a dual or a tensor, is one composition loop,
+``_compose``: it walks the root positions from last to first and hands each
+nonzero factor X_beta^(k) to a step. The steps differ only in what one factor
+does: a blockwise step for modules and duals, a one-leg step and a coproduct
+step for tensors. A leg of a tensor is anything offering ``system``,
+``reduce``, ``dims`` and ``leg_apply``; both module classes do. The two
+``leg_apply`` kernels stay separate: the module's applies a matrix, the
+dual's applies its transpose with the sign (-1)^k and the block flow
+reversed, and a shared kernel would have to branch on which of them it
+serves.
+
 Module vectors are sparse maps {block key -> dense coordinate list}; tensor
 vectors are sparse maps {(block, block) -> {(row, row) -> scalar}}. Scalars
 are ints, reduced to [0, p) whenever the module carries a prime.
@@ -15,10 +26,11 @@ are ints, reduced to [0, p) whenever the module carries a prime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .charzero import DIM_CAP_DEFAULT, AdmissibleLattice
-from .rootsys import RootSystem, build_root_system
+from .rootsys import InvariantError, RootSystem
 
 Coords = Tuple[int, ...]
 Weight = Tuple[int, ...]
@@ -69,6 +81,43 @@ def f_zero(n_pos: int, p: int) -> HyperMonomial:
     return HyperMonomial("F", tuple(p - 1 for _ in range(n_pos)))
 
 
+def _compose(leg, mono: HyperMonomial, vec, step: Callable):
+    """Apply ``mono`` to ``vec`` one root factor at a time, last root first.
+
+    ``step(side, pos, k, vec)`` applies the single factor X_beta^(k) of root
+    position ``pos``; zero exponents are skipped, and the walk stops as soon
+    as the vector dies.
+    """
+    n_pos = leg.system.n_pos
+    if len(mono.exponents) != n_pos:
+        raise ValueError("monomial length does not match the root count")
+    for pos in range(n_pos - 1, -1, -1):
+        k = mono.exponents[pos]
+        if k == 0:
+            continue
+        vec = step(mono.side, pos, k, vec)
+        if not vec:
+            break
+    return vec
+
+
+def _block_step(leg, side: str, pos: int, k: int, vec: Vector) -> Vector:
+    """One factor on a blockwise vector, block by block through ``leg_apply``."""
+    out: Vector = {}
+    for t, coords in vec.items():
+        res = leg.leg_apply(side, pos, k, t, coords)
+        if res is None:
+            continue
+        tgt, new = res
+        acc = out.get(tgt)
+        if acc is None:
+            out[tgt] = new
+        else:
+            for r, v in enumerate(new):
+                acc[r] = leg.reduce(acc[r] + v)
+    return {t: c for t, c in out.items() if any(c)}
+
+
 class WeylModuleP:
     """A Weyl module over F_p (or its integral form when p is None)."""
 
@@ -102,9 +151,6 @@ class WeylModuleP:
     def highest_vector(self) -> Vector:
         return {self.zero_block(): [1]}
 
-    def weight_of_block(self, t: Coords) -> Weight:
-        return self.weights[tuple(t)]
-
     # -- divided powers --------------------------------------------------------
 
     def _first_power(self, side: str, pos: int) -> Dict[Coords, List[List[int]]]:
@@ -135,11 +181,11 @@ class WeylModuleP:
                     continue
                 prod = [[sum(top[r][m] * mat[m][c] for m in range(len(mat)))
                          for c in range(len(mat[0]))] for r in range(len(top))]
-                ok = []
-                for row in prod:
-                    for v in row:
-                        assert v % k == 0, "divided power failed to stay integral"
-                    ok.append([v // k for v in row])
+                if any(v % k for row in prod for v in row):
+                    raise InvariantError(
+                        f"divided power {side}^({k}) of root #{pos} is not"
+                        f" integral on block {t}")
+                ok = [[v // k for v in row] for row in prod]
                 if any(any(row) for row in ok):
                     out[t] = ok
         self._div_int[key] = out
@@ -179,29 +225,17 @@ class WeylModuleP:
         return tgt, out
 
     def act(self, mono: HyperMonomial, vec: Vector) -> Vector:
-        if len(mono.exponents) != self.system.n_pos:
-            raise ValueError("monomial length does not match the root count")
-        cur = {t: list(c) for t, c in vec.items()}
-        for pos in range(self.system.n_pos - 1, -1, -1):
-            k = mono.exponents[pos]
-            if k == 0:
-                continue
-            nxt: Vector = {}
-            for t, coords in cur.items():
-                res = self.leg_apply(mono.side, pos, k, t, coords)
-                if res is None:
-                    continue
-                tgt, out = res
-                if tgt in nxt:
-                    acc = nxt[tgt]
-                    for r, v in enumerate(out):
-                        acc[r] = self.reduce(acc[r] + v)
-                else:
-                    nxt[tgt] = out
-            cur = {t: c for t, c in nxt.items() if any(c)}
-            if not cur:
-                break
-        return cur
+        return _compose(self, mono, {t: list(c) for t, c in vec.items()},
+                        partial(_block_step, self))
+
+    def monomial_coords(self, s: Sequence[int]) -> Optional[List[int]]:
+        """The coordinates of F^s v in its block, None when F^s kills v.
+
+        F^s v is a weight vector, so it lies in the single block at the
+        depth of s.
+        """
+        vec = self.act(HyperMonomial("F", s), self.highest_vector())
+        return next(iter(vec.values()), None)
 
     def is_zero(self, vec: Vector) -> bool:
         return all(not any(c) for c in vec.values())
@@ -220,15 +254,6 @@ class WeylModuleP:
         return seen
 
 
-def reduce_mod_p(lattice: AdmissibleLattice, p: int) -> WeylModuleP:
-    """Reduce an admissible lattice mod a prime."""
-    return WeylModuleP(lattice, p)
-
-
-def act(m: WeylModuleP, mono: HyperMonomial, vec: Vector) -> Vector:
-    return m.act(mono, vec)
-
-
 class DualModuleP:
     """Functionals on a Weyl module, i.e. the induced module H0(lam).
 
@@ -242,6 +267,7 @@ class DualModuleP:
         self.module = module
         self.system = module.system
         self.p = module.p
+        self.dims: Dict[Coords, int] = module.dims
         self.induced_weight: Weight = module.system.star(module.highest_weight)
 
     def reduce(self, v: int) -> int:
@@ -258,7 +284,7 @@ class DualModuleP:
         sign = -1 if side == "E" else 1
         # the functional supported on block t feeds the block "upstream" of it
         tgt = tuple(v - sign * k * c for v, c in zip(t, beta))
-        if tgt not in self.module.dims:
+        if tgt not in self.dims:
             return None
         mat = self.module.divided(side, pos, k).get(tgt)
         if mat is None:
@@ -271,27 +297,8 @@ class DualModuleP:
         return tgt, out
 
     def act(self, mono: HyperMonomial, xi: Vector) -> Vector:
-        cur = {t: list(c) for t, c in xi.items()}
-        for pos in range(self.system.n_pos - 1, -1, -1):
-            k = mono.exponents[pos]
-            if k == 0:
-                continue
-            nxt: Vector = {}
-            for t, coords in cur.items():
-                res = self.leg_apply(mono.side, pos, k, t, coords)
-                if res is None:
-                    continue
-                tgt, out = res
-                if tgt in nxt:
-                    acc = nxt[tgt]
-                    for r, v in enumerate(out):
-                        acc[r] = self.reduce(acc[r] + v)
-                else:
-                    nxt[tgt] = out
-            cur = {t: c for t, c in nxt.items() if any(c)}
-            if not cur:
-                break
-        return cur
+        return _compose(self, mono, {t: list(c) for t, c in xi.items()},
+                        partial(_block_step, self))
 
     def pair(self, xi: Vector, vec: Vector) -> int:
         """Evaluate the functional: the pairing eta on H0 x V(lam*)."""
@@ -304,20 +311,16 @@ class DualModuleP:
         return self.reduce(total)
 
 
-def dual_pairing(d: DualModuleP, xi: Vector, vec: Vector) -> int:
-    return d.pair(xi, vec)
-
-
 def _tensor_leg_apply(legs, idx: int, side: str, pos: int, k: int,
-                      tvec: TensorVector, reduce) -> TensorVector:
+                      tvec: TensorVector) -> TensorVector:
     """Apply X^(k) on one tensor leg of a sparse tensor vector."""
     if k == 0:
         return tvec
+    leg, reduce = legs[idx], legs[0].reduce
     out: TensorVector = {}
     for (ta, tb), entries in tvec.items():
         t_here = ta if idx == 0 else tb
-        dim_here = legs[idx].module.dims[t_here] if isinstance(legs[idx], DualModuleP) \
-            else legs[idx].dims[t_here]
+        dim_here = leg.dims[t_here]
         # group the sparse entries into columns along the acted leg
         cols: Dict[int, List[int]] = {}
         for (ra, rb), val in entries.items():
@@ -325,7 +328,7 @@ def _tensor_leg_apply(legs, idx: int, side: str, pos: int, k: int,
             mine = ra if idx == 0 else rb
             cols.setdefault(other, [0] * dim_here)[mine] = val
         for other, coords in cols.items():
-            res = legs[idx].leg_apply(side, pos, k, t_here, coords)
+            res = leg.leg_apply(side, pos, k, t_here, coords)
             if res is None:
                 continue
             tgt, new_coords = res
@@ -340,6 +343,22 @@ def _tensor_leg_apply(legs, idx: int, side: str, pos: int, k: int,
             if any(e.values())}
 
 
+def _coproduct_step(legs, side: str, pos: int, k: int,
+                    tvec: TensorVector) -> TensorVector:
+    """One factor through the coproduct: sum_{i+j=k} X^(i) (x) X^(j)."""
+    reduce = legs[0].reduce
+    acc: TensorVector = {}
+    for i in range(k + 1):
+        term = _tensor_leg_apply(legs, 1, side, pos, k - i, tvec)
+        term = _tensor_leg_apply(legs, 0, side, pos, i, term)
+        for key, entries in term.items():
+            slot = acc.setdefault(key, {})
+            for ij, v in entries.items():
+                slot[ij] = reduce(slot.get(ij, 0) + v)
+    return {k_: {ij: v for ij, v in e.items() if v} for k_, e in acc.items()
+            if any(e.values())}
+
+
 def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVector:
     """Act on a tensor vector through the divided-power coproduct.
 
@@ -347,30 +366,7 @@ def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVe
     (mixed pairs allowed); the coproduct of each root factor splits as
     sum_{i+j=k} X^(i) (x) X^(j) and the root factors compose right to left.
     """
-    a, b = mods
-    reduce = a.reduce
-    cur = tvec
-    npos = a.system.n_pos
-    if len(mono.exponents) != npos:
-        raise ValueError("monomial length does not match the root count")
-    for pos in range(npos - 1, -1, -1):
-        k = mono.exponents[pos]
-        if k == 0:
-            continue
-        acc: TensorVector = {}
-        for i in range(k + 1):
-            j = k - i
-            term = _tensor_leg_apply(mods, 1, mono.side, pos, j, cur, reduce)
-            term = _tensor_leg_apply(mods, 0, mono.side, pos, i, term, reduce)
-            for key, entries in term.items():
-                slot = acc.setdefault(key, {})
-                for ij, v in entries.items():
-                    slot[ij] = reduce(slot.get(ij, 0) + v)
-        cur = {k_: {ij: v for ij, v in e.items() if v} for k_, e in acc.items()
-               if any(e.values())}
-        if not cur:
-            break
-    return cur
+    return _compose(mods[0], mono, tvec, partial(_coproduct_step, mods))
 
 
 def tensor_leg_act(mods: Tuple, idx: int, mono: HyperMonomial,
@@ -379,19 +375,7 @@ def tensor_leg_act(mods: Tuple, idx: int, mono: HyperMonomial,
     1 (x) X^s for ``idx`` 1 (no coproduct)."""
     if idx not in (0, 1):
         raise ValueError("a tensor has legs 0 and 1")
-    a = mods[0]
-    reduce = a.reduce
-    if len(mono.exponents) != a.system.n_pos:
-        raise ValueError("monomial length does not match the root count")
-    cur = tvec
-    for pos in range(a.system.n_pos - 1, -1, -1):
-        k = mono.exponents[pos]
-        if k == 0:
-            continue
-        cur = _tensor_leg_apply(mods, idx, mono.side, pos, k, cur, reduce)
-        if not cur:
-            break
-    return cur
+    return _compose(mods[0], mono, tvec, partial(_tensor_leg_apply, mods, idx))
 
 
 def tensor_of(vecs: Tuple[Vector, Vector], reduce=None) -> TensorVector:

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,15 +59,6 @@ def test_gram_contravariance(g2):
                 assert gram[i][j] == gram[j][i]
         rank, _ = rank_dense(gram)
         assert rank == blk.dim, t
-
-
-def test_monomial_vector_highest(g2):
-    module = HWModuleQ(g2, (1, 0))
-    t, coords = module.monomial_vector((0, 0, 0, 0, 0, 0))
-    assert t == (0, 0)
-    assert coords == [Fraction(1)]
-    t, coords = module.monomial_vector((1, 0, 0, 0, 0, 0))
-    assert t == (3, 2)   # depth of the highest positive root
 
 
 def test_dim_cap_enforced(g2):

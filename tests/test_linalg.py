@@ -10,7 +10,6 @@ from weylpbw.linalg import (
     ScaledLattice,
     clear_denominators,
     hnf_rows,
-    invert_dense,
     rank_dense,
     row_space,
     solve_dense,
@@ -77,11 +76,6 @@ def test_solve_dense_singular():
 
 def test_solve_mod_p():
     assert solve_mod_p([[2, 1], [1, 1]], [[3, 2]], 5) == [[1, 1]]
-
-
-def test_invert_dense():
-    inv = invert_dense([[2, 1], [1, 1]])
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
 
 
 def test_rank_dense_pivots():

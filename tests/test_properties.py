@@ -1,19 +1,22 @@
-"""Property tests of the exact kernels against an independent oracle (sympy).
+"""Property tests of the exact kernels: linear algebra against an independent
+oracle (sympy), and the action kernel against the identities it must obey.
 
 Hypothesis and sympy are test-only dependencies; the module is skipped when
-either is missing.
+Hypothesis is missing, and the sympy comparison when sympy is.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from weylpbw import AdmissibleLattice, DualModuleP, WeylModuleP  # noqa: E402
 from weylpbw.charzero import _mat_vec  # noqa: E402
 from weylpbw.linalg import rank_dense  # noqa: E402
+from weylpbw.weylmod import HyperMonomial, tensor_leg_act, tensor_of  # noqa: E402
 
 small_ints = st.integers(-4, 4)
 entries = st.one_of(small_ints, st.fractions(-3, 3, max_denominator=5))
@@ -50,6 +53,7 @@ def rectangular_matrices(draw):
 
 
 def _sympy(mat):
+    sympy = pytest.importorskip("sympy")
     return sympy.Matrix([[sympy.Rational(Fraction(v).numerator, Fraction(v).denominator)
                           for v in row] for row in mat])
 
@@ -81,3 +85,100 @@ def test_sparse_mat_vec_matches_dense_definition(case):
     got = _mat_vec(mat, vec)
     assert got == dense
     assert all(type(v) is Fraction for v in got)
+
+
+# -- the action kernel: module, dual and tensor actions ------------------------
+
+SMALL_MODULES = [("A1", (1,)), ("A1", (3,)), ("A1", (4,)), ("A2", (1, 0)),
+                 ("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 0)), ("B2", (0, 1)),
+                 ("B2", (1, 1)), ("G2", (1, 0)), ("G2", (0, 1)), ("G2", (1, 1))]
+_LATTICES: dict = {}
+
+
+def _module(label, weight, p) -> WeylModuleP:
+    key = (label, weight)
+    if key not in _LATTICES:
+        _LATTICES[key] = AdmissibleLattice.build(label, weight, 64)
+    return WeylModuleP(_LATTICES[key], p)
+
+
+@st.composite
+def small_modules(draw):
+    label, weight = draw(st.sampled_from(SMALL_MODULES))
+    return _module(label, weight, draw(st.sampled_from([None, 2, 3, 5])))
+
+
+def _vectors(draw, m):
+    """A vector on up to three blocks of ``m``, coordinates in the module's ring."""
+    keys = draw(st.lists(st.sampled_from(m.block_order), min_size=1, max_size=3,
+                         unique=True))
+    entry = st.integers(-3, 3) if m.p is None else st.integers(0, m.p - 1)
+    return {t: [draw(entry) for _ in range(m.dims[t])] for t in keys}
+
+
+def _single_root(m, draw, max_k=3):
+    pos = draw(st.integers(0, m.system.n_pos - 1))
+    return pos, draw(st.sampled_from("EF")), draw(st.integers(0, max_k))
+
+
+def _sparse_exponents(m, draw):
+    """Exponents with at most two nonzero entries, so few products die."""
+    out = [0] * m.system.n_pos
+    for pos in draw(st.lists(st.integers(0, m.system.n_pos - 1), max_size=2)):
+        out[pos] = draw(st.integers(1, 2))
+    return tuple(out)
+
+
+def _power(m, side, pos, k):
+    return HyperMonomial(side, tuple(k if i == pos else 0 for i in range(m.system.n_pos)))
+
+
+def _scaled(leg, c, vec):
+    out = {t: [leg.reduce(c * x) for x in coords] for t, coords in vec.items()}
+    return {t: coords for t, coords in out.items() if any(coords)}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_divided_powers_compose_on_modules_and_duals(data):
+    """X^(a) X^(b) = C(a+b, a) X^(a+b), on Weyl vectors and on functionals."""
+    m = data.draw(small_modules())
+    leg = data.draw(st.sampled_from([m, DualModuleP(m)]))
+    pos, side, a = _single_root(m, data.draw)
+    b = data.draw(st.integers(0, 3))
+    vec = _vectors(data.draw, m)
+    lhs = leg.act(_power(m, side, pos, a), leg.act(_power(m, side, pos, b), vec))
+    rhs = leg.act(_power(m, side, pos, a + b), vec)
+    assert _scaled(leg, 1, lhs) == _scaled(leg, math.comb(a + b, a), rhs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_tensor_leg_act_is_the_action_on_one_leg(data):
+    m = data.draw(small_modules())
+    legs = tuple(data.draw(st.sampled_from([m, DualModuleP(m)])) for _ in range(2))
+    idx = data.draw(st.sampled_from([0, 1]))
+    mono = HyperMonomial(data.draw(st.sampled_from("EF")), _sparse_exponents(m, data.draw))
+    u, w = _vectors(data.draw, m), _vectors(data.draw, m)
+    got = tensor_leg_act(legs, idx, mono, tensor_of((u, w), reduce=m.reduce))
+    pair = (legs[0].act(mono, u), w) if idx == 0 else (u, legs[1].act(mono, w))
+    assert got == tensor_of(pair, reduce=m.reduce)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_monomial_coords_agrees_with_act(data):
+    """F^s v from ``monomial_coords``, from ``act``, and factor by factor
+    with the last root's factor applied first, all lie in one block."""
+    m = data.draw(small_modules())
+    s = tuple(data.draw(st.integers(0, 3)) for _ in range(m.system.n_pos))
+    vec = m.act(HyperMonomial("F", s), m.highest_vector())
+    by_factor = m.highest_vector()
+    for pos in reversed(range(m.system.n_pos)):
+        by_factor = m.act(_power(m, "F", pos, s[pos]), by_factor)
+    assert _scaled(m, 1, by_factor) == vec
+    coords = m.monomial_coords(s)
+    if coords is None:
+        assert vec == {}
+    else:
+        assert vec == {m.system.monomial_depth(s): coords}

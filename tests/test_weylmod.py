@@ -1,15 +1,20 @@
 """Mod-p Weyl modules, duals, and the coproduct action on tensors."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from tensor3 import iterated_coproduct, triple_of
 
-from weylpbw import WeylModuleP, build_root_system, tensor_act, tensor_of
+import weylpbw
+from weylpbw import (AdmissibleLattice, InvariantError, WeylModuleP, build_root_system,
+                     tensor_act, tensor_of)
 from weylpbw.weylmod import (
     DualModuleP,
     HyperMonomial,
-    dual_pairing,
     f_zero,
     is_prime,
     tensor_leg_act,
@@ -51,6 +56,48 @@ def test_divided_powers_a1():
     assert m.act(F1, m.act(F1, v)) == {(2,): [2]}   # F F v = 2 F^(2) v
     assert m.act(F2, v) == {(2,): [1]}
     assert m.is_zero(m.act(HyperMonomial("F", (3,)), v))
+
+
+def corrupt_a1_module() -> WeylModuleP:
+    """V(2) of A1 with F on the middle block changed from 2 to 1, so that
+    F^(2) = F F / 2 is no longer integral."""
+    lattice = AdmissibleLattice.build("A1", (2,))
+    lattice.f_gen[(0, (1,))] = [[1]]
+    return WeylModuleP(lattice, None)
+
+
+def test_non_integral_divided_power_raises_invariant_error():
+    with pytest.raises(InvariantError, match="not integral"):
+        corrupt_a1_module().divided("F", 0, 2)
+
+
+def test_divided_power_check_survives_optimize_flag():
+    """``python -O`` strips asserts; the integrality check must still fire."""
+    here = Path(__file__).resolve().parent
+    src = Path(weylpbw.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import test_weylmod\n"
+            "try:\n"
+            "    test_weylmod.corrupt_a1_module().divided('F', 0, 2)\n"
+            "except test_weylmod.InvariantError as exc:\n"
+            "    print('InvariantError:', exc)\n")
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "InvariantError: divided power F^(2)" in result.stdout
+
+
+def test_monomial_coords_highest():
+    g2 = build_root_system("G2")
+    m = WeylModuleP(AdmissibleLattice.build(g2, (1, 0)), None)
+    assert m.monomial_coords((0, 0, 0, 0, 0, 0)) == [1]
+    theta = HyperMonomial("F", (1, 0, 0, 0, 0, 0))
+    fv = m.act(theta, m.highest_vector())
+    assert list(fv) == [(3, 2)]   # depth of the highest positive root
+    assert m.monomial_coords(theta.exponents) == fv[(3, 2)]
+    assert m.monomial_coords((2, 0, 0, 0, 0, 0)) is None   # F_theta^(2) kills v
 
 
 def _scale(m, c, vec):
@@ -103,9 +150,16 @@ def test_dual_is_antipode_twisted():
         for t in m.block_order:
             for r in range(m.dims[t]):
                 u = {t: [1 if i == r else 0 for i in range(m.dims[t])]}
-                lhs = dual_pairing(d, d.act(mono, xi), u)
-                rhs = sign * dual_pairing(d, xi, m.act(mono, u))
+                lhs = d.pair(d.act(mono, xi), u)
+                rhs = sign * d.pair(xi, m.act(mono, u))
                 assert lhs == rhs
+
+
+def test_dual_act_rejects_wrong_length():
+    a1 = build_root_system("A1")
+    d = DualModuleP(WeylModuleP.build(a1, (2,), None, 100))
+    with pytest.raises(ValueError, match="root count"):
+        d.act(HyperMonomial("F", (1, 0)), {(2,): [1]})
 
 
 def test_dual_functional_weights():
