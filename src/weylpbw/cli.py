@@ -256,6 +256,8 @@ def cmd_filtration(cfg: RunConfig, args):
     cfg = _with_weights(cfg, args, system)
     if cfg.weight is None:
         raise UsageError("filtration requires --weight")
+    if args.levels is not None and args.levels < 0:
+        raise UsageError("--levels must be nonnegative")
 
     if cfg.tensor is None:
         lattice = load_or_build_lattice(system, cfg.weight, cfg.p, cfg.store, cfg.cap)

@@ -17,6 +17,7 @@ and re-expanded in the essential dual basis.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,16 +58,23 @@ def order_compare(s: Sequence[int], t: Sequence[int]) -> int:
 def monomials_with_depth(system: RootSystem, depth: Sequence[int],
                          degree: Optional[int] = None) -> List[MultiIndex]:
     """All s with sum_beta s_beta * beta equal to ``depth`` (root coordinates),
-    optionally restricted to total degree ``degree``."""
+    optionally restricted to total degree ``degree``, in lexicographic order
+    of s. A depth with a negative coordinate has none.
+
+    The last ``rank`` positive roots are the simple roots (the root order is
+    by descending height), so once the recursion reaches them the remainder
+    forces their exponents: one candidate per prefix, not a subtree.
+    """
     roots = system.positive_roots
-    n = len(roots)
+    tail = len(roots) - system.rank
+    simple_at = [beta.index(1) for beta in roots[tail:]]
     out: List[MultiIndex] = []
-    cur = [0] * n
+    cur = [0] * tail
 
     def rec(pos: int, rem: Tuple[int, ...], deg_left: Optional[int]) -> None:
-        if pos == n:
-            if all(v == 0 for v in rem) and (deg_left is None or deg_left == 0):
-                out.append(tuple(cur))
+        if pos == tail:
+            if min(rem) >= 0 and (deg_left is None or deg_left == sum(rem)):
+                out.append(tuple(cur) + tuple(rem[i] for i in simple_at))
             return
         beta = roots[pos]
         cap = min(rem[i] // beta[i] for i in range(len(rem)) if beta[i])
@@ -184,14 +192,17 @@ def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...]) -> BlockSweep:
     space = row_space(m.p)
     essential: List[MultiIndex] = []
     vectors: Dict[MultiIndex, List[int]] = {}
+    full = m.dims.get(depth, 0)
     for s in indices:
+        if space.rank == full:
+            break   # no later monomial can be independent
         coords = m.monomial_coords(s)
         if coords is None:
             continue
         if space.insert({i: v for i, v in enumerate(coords) if v}):
             essential.append(s)
             vectors[s] = coords
-    if space.rank != m.dims.get(depth, 0):
+    if space.rank != full:
         raise InvariantError(
             f"monomial vectors fail to span the block at depth {depth}")
     essential.sort(key=order_key)
@@ -201,8 +212,10 @@ def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...]) -> BlockSweep:
 def essential_set(m: WeylModuleP, up_to_degree: Optional[int] = None) -> EssentialSet:
     """Sweep every weight block of the module for essential multi-indices.
 
-    The sweep in a block is always complete (all degrees compete);
-    ``up_to_degree`` only filters the reported set.
+    All degrees of a block compete, so ``up_to_degree`` only filters the
+    reported set. A block's sweep stops once its kept vectors span the
+    block: no later monomial could be kept, so the result is that of the
+    complete sweep.
     """
     by_block = {t: _sweep_block(m, t) for t in m.block_order if m.dims[t]}
     return EssentialSet(m, by_block, up_to_degree)
@@ -224,31 +237,28 @@ class FiltrationTable:
 def pbw_filtration(m: WeylModuleP, n: int) -> FiltrationTable:
     """Ranks of the spans of the monomial vectors of degree <= 0, 1, ..., n.
 
-    Computed directly from rank sweeps (blockwise, since distinct weights are
-    independent), not from the essential-set combinatorics, so the two can be
-    cross-checked against each other.
+    Computed directly from rank sweeps, not from the essential-set
+    combinatorics, so the two can be cross-checked against each other.
+    Distinct weights are independent, so each block is swept on its own:
+    its monomials by degree, stopping past degree n or once the block is
+    spanned, counting the rank gained in each degree.
     """
-    box = m.system.depth_vector(m.highest_weight)
-    spaces: Dict[Tuple[int, ...], object] = {}
-    level_dims: List[int] = []
-    rank_total = 0
-    for deg in range(n + 1):
-        for s in monomials_of_degree(m.system, box, deg):
-            depth = m.system.monomial_depth(s)
-            if depth not in m.dims:
-                continue
+    if n < 0:
+        raise ValueError(f"filtration level {n} is negative")
+    gains = [0] * (n + 1)
+    for depth in m.block_order:
+        full = m.dims[depth]
+        space = row_space(m.p)
+        for s in sorted(monomials_with_depth(m.system, depth), key=sum):
+            deg = sum(s)
+            if deg > n or space.rank == full:
+                break
             coords = m.monomial_coords(s)
-            if coords is None:
-                continue
-            space = spaces.get(depth)
-            if space is None:
-                space = spaces[depth] = row_space(m.p)
-            if space.insert({i: v for i, v in enumerate(coords) if v}):
-                rank_total += 1
-        level_dims.append(rank_total)
-    graded = [level_dims[0]] + [level_dims[i] - level_dims[i - 1]
-                                for i in range(1, len(level_dims))]
-    return FiltrationTable(m.highest_weight, m.p, level_dims, graded)
+            if coords is not None and space.insert(
+                    {i: v for i, v in enumerate(coords) if v}):
+                gains[deg] += 1
+    return FiltrationTable(m.highest_weight, m.p, list(itertools.accumulate(gains)),
+                           gains)
 
 
 # --------------------------------------------------------------------------

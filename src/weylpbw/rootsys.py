@@ -8,14 +8,15 @@ tuples of fundamental-weight coordinates.
 Positive roots are listed in strictly height-decreasing order, ties broken
 reverse-lexicographically on the coordinate tuple (larger last coordinate
 first). For G2 this reproduces the order 3a1+2a2, 3a1+a2, 2a1+a2, a1+a2,
-a2, a1 that the rest of the package is pinned to.
+a2, a1 that the rest of the package is pinned to. The simple roots always
+come last, which the monomial enumeration in ``pbw`` relies on.
 
 Structure constants N[a,b] with [E_a, E_b] = N[a,b] E_{a+b} are fixed by the
 extraspecial-pair convention: positive roots are scanned in increasing
 (height, lex) order, and for each non-simple positive root the special pair
 with the least first member gets the positive sign N = p+1. All other
 constants are forced from those by the Jacobi identity and the standard
-reflection rules, with every division asserted exact.
+reflection rules, with every division checked exact.
 """
 from __future__ import annotations
 
@@ -203,7 +204,11 @@ class RootSystem:
         self.pos_index = {b: k for k, b in enumerate(self.positive_roots)}
         if cartan.label == "G2":
             expected = ((3, 2), (3, 1), (2, 1), (1, 1), (0, 1), (1, 0))
-            assert self.positive_roots == expected, "G2 root order convention broken"
+            if self.positive_roots != expected:
+                raise InvariantError("G2 root order convention broken")
+        simples = {tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)}
+        if set(self.positive_roots[self.n_pos - self.rank:]) != simples:
+            raise InvariantError("the last rank positive roots must be the simple roots")
         self._build_structure_constants()
         self._nfull_cache: Dict[Tuple[Coords, Coords], int] = {}
 
@@ -264,7 +269,8 @@ class RootSystem:
         out = []
         for i in range(self.rank):
             num = 2 * self.d[i] * b[i]
-            assert num % nn == 0, "coroot coordinates must be integral"
+            if num % nn:
+                raise InvariantError("coroot coordinates must be integral")
             out.append(num // nn)
         return tuple(out)
 
@@ -320,9 +326,11 @@ class RootSystem:
                     t2 = nfull(eta, _neg(a0)) * nfull(_sub(eta, a0), xi)
                 dnm = nfull(zeta, _neg(a0))
                 val = Fraction(-(t1 + t2), dnm)
-                assert val.denominator == 1, "Jacobi propagation must stay integral"
+                if val.denominator != 1:
+                    raise InvariantError("Jacobi propagation must stay integral")
                 n = int(val)
-                assert abs(n) == self._p_value(xi, eta) + 1, "|N| must equal p+1"
+                if abs(n) != self._p_value(xi, eta) + 1:
+                    raise InvariantError("|N| must equal p+1")
                 table[(xi, eta)] = n
                 table[(eta, xi)] = -n
 
@@ -343,7 +351,8 @@ class RootSystem:
             val = Fraction(-self.norm(c) * self._npos[(_neg(b), c)], self.norm(a))
         else:
             val = Fraction(self.norm(c) * self._npos[(_neg(c), a)], self.norm(b))
-        assert val.denominator == 1, "mixed-sign constant must be integral"
+        if val.denominator != 1:
+            raise InvariantError("mixed-sign constant must be integral")
         return int(val)
 
     def structure_constant(self, a: Coords, b: Coords) -> int:
@@ -357,14 +366,16 @@ class RootSystem:
 
     def extraspecial_pair(self, gamma: Coords) -> Tuple[Coords, Coords]:
         """The sign-defining decomposition of a non-simple positive root."""
-        assert gamma in self._pos_set and _height(gamma) >= 2
+        if gamma not in self._pos_set or _height(gamma) < 2:
+            raise InvariantError(f"{gamma} is not a non-simple positive root")
         best = None
         for a in self._pos_set:
             b = _sub(gamma, a)
             if b in self._pos_set and (_height(a), a) < (_height(b), b):
                 if best is None or (_height(a), a) < (_height(best[0]), best[0]):
                     best = (a, b)
-        assert best is not None
+        if best is None:
+            raise InvariantError(f"no extraspecial pair for {gamma}")
         return best
 
     # -- adjoint representation ----------------------------------------------
@@ -466,7 +477,8 @@ class RootSystem:
         coords = self.root_coords_of(span)
         out = []
         for v in coords:
-            assert v.denominator == 1, "lam - w0(lam) must lie in the root lattice"
+            if v.denominator != 1:
+                raise InvariantError("lam - w0(lam) must lie in the root lattice")
             out.append(int(v))
         return tuple(out)
 
@@ -490,12 +502,14 @@ class RootSystem:
             rp = self.pairing(rho, b)
             num *= lp
             den *= rp
-        assert num % den == 0
+        if num % den:
+            raise InvariantError(f"Weyl dimension of {lam} is not integral")
         return num // den
 
     def root_name(self, b: Coords) -> str:
         """Digit-string name of a positive root, e.g. (2,1) -> '112'."""
-        assert b in self._pos_set
+        if b not in self._pos_set:
+            raise InvariantError(f"{b} is not a positive root")
         return "".join(str(i + 1) * b[i] for i in range(self.rank))
 
 

@@ -149,6 +149,15 @@ def test_filtration_single_module(capsys):
     assert payload["top_dim"] == 3
 
 
+@pytest.mark.parametrize("tensor", [(), ("--tensor", "1")])
+def test_filtration_rejects_negative_levels(capsys, tensor):
+    code, out, err = run(capsys, "filtration", "--type", "A1", "--weight", "2",
+                         "--levels", "-1", *tensor)
+    assert code == 2
+    assert out == ""
+    assert "--levels must be nonnegative" in err
+
+
 def test_filtration_tensor(capsys):
     code, payload = run_json(capsys, "filtration", "--type", "A1",
                              "--weight", "1", "--tensor", "1", "--p", "2")

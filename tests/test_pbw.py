@@ -19,6 +19,7 @@ from weylpbw import (
     section_product,
     sn_divided_action,
 )
+from weylpbw.pbw import monomials_with_depth
 from weylpbw.weylmod import HyperMonomial
 
 
@@ -112,6 +113,40 @@ def test_essential_matches_inequality_table(g2):
         assert set(es.indices) == set(g2_essential_table(k, l)), (k, l)
 
 
+@pytest.fixture
+def coords_calls(monkeypatch):
+    """The multi-indices passed to ``WeylModuleP.monomial_coords``, in call order."""
+    calls = []
+    coords = WeylModuleP.monomial_coords
+
+    def counting(self, s):
+        calls.append(s)
+        return coords(self, s)
+
+    monkeypatch.setattr(WeylModuleP, "monomial_coords", counting)
+    return calls
+
+
+def test_essential_sweep_stops_at_full_rank(g2, coords_calls):
+    """A block's sweep computes F^s v only up to its last essential index:
+    past it the kept vectors already span the block."""
+    es = essential_set(WeylModuleP.build(g2, (1, 2), 5, 10000))
+    expected = sum(max(sweep.all_indices.index(s) for s in sweep.essential) + 1
+                   for sweep in es.by_block.values())
+    assert len(coords_calls) == expected
+    assert expected < sum(len(sweep.all_indices) for sweep in es.by_block.values())
+
+
+def test_filtration_sweep_stops_at_full_rank(g2, coords_calls):
+    """Each block's filtration sweep ends once the block is spanned, well
+    before its last monomial."""
+    m = WeylModuleP.build(g2, (1, 2), 5, 10000)
+    top = sum(g2.depth_vector((1, 2)))
+    assert pbw_filtration(m, top).top_dim == g2.weyl_dimension((1, 2))
+    monomials = sum(len(monomials_with_depth(g2, t)) for t in m.block_order)
+    assert 2 * len(coords_calls) < monomials
+
+
 def test_table_cardinality_is_weyl_dimension(g2):
     for k, l in [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (3, 0), (16, 0)]:
         assert len(g2_essential_table(k, l)) == g2.weyl_dimension((k, l)), (k, l)
@@ -143,6 +178,13 @@ def test_pbw_filtration_a2_adjoint():
     table = pbw_filtration(m, 4)
     assert table.level_dims == [1, 4, 8, 8, 8]
     assert table.graded_dims == [1, 3, 4, 0, 0]
+
+
+def test_pbw_filtration_rejects_negative_level(g2):
+    m = WeylModuleP.build(g2, (1, 0), None, 1000)
+    with pytest.raises(ValueError, match="negative"):
+        pbw_filtration(m, -1)
+    assert pbw_filtration(m, 0).level_dims == [1]
 
 
 def test_histogram_accumulates_to_level_dims(g2):

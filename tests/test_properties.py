@@ -1,10 +1,12 @@
 """Property tests of the exact kernels: linear algebra against an independent
-oracle (sympy), and the action kernel against the identities it must obey.
+oracle (sympy), the action kernel against the identities it must obey, and
+the output-sensitive PBW sweeps against plain exhaustive ones.
 
 Hypothesis and sympy are test-only dependencies; the module is skipped when
 Hypothesis is missing, and the sympy comparison when sympy is.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,9 +15,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from weylpbw import AdmissibleLattice, DualModuleP, WeylModuleP  # noqa: E402
+from weylpbw import (AdmissibleLattice, DualModuleP, WeylModuleP,  # noqa: E402
+                     build_root_system, essential_set, pbw_filtration)
 from weylpbw.charzero import _mat_vec  # noqa: E402
-from weylpbw.linalg import rank_dense  # noqa: E402
+from weylpbw.linalg import rank_dense, row_space  # noqa: E402
+from weylpbw.pbw import monomials_of_degree, monomials_with_depth, sweep_key  # noqa: E402
 from weylpbw.weylmod import HyperMonomial, tensor_leg_act, tensor_of  # noqa: E402
 
 small_ints = st.integers(-4, 4)
@@ -182,3 +186,85 @@ def test_monomial_coords_agrees_with_act(data):
         assert vec == {}
     else:
         assert vec == {m.system.monomial_depth(s): coords}
+
+
+# -- the PBW sweeps: forced enumeration tail and early stops -------------------
+
+ENUMERATION_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]
+
+
+def _brute_monomials(system, depth, degree=None):
+    """Every s in the box of per-root exponent caps, in lexicographic order,
+    kept when its depth (and degree) match."""
+    caps = [min(d // b for d, b in zip(depth, beta) if b) for beta in system.positive_roots]
+    return [s for s in itertools.product(*(range(c + 1) for c in caps))
+            if system.monomial_depth(s) == tuple(depth)
+            and (degree is None or sum(s) == degree)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_monomials_with_depth_matches_brute_force(data):
+    system = build_root_system(data.draw(st.sampled_from(ENUMERATION_TYPES)))
+    top = 4 if system.rank <= 2 else 3
+    depth = tuple(data.draw(st.integers(-1, top)) for _ in range(system.rank))
+    degree = data.draw(st.one_of(st.none(), st.integers(-1, 7)))
+    assert monomials_with_depth(system, depth, degree) == _brute_monomials(
+        system, depth, degree)
+
+
+@pytest.mark.parametrize("label", ENUMERATION_TYPES)
+def test_monomials_with_depth_edge_depths(label):
+    system = build_root_system(label)
+    zero = (0,) * system.rank
+    assert monomials_with_depth(system, zero) == [(0,) * system.n_pos]
+    assert monomials_with_depth(system, zero, degree=1) == []
+    negative = (-1,) + (1,) * (system.rank - 1)
+    assert monomials_with_depth(system, negative) == []
+    assert monomials_with_depth(system, negative, degree=1) == []
+    # a coordinate too large to reach in two steps of any positive root
+    too_large = (7,) + (0,) * (system.rank - 1)
+    assert monomials_with_depth(system, too_large, degree=2) == []
+    assert monomials_with_depth(system, too_large) == _brute_monomials(system, too_large)
+
+
+def test_monomials_with_depth_a1_negative():
+    a1 = build_root_system("A1")
+    assert monomials_with_depth(a1, (-1,)) == []
+    assert monomials_with_depth(a1, (2,)) == [(2,)]
+    assert monomials_with_depth(a1, (2,), degree=1) == []
+
+
+def _insert(space, coords):
+    return coords is not None and space.insert({i: v for i, v in enumerate(coords) if v})
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+@pytest.mark.parametrize("label,weight", SMALL_MODULES)
+def test_sweeps_equal_their_no_stop_references(label, weight, p):
+    m = _module(label, weight, p)
+    es = essential_set(m)
+    for depth in m.block_order:
+        indices = sorted(monomials_with_depth(m.system, depth), key=sweep_key)
+        space, kept = row_space(p), {}
+        for s in indices:                 # the complete greedy sweep
+            coords = m.monomial_coords(s)
+            if _insert(space, coords):
+                kept[s] = coords
+        sweep = es.by_block[depth]
+        assert sweep.all_indices == indices
+        assert sweep.vectors == kept
+        assert set(sweep.essential) == set(kept)
+
+    box = m.system.depth_vector(m.highest_weight)
+    top = sum(box)
+    spaces, rank, levels = {}, 0, []
+    for n in range(top + 2):              # every monomial of degree <= n, no stop
+        for s in monomials_of_degree(m.system, box, n):
+            depth = m.system.monomial_depth(s)
+            if depth in m.dims:
+                space = spaces.setdefault(depth, row_space(p))
+                rank += _insert(space, m.monomial_coords(s))
+        levels.append(rank)
+    for n in sorted({0, 1, top // 2, top - 1, top, top + 1} - {-1}):
+        assert pbw_filtration(m, n).level_dims == levels[:n + 1], n

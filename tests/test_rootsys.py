@@ -1,10 +1,16 @@
 """Root systems, Chevalley constants, and weight bookkeeping."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from weylpbw import CartanMatrixError, build_root_system
+import weylpbw
+from weylpbw import CartanMatrixError, InvariantError, build_root_system
+from weylpbw.rootsys import CartanData, RootSystem
 
 G2_ROOTS = ((3, 2), (3, 1), (2, 1), (1, 1), (0, 1), (1, 0))
 
@@ -191,3 +197,54 @@ def test_rho_and_fundamental(g2):
     assert g2.rho == (1, 1)
     assert g2.fundamental_weight(0) == (1, 0)
     assert g2.fundamental_weight(1) == (0, 1)
+
+
+# --- invariants that survive python -O ------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"])
+def test_simple_roots_come_last(label):
+    system = build_root_system(label)
+    tail = system.positive_roots[system.n_pos - system.rank:]
+    assert sorted(tail) == sorted(tuple(int(i == j) for j in range(system.rank))
+                                  for i in range(system.rank))
+
+
+class AscendingRoots(RootSystem):
+    """A root system listing its positive roots lowest first: the simple
+    roots then no longer come last."""
+
+    def _descending_height_order(self):
+        return tuple(reversed(super()._descending_height_order()))
+
+
+def test_root_order_check_raises_invariant_error():
+    with pytest.raises(InvariantError, match="simple roots"):
+        AscendingRoots(CartanData.from_label("A2"))
+    with pytest.raises(InvariantError, match="G2 root order"):
+        AscendingRoots(CartanData.from_label("G2"))
+
+
+def test_root_order_check_survives_optimize_flag():
+    """``python -O`` strips asserts; the root-order check must still fire."""
+    here = Path(__file__).resolve().parent
+    src = Path(weylpbw.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import test_rootsys\n"
+            "try:\n"
+            "    test_rootsys.AscendingRoots(test_rootsys.CartanData.from_label('A2'))\n"
+            "except test_rootsys.InvariantError as exc:\n"
+            "    print('InvariantError:', exc)\n")
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "InvariantError: the last rank positive roots" in result.stdout
+
+
+def test_root_lookups_reject_non_roots(g2):
+    with pytest.raises(InvariantError):
+        g2.root_name((2, 2))
+    with pytest.raises(InvariantError):
+        g2.extraspecial_pair((1, 0))
