@@ -2,9 +2,10 @@
 
 A cache key hashes everything that could change the stored answer: the
 Cartan matrix, the highest weight, the characteristic, the structure-constant
-sign convention, and the code version. Entries record their key fields, and
-a loaded entry whose recorded fields no longer hash to its own key is
-discarded and recomputed — a stale or foreign file can never poison a run.
+sign convention, and the code version. An entry file is the entry's JSON
+line and then that line's sha256; a loaded entry that fails its digest, or
+whose recorded key fields no longer hash to its own key, is discarded and
+recomputed — a stale, foreign or damaged file can never poison a run.
 Writes go through a temporary file in the same directory followed by an
 atomic rename, so a crashed run leaves no half-written entries.
 """
@@ -51,7 +52,7 @@ def content_key(cartan: Sequence[Sequence[int]], weight: Sequence[int],
 
 
 class PayloadStore:
-    """A directory of JSON payloads addressed by content key."""
+    """A directory of digest-checked JSON payloads addressed by content key."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -61,11 +62,14 @@ class PayloadStore:
         return self.root / f"{key}.json"
 
     def load(self, key: str) -> Optional[dict]:
-        """The stored entry, or None when absent, unreadable, or mismatched."""
+        """The stored entry, or None when absent, unreadable, damaged or foreign."""
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="ascii") as fh:
-                entry = json.load(fh)
+                body, _, digest = fh.read().rstrip("\n").rpartition("\n")
+            if hashlib.sha256(body.encode("ascii")).hexdigest() != digest:
+                return None
+            entry = json.loads(body)
         except (OSError, ValueError):
             return None
         if not isinstance(entry, dict):
@@ -76,9 +80,10 @@ class PayloadStore:
         return entry
 
     def store(self, key: str, entry: dict) -> Path:
-        """Write atomically: temp file in the same directory, then rename."""
+        """Write the entry and its digest atomically: temp file, then rename."""
         path = self.path_for(key)
-        data = stable_dumps(entry) + "\n"
+        body = stable_dumps(entry)
+        data = f"{body}\n{hashlib.sha256(body.encode('ascii')).hexdigest()}\n"
         fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:

@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .charzero import DIM_CAP_DEFAULT
@@ -481,13 +482,13 @@ def section_product(a: InducedSections, b: InducedSections,
         for s in ess:
             tv = tensor_act(mods, HyperMonomial("F", s), start)
             total = 0
-            for (ta, tb), entries in tv.items():
+            for (ta, tb), block in tv.items():
                 row_a = xi.get(ta)
                 row_b = eta.get(tb)
                 if row_a is None or row_b is None:
                     continue
-                for (ra, rb), val in entries.items():
-                    total += val * row_a[ra] * row_b[rb]
+                total += sum(x * sum(map(mul, row, row_b))
+                             for x, row in zip(row_a, block))
             vals.append(total if target.p is None else total % target.p)
         if not any(vals):
             continue

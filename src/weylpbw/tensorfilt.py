@@ -21,7 +21,7 @@ it is not injective in general), and the norm-form identity
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import SIGN_CONVENTION_TAG, __version__
 from .cache import stable_hash
@@ -36,12 +36,11 @@ Weight = Tuple[int, ...]
 
 
 def _total_depth(tvec: TensorVector) -> Optional[Weight]:
-    """The common total weight depth of a tensor vector's components, or
-    None for the zero vector. Raises on an inhomogeneous vector."""
+    """The common total weight depth of a tensor vector's blocks (all of
+    them nonzero), or None for the zero vector. Raises on an inhomogeneous
+    vector."""
     group: Optional[Weight] = None
-    for (ta, tb), entries in tvec.items():
-        if not any(entries.values()):
-            continue
+    for ta, tb in tvec:
         here = tuple(a + b for a, b in zip(ta, tb))
         if group is None:
             group = here
@@ -51,24 +50,30 @@ def _total_depth(tvec: TensorVector) -> Optional[Weight]:
 
 
 class _WeightSpan:
-    """Row spaces of weight-homogeneous tensor vectors, one per total weight."""
+    """Row spaces of weight-homogeneous tensor vectors, one per total weight.
+
+    A vector becomes one sparse row of its weight's space: each block pair
+    gets a column offset the first time it is seen, and its dim_a x dim_b
+    block is laid out row-major from there. Ranks and memberships do not
+    depend on the order in which block pairs arrive.
+    """
 
     def __init__(self, p: Optional[int]):
         self.p = p
         self._spaces: Dict[Weight, object] = {}
-        self._cols: Dict[Weight, Dict[tuple, int]] = {}
+        self._offsets: Dict[Weight, Dict[tuple, int]] = {}
+        self._widths: Dict[Weight, int] = {}
 
     def _flatten(self, group: Weight, tvec: TensorVector) -> Dict[int, int]:
-        cols = self._cols.setdefault(group, {})
+        offsets = self._offsets.setdefault(group, {})
         row: Dict[int, int] = {}
-        for key, entries in tvec.items():
-            for ij, val in entries.items():
-                if not val:
-                    continue
-                c = cols.get((key, ij))
-                if c is None:
-                    c = cols[(key, ij)] = len(cols)
-                row[c] = val
+        for key, block in tvec.items():
+            base = offsets.get(key)
+            if base is None:
+                base = offsets[key] = self._widths.get(group, 0)
+                self._widths[group] = base + len(block) * len(block[0])
+            flat = [v for vals in block for v in vals]
+            row.update((base + c, v) for c, v in enumerate(flat) if v)
         return row
 
     def insert(self, tvec: TensorVector) -> bool:
@@ -174,7 +179,7 @@ class InducedFiltration:
         self.p = p
         self.weight_group = None if weight_group is None else tuple(weight_group)
         a = WeylModuleP.build(system, self.lam, p, dim_cap)
-        b = WeylModuleP.build(system, self.mu, p, dim_cap)
+        b = a if self.mu == self.lam else WeylModuleP.build(system, self.mu, p, dim_cap)
         self.mods = (a, b)
         dim_a = sum(a.dims.values())
         dim_b = sum(b.dims.values())
@@ -182,6 +187,11 @@ class InducedFiltration:
             raise ResourceCapError(
                 f"tensor dimension {dim_a * dim_b} exceeds the cap {dim_cap}")
         self.tensor_dim = dim_a * dim_b
+        # the dimension of the space swept: the sweep stops once it is spanned
+        w = self.weight_group
+        self.cap = self.tensor_dim if w is None else sum(
+            d * b.dims.get(tuple(x - y for x, y in zip(w, ta)), 0)
+            for ta, d in a.dims.items())
         self.start = tensor_of((a.highest_vector(), b.highest_vector()),
                                reduce=a.reduce)
         total = tuple(x + y for x, y in zip(self.lam, self.mu))
@@ -208,28 +218,37 @@ class InducedFiltration:
                     out.append((dt, vec))
         return out
 
+    def _spanning(self, n: int) -> Iterator[TensorVector]:
+        """The spanning vectors (F^s (x) 1) . Delta(F^t) . (v (x) w) with
+        deg s = n, and in a restricted run depth(s) + depth(t) = the group."""
+        w = self.weight_group
+        for s in monomials_of_degree(self.system, self.s_box, n):
+            mono = HyperMonomial("F", s)
+            rem = None if w is None else tuple(
+                x - y for x, y in zip(w, self.system.monomial_depth(s)))
+            for dt, base in self._tpairs:
+                if rem is None or dt == rem:
+                    vec = tensor_leg_act(self.mods, 0, mono, base)
+                    if vec:
+                        yield vec
+
     def _sweep(self, top: int) -> None:
         for n in range(top + 1):
-            if self.span.rank < self._group_cap():
-                for s in monomials_of_degree(self.system, self.s_box, n):
-                    ds = self.system.monomial_depth(s)
-                    if self.weight_group is not None:
-                        rem = tuple(x - y for x, y in zip(self.weight_group, ds))
-                        if any(v < 0 for v in rem):
-                            continue
-                    mono = HyperMonomial("F", s)
-                    for dt, base in self._tpairs:
-                        if self.weight_group is not None and dt != rem:
-                            continue
-                        vec = tensor_leg_act(self.mods, 0, mono, base)
-                        if vec and self.span.insert(vec):
-                            self.kept.append((n, vec))
+            if len(self.kept) < self.cap:
+                for vec in self._spanning(n):
+                    if self.span.insert(vec):
+                        self.kept.append((n, vec))
+                        if len(self.kept) == self.cap:
+                            break
             self.level_dims.append(self.span.rank)
 
-    def _group_cap(self) -> int:
-        # the sweep can stop early once the reachable dimension is hit;
-        # restricted runs have no cheap a-priori bound, so never stop early
-        return self.tensor_dim if self.weight_group is None else self.tensor_dim + 1
+    def kept_by_level(self) -> List[List[TensorVector]]:
+        """The kept vectors grouped by degree, one list per swept level: the
+        vectors of levels 0..n together are a basis of VV_n."""
+        levels: List[List[TensorVector]] = [[] for _ in self.level_dims]
+        for n, vec in self.kept:
+            levels[n].append(vec)
+        return levels
 
     def level(self, n: int) -> int:
         if n < 0:
@@ -313,19 +332,15 @@ def product_order_equality(system: RootSystem, lam: Sequence[int],
     """Check that applying the leg monomial before or after the coproduct
     monomial spans the same filtration level, degree by degree."""
     filt = InducedFiltration(system, lam, mu, p, up_to, dim_cap)
-    top = min(filt.requested, filt.s_max)
     span_rev = _WeightSpan(p)
     span_union = _WeightSpan(p)
     smash_dims: List[int] = []
     reversed_dims: List[int] = []
     union_dims: List[int] = []
-    kept_iter = iter(filt.kept + [(top + 1, None)])
-    pending = next(kept_iter)
-    for n in range(top + 1):
+    for n, kept in enumerate(filt.kept_by_level()):
         # the smash-order vectors were kept by the main sweep; feed them in
-        while pending[0] <= n:
-            span_union.insert(pending[1])
-            pending = next(kept_iter)
+        for vec in kept:
+            span_union.insert(vec)
         for s in monomials_of_degree(system, filt.s_box, n):
             base = tensor_leg_act(filt.mods, 0, HyperMonomial("F", s), filt.start)
             if not base:
@@ -371,18 +386,15 @@ def comparison_map_check(system: RootSystem, lam: Sequence[int],
     inclusion_ok = True
     image_dims: List[int] = []
     kernel_dims: List[int] = []
-    kept_iter = iter(filt.kept + [(top + 1, None)])
-    pending = next(kept_iter)
-    for n in range(top + 1):
+    for n, kept in enumerate(filt.kept_by_level()):
         # entering this iteration the sweep holds exactly VV_{n-1}
         new = 0
         for s in monomials_of_degree(system, filt.s_box, n):
             vec = tensor_leg_act(filt.mods, 0, HyperMonomial("F", s), filt.start)
             if vec and sweep.insert(vec):
                 new += 1
-        while pending[0] <= n:
-            sweep.insert(pending[1])
-            pending = next(kept_iter)
+        for vec in kept:
+            sweep.insert(vec)
         if sweep.rank != filt.level_dims[n]:
             # a comparison vector escaped VV_n: the inclusion fails
             inclusion_ok = False
@@ -436,14 +448,11 @@ def delta_stability_check(system: RootSystem, lam: Sequence[int],
     sweep = _WeightSpan(p)
     violations: List[Tuple[int, str, int, int]] = []
     basis: List[TensorVector] = []
-    kept_iter = iter(filt.kept + [(top + 1, None)])
-    pending = next(kept_iter)
     zero = [0] * system.n_pos
-    for n in range(top + 1):
-        while pending[0] <= n:
-            sweep.insert(pending[1])
-            basis.append(pending[1])
-            pending = next(kept_iter)
+    for n, kept in enumerate(filt.kept_by_level()):
+        for vec in kept:
+            sweep.insert(vec)
+        basis.extend(kept)
         for w in basis:
             for side in ("F", "E"):
                 for pos in range(system.n_pos):

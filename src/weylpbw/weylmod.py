@@ -12,21 +12,24 @@ Every action, on a module, a dual or a tensor, is one composition loop,
 ``_compose``: it walks the root positions from last to first and hands each
 nonzero factor X_beta^(k) to a step. The steps differ only in what one factor
 does: a blockwise step for modules and duals, a one-leg step and a coproduct
-step for tensors. A leg of a tensor is anything offering ``system``,
-``reduce``, ``dims`` and ``leg_apply``; both module classes do. The two
-``leg_apply`` kernels stay separate: the module's applies a matrix, the
-dual's applies its transpose with the sign (-1)^k and the block flow
-reversed, and a shared kernel would have to branch on which of them it
-serves.
+step for tensors. A leg of a tensor is anything offering ``system``, ``p``,
+``reduce``, ``dims`` and ``leg_matrix``; both module classes do.
+``leg_matrix(side, pos, k, t)`` gives the target block and the matrix of one
+factor on block t: the module's divided power itself, or for the dual its
+signed transpose (-1)^k M^T on the block that feeds t. Everything else is
+matrix products: ``leg_apply``, the one kernel both classes share with their
+``act``, is M.coords, and a tensor leg is M.X on leg 0 and X.M^T on leg 1.
 
 Module vectors are sparse maps {block key -> dense coordinate list}; tensor
-vectors are sparse maps {(block, block) -> {(row, row) -> scalar}}. Scalars
-are ints, reduced to [0, p) whenever the module carries a prime.
+vectors are sparse maps {(block, block) -> dense dim_a x dim_b list of rows},
+with all-zero blocks dropped. Scalars are ints, reduced to [0, p) whenever
+the module carries a prime.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .charzero import DIM_CAP_DEFAULT, AdmissibleLattice
@@ -34,8 +37,9 @@ from .rootsys import InvariantError, RootSystem
 
 Coords = Tuple[int, ...]
 Weight = Tuple[int, ...]
+Matrix = List[List[int]]
 Vector = Dict[Coords, List[int]]
-TensorVector = Dict[Tuple[Coords, Coords], Dict[Tuple[int, int], int]]
+TensorVector = Dict[Tuple[Coords, Coords], Matrix]
 
 
 def is_prime(n: int) -> bool:
@@ -102,20 +106,15 @@ def _compose(leg, mono: HyperMonomial, vec, step: Callable):
 
 
 def _block_step(leg, side: str, pos: int, k: int, vec: Vector) -> Vector:
-    """One factor on a blockwise vector, block by block through ``leg_apply``."""
+    """One factor on a blockwise vector, block by block through ``leg_apply``.
+    A factor shifts every block by the same amount, so no two blocks land on
+    one target."""
     out: Vector = {}
     for t, coords in vec.items():
         res = leg.leg_apply(side, pos, k, t, coords)
-        if res is None:
-            continue
-        tgt, new = res
-        acc = out.get(tgt)
-        if acc is None:
-            out[tgt] = new
-        else:
-            for r, v in enumerate(new):
-                acc[r] = leg.reduce(acc[r] + v)
-    return {t: c for t, c in out.items() if any(c)}
+        if res is not None:
+            out[res[0]] = res[1]
+    return out
 
 
 class WeylModuleP:
@@ -145,11 +144,8 @@ class WeylModuleP:
     def reduce(self, v: int) -> int:
         return v % self.p if self.p is not None else v
 
-    def zero_block(self) -> Coords:
-        return tuple(0 for _ in range(self.system.rank))
-
     def highest_vector(self) -> Vector:
-        return {self.zero_block(): [1]}
+        return {(0,) * self.system.rank: [1]}
 
     # -- divided powers --------------------------------------------------------
 
@@ -207,22 +203,28 @@ class WeylModuleP:
 
     # -- vector plumbing ---------------------------------------------------------
 
-    def leg_apply(self, side: str, pos: int, k: int,
-                  t: Coords, coords: Sequence[int]) -> Optional[Tuple[Coords, List[int]]]:
-        """Apply one divided power to a single-block vector; None when it dies."""
-        if k == 0:
-            return t, list(coords)
+    def leg_matrix(self, side: str, pos: int, k: int,
+                   t: Coords) -> Optional[Tuple[Coords, Matrix]]:
+        """X_beta^(k) on block t: its target block and matrix, None when the
+        block has no image."""
         mat = self.divided(side, pos, k).get(t)
         if mat is None:
             return None
         beta = self.system.positive_roots[pos]
         sign = -1 if side == "E" else 1
-        tgt = tuple(v + sign * k * c for v, c in zip(t, beta))
-        out = [self.reduce(sum(row[c] * coords[c] for c in range(len(coords))))
-               for row in mat]
-        if not any(out):
+        return tuple(v + sign * k * c for v, c in zip(t, beta)), mat
+
+    def leg_apply(self, side: str, pos: int, k: int,
+                  t: Coords, coords: Sequence[int]) -> Optional[Tuple[Coords, List[int]]]:
+        """Apply one divided power to a single-block vector; None when it dies."""
+        if k == 0:
+            return t, list(coords)
+        hit = self.leg_matrix(side, pos, k, t)
+        if hit is None:
             return None
-        return tgt, out
+        tgt, mat = hit
+        out = [self.reduce(sum(map(mul, row, coords))) for row in mat]
+        return (tgt, out) if any(out) else None
 
     def act(self, mono: HyperMonomial, vec: Vector) -> Vector:
         return _compose(self, mono, {t: list(c) for t, c in vec.items()},
@@ -257,48 +259,42 @@ class WeylModuleP:
 class DualModuleP:
     """Functionals on a Weyl module, i.e. the induced module H0(lam).
 
-    The underlying module is V(lam*), so ``induced_weight`` is the star of its
-    highest weight. A functional is stored blockwise in the basis dual to the
-    lattice basis; a generator acts through the antipode, sigma(X^(k)) =
-    (-1)^k X^(k), which transposes matrices and reverses the block flow.
+    The underlying module is V(lam*), lam the star of its highest weight. A
+    functional is stored blockwise in the basis dual to the lattice basis; a
+    generator acts through the antipode, sigma(X^(k)) = (-1)^k X^(k), which
+    transposes matrices and reverses the block flow.
     """
 
     def __init__(self, module: WeylModuleP):
         self.module = module
         self.system = module.system
         self.p = module.p
+        self.reduce = module.reduce
         self.dims: Dict[Coords, int] = module.dims
-        self.induced_weight: Weight = module.system.star(module.highest_weight)
-
-    def reduce(self, v: int) -> int:
-        return self.module.reduce(v)
+        self._legs: Dict[Tuple[str, int, int], Dict[Coords, Tuple[Coords, Matrix]]] = {}
 
     def functional_weight(self, t: Coords) -> Weight:
         return tuple(-w for w in self.module.weights[tuple(t)])
 
-    def leg_apply(self, side: str, pos: int, k: int,
-                  t: Coords, coords: Sequence[int]) -> Optional[Tuple[Coords, List[int]]]:
-        if k == 0:
-            return t, list(coords)
-        beta = self.system.positive_roots[pos]
-        sign = -1 if side == "E" else 1
-        # the functional supported on block t feeds the block "upstream" of it
-        tgt = tuple(v - sign * k * c for v, c in zip(t, beta))
-        if tgt not in self.dims:
-            return None
-        mat = self.module.divided(side, pos, k).get(tgt)
-        if mat is None:
-            return None
-        par = -1 if k % 2 else 1
-        out = [self.reduce(par * sum(mat[r][c] * coords[r] for r in range(len(coords))))
-               for c in range(len(mat[0]))]
-        if not any(out):
-            return None
-        return tgt, out
+    def leg_matrix(self, side: str, pos: int, k: int,
+                   t: Coords) -> Optional[Tuple[Coords, Matrix]]:
+        """sigma(X_beta^(k)) on functionals of block t: the block "upstream"
+        of t, whose module matrix M lands in t, and (-1)^k M^T."""
+        key = (side, pos, k)
+        table = self._legs.get(key)
+        if table is None:
+            beta = self.system.positive_roots[pos]
+            sign = -1 if side == "E" else 1
+            par = -1 if k % 2 else 1
+            table = self._legs[key] = {
+                tuple(v + sign * k * c for v, c in zip(tgt, beta)):
+                    (tgt, [[self.reduce(par * v) for v in col] for col in zip(*mat)])
+                for tgt, mat in self.module.divided(side, pos, k).items()}
+        return table.get(t)
 
-    def act(self, mono: HyperMonomial, xi: Vector) -> Vector:
-        return _compose(self, mono, {t: list(c) for t, c in xi.items()},
-                        partial(_block_step, self))
+    # the module's own kernel (M.coords) and action: leg_matrix is the difference
+    leg_apply = WeylModuleP.leg_apply
+    act = WeylModuleP.act
 
     def pair(self, xi: Vector, vec: Vector) -> int:
         """Evaluate the functional: the pairing eta on H0 x V(lam*)."""
@@ -311,52 +307,46 @@ class DualModuleP:
         return self.reduce(total)
 
 
+def _tidy(acc: TensorVector, p: Optional[int]) -> TensorVector:
+    """Reduce the entries into [0, p) and drop the all-zero blocks."""
+    if p is not None:
+        acc = {key: [[v % p for v in row] for row in block] for key, block in acc.items()}
+    return {key: block for key, block in acc.items() if any(map(any, block))}
+
+
 def _tensor_leg_apply(legs, idx: int, side: str, pos: int, k: int,
                       tvec: TensorVector) -> TensorVector:
-    """Apply X^(k) on one tensor leg of a sparse tensor vector."""
+    """Apply X^(k) on one tensor leg: M.X on leg 0, X.M^T on leg 1. A factor
+    shifts every block of its leg by the same amount, so no two blocks land
+    on one target."""
     if k == 0:
         return tvec
-    leg, reduce = legs[idx], legs[0].reduce
     out: TensorVector = {}
-    for (ta, tb), entries in tvec.items():
-        t_here = ta if idx == 0 else tb
-        dim_here = leg.dims[t_here]
-        # group the sparse entries into columns along the acted leg
-        cols: Dict[int, List[int]] = {}
-        for (ra, rb), val in entries.items():
-            other = rb if idx == 0 else ra
-            mine = ra if idx == 0 else rb
-            cols.setdefault(other, [0] * dim_here)[mine] = val
-        for other, coords in cols.items():
-            res = leg.leg_apply(side, pos, k, t_here, coords)
-            if res is None:
-                continue
-            tgt, new_coords = res
-            key = (tgt, tb) if idx == 0 else (ta, tgt)
-            slot = out.setdefault(key, {})
-            for mine, val in enumerate(new_coords):
-                if not val:
-                    continue
-                ij = (mine, other) if idx == 0 else (other, mine)
-                slot[ij] = reduce(slot.get(ij, 0) + val)
-    return {k_: {ij: v for ij, v in e.items() if v} for k_, e in out.items()
-            if any(e.values())}
+    for (ta, tb), block in tvec.items():
+        hit = legs[idx].leg_matrix(side, pos, k, tb if idx else ta)
+        if hit is None:
+            continue
+        tgt, mat = hit
+        if idx:
+            out[(ta, tgt)] = [[sum(map(mul, row, m)) for m in mat] for row in block]
+        else:
+            cols = list(zip(*block))
+            out[(tgt, tb)] = [[sum(map(mul, m, col)) for col in cols] for m in mat]
+    return _tidy(out, legs[0].p)
 
 
 def _coproduct_step(legs, side: str, pos: int, k: int,
                     tvec: TensorVector) -> TensorVector:
     """One factor through the coproduct: sum_{i+j=k} X^(i) (x) X^(j)."""
-    reduce = legs[0].reduce
     acc: TensorVector = {}
     for i in range(k + 1):
         term = _tensor_leg_apply(legs, 1, side, pos, k - i, tvec)
         term = _tensor_leg_apply(legs, 0, side, pos, i, term)
-        for key, entries in term.items():
-            slot = acc.setdefault(key, {})
-            for ij, v in entries.items():
-                slot[ij] = reduce(slot.get(ij, 0) + v)
-    return {k_: {ij: v for ij, v in e.items() if v} for k_, e in acc.items()
-            if any(e.values())}
+        for key, block in term.items():
+            prev = acc.get(key)
+            acc[key] = block if prev is None else [
+                [x + y for x, y in zip(r, s)] for r, s in zip(prev, block)]
+    return _tidy(acc, legs[0].p)
 
 
 def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVector:
@@ -379,23 +369,15 @@ def tensor_leg_act(mods: Tuple, idx: int, mono: HyperMonomial,
 
 
 def tensor_of(vecs: Tuple[Vector, Vector], reduce=None) -> TensorVector:
-    """The tensor of two single-module vectors as a sparse tensor vector."""
+    """The tensor of two single-module vectors: one outer-product block per
+    pair of blocks, all-zero blocks dropped."""
     va, vb = vecs
     out: TensorVector = {}
     for ta, ca in va.items():
         for tb, cb in vb.items():
-            entries = {}
-            for ra, x in enumerate(ca):
-                if not x:
-                    continue
-                for rb, y in enumerate(cb):
-                    if not y:
-                        continue
-                    v = x * y
-                    if reduce is not None:
-                        v = reduce(v)
-                    if v:
-                        entries[(ra, rb)] = v
-            if entries:
-                out[(ta, tb)] = entries
+            block = [[x * y for y in cb] for x in ca]
+            if reduce is not None:
+                block = [[reduce(v) for v in row] for row in block]
+            if any(map(any, block)):
+                out[(ta, tb)] = block
     return out

@@ -99,3 +99,43 @@ def test_cached_entry_survives_reserialization(tmp_path):
                       "payload": reloaded.to_payload()})
     assert store.path_for(key).read_bytes() == raw
     assert reloaded.dims == built.dims
+
+
+def corrupt_one_f_entry(path):
+    """Shift one entry of one F matrix by 5, keeping the old digest line."""
+    body, digest = path.read_text().splitlines()
+    entry = json.loads(body)
+    f = entry["payload"]["f"]
+    f[sorted(f)[0]][0][0] += 5
+    path.write_text(f"{stable_dumps(entry)}\n{digest}\n")
+
+
+def test_load_checks_the_digest_and_the_key(tmp_path):
+    store = PayloadStore(tmp_path)
+    key = content_key([[2]], (2,), None)
+    entry = {"key_fields": key_fields([[2]], (2,), None), "data": [1, 2, 3]}
+    path = store.store(key, entry)
+    body, digest = path.read_text().splitlines()
+    assert (json.loads(body), digest) == (entry, stable_hash(entry))
+    # a changed line, or a line without its digest, is a miss
+    path.write_text(f"{body.replace('3', '4')}\n{digest}\n")
+    assert store.load(key) is None
+    path.write_text(body + "\n")
+    assert store.load(key) is None
+    # so is an intact entry filed under another key
+    store.store(key, {"key_fields": key_fields([[2]], (9,), None)})
+    assert store.load(key) is None
+
+
+def test_load_or_build_rebuilds_a_corrupted_entry(tmp_path):
+    g2 = build_root_system("G2")
+    store = PayloadStore(tmp_path)
+    built = load_or_build_lattice(g2, (1, 1), 3, store)
+    key = content_key(g2.cartan.matrix, (1, 1), 3)
+    path = store.path_for(key)
+    raw = path.read_bytes()
+    corrupt_one_f_entry(path)
+    assert store.load(key) is None
+    rebuilt = load_or_build_lattice(g2, (1, 1), 3, store)
+    assert stable_dumps(rebuilt.to_payload()) == stable_dumps(built.to_payload())
+    assert path.read_bytes() == raw                 # the entry was rewritten

@@ -252,6 +252,23 @@ def test_cache_dir_flag(capsys, tmp_path):
     assert second == first
 
 
+def test_corrupted_cache_entry_is_rebuilt(capsys, tmp_path):
+    """A cached lattice with one F entry changed is a miss, not a crash."""
+    args = ("essential", "--type", "G2", "--weight", "1,1", "--p", "3")
+    code, want, _ = run(capsys, *args, "--no-cache", "--quiet")
+    assert code == 0
+    cache = tmp_path / "store"
+    run(capsys, *args, "--cache-dir", str(cache), "--quiet")
+    [path] = cache.glob("*.json")
+    body, digest = path.read_text().splitlines()
+    entry = json.loads(body)
+    f = entry["payload"]["f"]
+    f[sorted(f)[0]][0][0] += 5
+    path.write_text(f"{json.dumps(entry)}\n{digest}\n")
+    code, out, _ = run(capsys, *args, "--cache-dir", str(cache), "--quiet")
+    assert (code, out) == (0, want)
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "env-store"
     monkeypatch.setenv(CACHE_DIR_ENV, str(cache))

@@ -20,7 +20,7 @@ from weylpbw import (AdmissibleLattice, DualModuleP, WeylModuleP,  # noqa: E402
 from weylpbw.charzero import _mat_vec  # noqa: E402
 from weylpbw.linalg import rank_dense, row_space  # noqa: E402
 from weylpbw.pbw import monomials_of_degree, monomials_with_depth, sweep_key  # noqa: E402
-from weylpbw.weylmod import HyperMonomial, tensor_leg_act, tensor_of  # noqa: E402
+from weylpbw.weylmod import HyperMonomial, tensor_act, tensor_leg_act, tensor_of  # noqa: E402
 
 small_ints = st.integers(-4, 4)
 entries = st.one_of(small_ints, st.fractions(-3, 3, max_denominator=5))
@@ -167,6 +167,35 @@ def test_tensor_leg_act_is_the_action_on_one_leg(data):
     got = tensor_leg_act(legs, idx, mono, tensor_of((u, w), reduce=m.reduce))
     pair = (legs[0].act(mono, u), w) if idx == 0 else (u, legs[1].act(mono, w))
     assert got == tensor_of(pair, reduce=m.reduce)
+
+
+def _tensor_sum(terms, p):
+    """Blockwise sum of tensor vectors, reduced mod p, all-zero blocks dropped."""
+    acc = {}
+    for tvec in terms:
+        for key, block in tvec.items():
+            prev = acc.get(key)
+            acc[key] = block if prev is None else [
+                [x + y for x, y in zip(r, s)] for r, s in zip(prev, block)]
+    if p is not None:
+        acc = {key: [[v % p for v in row] for row in block] for key, block in acc.items()}
+    return {key: block for key, block in acc.items() if any(map(any, block))}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_tensor_act_is_the_coproduct_on_mixed_legs(data):
+    """Delta(X^(k)) (u (x) w) = sum_{i+j=k} X^(i) u (x) X^(j) w, each leg a
+    module or its dual."""
+    m = data.draw(small_modules())
+    legs = tuple(data.draw(st.sampled_from([m, DualModuleP(m)])) for _ in range(2))
+    pos, side, k = _single_root(m, data.draw)
+    u, w = _vectors(data.draw, m), _vectors(data.draw, m)
+    got = tensor_act(legs, _power(m, side, pos, k), tensor_of((u, w), reduce=m.reduce))
+    terms = [tensor_of((legs[0].act(_power(m, side, pos, i), u),
+                        legs[1].act(_power(m, side, pos, k - i), w)), reduce=m.reduce)
+             for i in range(k + 1)]
+    assert got == _tensor_sum(terms, m.p)
 
 
 @settings(deadline=None, max_examples=40)

@@ -3,6 +3,7 @@
 import pytest
 
 from weylpbw import (
+    AdmissibleLattice,
     InducedFiltration,
     ResourceCapError,
     SmashOperator,
@@ -19,6 +20,7 @@ from weylpbw import (
     tensor_of,
     vv_level_contains,
 )
+from weylpbw import tensorfilt
 from weylpbw.weylmod import HyperMonomial, f_zero, tensor_leg_act
 
 
@@ -106,6 +108,45 @@ def test_weight_group_restriction(a1):
     filt = InducedFiltration(a1, (2,), (2,), 2, weight_group=(2,))
     assert filt.level_dims == [1, 2, 3]
     assert filt.level_dims[1] < induced_filtration(a1, (2,), (2,), 2).level_dims[1]
+
+
+def test_restricted_sweep_stops_once_its_weight_space_is_spanned(a1, monkeypatch):
+    """The lowest weight of V(3) (x) V(3) is one-dimensional and spanned at
+    level 0, so the later levels insert nothing."""
+    calls = []
+    insert = tensorfilt._WeightSpan.insert
+    monkeypatch.setattr(tensorfilt._WeightSpan, "insert",
+                        lambda self, vec: calls.append(1) or insert(self, vec))
+    filt = InducedFiltration(a1, (3,), (3,), None, weight_group=(6,))
+    assert filt.cap == 1
+    assert filt.level_dims == [1, 1, 1, 1]
+    assert len(calls) == 1
+
+
+def test_sweep_cap_is_the_swept_dimension(a1, a2):
+    assert InducedFiltration(a1, (2,), (2,), 2, weight_group=(2,)).cap == 3
+    assert InducedFiltration(a1, (2,), (1,), None).cap == 6
+    filt = InducedFiltration(a2, (1, 1), (1, 0), 2, weight_group=(1, 1))
+    assert filt.cap == filt.level_dims[-1] == 4
+
+
+def test_kept_by_level_splits_the_kept_basis(a2):
+    filt = InducedFiltration(a2, (1, 1), (1, 0), 3)
+    levels = filt.kept_by_level()
+    assert [len(vecs) for vecs in levels] == filt.table().graded_dims
+    assert [v for vecs in levels for v in vecs] == [v for _, v in filt.kept]
+
+
+def test_tensor_square_builds_one_module(a1, monkeypatch):
+    builds = []
+    build = AdmissibleLattice.build.__func__
+    monkeypatch.setattr(AdmissibleLattice, "build", classmethod(
+        lambda cls, *args: builds.append(args[1]) or build(cls, *args)))
+    filt = InducedFiltration(a1, (2,), (2,), 3)
+    assert filt.mods[0] is filt.mods[1]
+    assert builds == [(2,)]
+    InducedFiltration(a1, (2,), (1,), 3)
+    assert builds == [(2,), (2,), (1,)]
 
 
 # --- the twisted operator ----------------------------------------------------

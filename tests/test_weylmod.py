@@ -175,7 +175,7 @@ def test_tensor_of_is_sparse_canonical():
     t = tensor_of((m.highest_vector(), {(1,): [0]}))
     assert t == {}                                  # zero entries dropped
     t = tensor_of((m.highest_vector(), m.highest_vector()))
-    assert t == {((0,), (0,)): {(0, 0): 1}}
+    assert t == {((0,), (0,)): [[1]]}
 
 
 def test_tensor_coproduct_a1():
@@ -183,12 +183,11 @@ def test_tensor_coproduct_a1():
     m = WeylModuleP.build(a1, (1,), None, 100)
     t = tensor_of((m.highest_vector(), m.highest_vector()))
     F1, F2 = HyperMonomial("F", (1,)), HyperMonomial("F", (2,))
-    assert tensor_act((m, m), F1, t) == {
-        ((0,), (1,)): {(0, 0): 1}, ((1,), (0,)): {(0, 0): 1}}
+    assert tensor_act((m, m), F1, t) == {((0,), (1,)): [[1]], ((1,), (0,)): [[1]]}
     # F^(2) (v x v): only the split (1, 1) survives on V(1) x V(1)
-    assert tensor_act((m, m), F2, t) == {((1,), (1,)): {(0, 0): 1}}
-    assert tensor_leg_act((m, m), 0, F1, t) == {((1,), (0,)): {(0, 0): 1}}
-    assert tensor_leg_act((m, m), 1, F1, t) == {((0,), (1,)): {(0, 0): 1}}
+    assert tensor_act((m, m), F2, t) == {((1,), (1,)): [[1]]}
+    assert tensor_leg_act((m, m), 0, F1, t) == {((1,), (0,)): [[1]]}
+    assert tensor_leg_act((m, m), 1, F1, t) == {((0,), (1,)): [[1]]}
 
 
 # --- coassociativity of the divided-power coproduct -------------------------
