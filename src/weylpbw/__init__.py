@@ -62,6 +62,7 @@ from .tensorfilt import (  # noqa: E402,F401
     induced_filtration,
     norm_form_identity_check,
     product_order_equality,
+    tensor_legs,
     vv_level_contains,
 )
 from .criterion import (  # noqa: E402,F401

@@ -1,8 +1,10 @@
 """Content-addressed storage for computed module payloads.
 
 A cache key hashes everything that could change the stored answer: the
-Cartan matrix, the highest weight, the characteristic, the structure-constant
-sign convention, and the code version. An entry file is the entry's JSON
+Cartan matrix, the highest weight, the structure-constant sign convention,
+and the code version. The admissible Z-lattice does not depend on the
+characteristic, so there is one entry per (Cartan matrix, weight), shared by
+every prime and by characteristic zero. An entry file is the entry's JSON
 line and then that line's sha256; a loaded entry that fails its digest, or
 whose recorded key fields no longer hash to its own key, is discarded and
 recomputed — a stale, foreign or damaged file can never poison a run.
@@ -35,20 +37,17 @@ def stable_hash(payload: object) -> str:
     return hashlib.sha256(stable_dumps(payload).encode("ascii")).hexdigest()
 
 
-def key_fields(cartan: Sequence[Sequence[int]], weight: Sequence[int],
-               p: Optional[int]) -> dict:
+def key_fields(cartan: Sequence[Sequence[int]], weight: Sequence[int]) -> dict:
     return {
         "cartan": [list(map(int, row)) for row in cartan],
         "weight": list(map(int, weight)),
-        "p": p,
         "sign_convention": SIGN_CONVENTION_TAG,
         "version": __version__,
     }
 
 
-def content_key(cartan: Sequence[Sequence[int]], weight: Sequence[int],
-                p: Optional[int]) -> str:
-    return stable_hash(key_fields(cartan, weight, p))
+def content_key(cartan: Sequence[Sequence[int]], weight: Sequence[int]) -> str:
+    return stable_hash(key_fields(cartan, weight))
 
 
 class PayloadStore:
@@ -104,14 +103,14 @@ def load_or_build_lattice(system: RootSystem, weight: Sequence[int],
                           dim_cap: int = DIM_CAP_DEFAULT) -> AdmissibleLattice:
     """The admissible lattice for (system, weight), through the store if given.
 
-    The integral lattice itself does not depend on p, but p is part of the
-    key so that every cached artifact names the characteristic it was used
-    for; the cost is at most one duplicate entry per prime.
+    The integral lattice does not depend on p, so p is not part of the key:
+    one entry serves every prime. The parameter is unused; it stays only
+    because existing callers pass the store positionally after it.
     """
     weight = tuple(int(v) for v in weight)
     if store is None:
         return AdmissibleLattice.build(system, weight, dim_cap)
-    key = content_key(system.cartan.matrix, weight, p)
+    key = content_key(system.cartan.matrix, weight)
     hit = store.load(key)
     if hit is not None:
         lattice = AdmissibleLattice.from_payload(hit["payload"])
@@ -119,7 +118,7 @@ def load_or_build_lattice(system: RootSystem, weight: Sequence[int],
             return lattice
     lattice = AdmissibleLattice.build(system, weight, dim_cap)
     store.store(key, {
-        "key_fields": key_fields(system.cartan.matrix, weight, p),
+        "key_fields": key_fields(system.cartan.matrix, weight),
         "payload": lattice.to_payload(),
     })
     return lattice

@@ -24,8 +24,8 @@ from .cache import stable_hash
 from .charzero import DIM_CAP_DEFAULT
 from .linalg import row_space
 from .pbw import (InducedSections, Polynomial, g2_essential_member,
-                  g2_essential_table, j_map, monomials_with_depth, order_key,
-                  sn_divided_action)
+                  g2_essential_solutions, j_map, monomials_with_depth,
+                  order_key, sn_divided_action)
 from .rootsys import RootSystem, build_root_system
 from .tensorfilt import InducedFiltration
 from .weylmod import (HyperMonomial, WeylModuleP, f_zero, is_prime,
@@ -116,8 +116,8 @@ def check_condition2(system: RootSystem, p: int,
         witness["f0_annihilates"] = False
         ten = tensor_of((f0v, f0v), reduce=m.reduce)
         group = tuple(2 * v for v in system.monomial_depth(f0.exponents))
-        filt = InducedFiltration(system, gamma, gamma, p, up_to=level,
-                                 dim_cap=dim_cap, weight_group=group)
+        filt = InducedFiltration((m, m), up_to=level, dim_cap=dim_cap,
+                                 weight_group=group)
         below = filt.contains_at(ten, level - 1)
         at = filt.contains_at(ten, level)
         verdict = not below
@@ -200,13 +200,11 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def g2_annihilation_check(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> StepVerdict:
+def g2_annihilation_check(sections: InducedSections) -> StepVerdict:
     """The six divided-power raising operators that must kill a1 (x) a2 in
-    H0(w2) (x) H0(w2), plus the weight bookkeeping that feeds the
-    highest-root morphism."""
-    _require_prime(p)
-    system = _g2()
-    sections = InducedSections(system, (0, 1), p, dim_cap)
+    H0(w2) (x) H0(w2) (``sections`` is H0(w2)), plus the weight bookkeeping
+    that feeds the highest-root morphism."""
+    system = sections.system
     a1 = sections.xi(G2_A1_INDEX)
     a2 = sections.xi(G2_A2_INDEX)
     w1 = sections.functional_weight(a1)
@@ -240,13 +238,11 @@ def g2_annihilation_check(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> StepVerdict
     })
 
 
-def g2_section_symbols_check(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> StepVerdict:
-    """The polynomial symbols of a1, a2 and v' are single monomials:
-    x3 x5, x2 x5 and x1 x6."""
-    _require_prime(p)
-    system = _g2()
-    s2 = InducedSections(system, (0, 1), p, dim_cap)
-    s1 = InducedSections(system, (1, 0), p, dim_cap)
+def g2_section_symbols_check(s1: InducedSections,
+                             s2: InducedSections) -> StepVerdict:
+    """The polynomial symbols of a1, a2 (in H0(w2) = ``s2``) and v' (in
+    H0(w1) = ``s1``) are single monomials: x3 x5, x2 x5 and x1 x6."""
+    system = s1.system
     cases = [
         (s2, G2_A1_INDEX, "a1"),
         (s2, G2_A2_INDEX, "a2"),
@@ -269,25 +265,27 @@ def g2_section_symbols_check(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> StepVerd
     return StepVerdict("j_images", ok, {"symbols": results})
 
 
-def g2_highest_section_check(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> StepVerdict:
+def g2_highest_section_check(s1: InducedSections) -> StepVerdict:
     """(p-1, 0, 0, 0, 0, p-1) is the unique essential multi-index of degree
     >= 2(p-1) for (p-1)w1 — so the top filtered piece of H0((p-1)w1) is a
-    line — and the degree-2 seed has symbol exactly x1 x6; multiplicativity
-    of the dual basis then gives the (p-1)-st power statement without ever
-    building V((p-1)w1)."""
-    _require_prime(p)
-    system = _g2()
-    k = p - 1
-    table = g2_essential_table(k, 0)
-    top = [s for s in table if sum(s) >= 2 * k]
+    line — and the degree-2 seed (in H0(w1) = ``s1``) has symbol exactly
+    x1 x6; multiplicativity of the dual basis then gives the (p-1)-st power
+    statement without ever building V((p-1)w1)."""
+    k = s1.p - 1
+    # the table is only counted; just its few top entries are kept and sorted
+    size, top = 0, []
+    for s in g2_essential_solutions(k, 0):
+        size += 1
+        if sum(s) >= 2 * k:
+            top.append(s)
+    top.sort(key=order_key)
     expected_top = (k, 0, 0, 0, 0, k)
     unique = top == [expected_top]
-    s1 = InducedSections(system, (1, 0), p, dim_cap)
     sym = j_map(s1, s1.xi(G2_VPRIME_INDEX), 2)
     seed_ok = (sym == Polynomial.monomial(G2_VPRIME_INDEX)
                and sym.coefficient(G2_VPRIME_INDEX) == 1)
     return StepVerdict("highest_section", unique and seed_ok, {
-        "table_size": len(table),
+        "table_size": size,
         "degree_bound": 2 * k,
         "top_indices": [list(s) for s in top],
         "unique": unique,
@@ -295,7 +293,7 @@ def g2_highest_section_check(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> StepVerd
     })
 
 
-def g2_coefficient_check(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> StepVerdict:
+def g2_coefficient_check(p: int) -> StepVerdict:
     """The coefficient of x^(p-1,...,p-1) in E_alpha1^(p-1) applied to
     x1^(p-1) x2^(p-1) x3^(p-1) x5^(2p-2) x6^(p-1), reduced mod p.
 
@@ -352,7 +350,7 @@ def g2_coefficient_check(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> StepVerdict:
     return StepVerdict("coefficient", verdict, details)
 
 
-def g2_final_lemma_check(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> StepVerdict:
+def g2_final_lemma_check(p: int) -> StepVerdict:
     """The closing tensor identity, reduced to table and sl2 arithmetic:
     (i) the all-(p-1) multi-index is essential for (p-1)theta, so F0 does
     not kill its highest vector; (ii) F_alpha1^(p-1) does not kill the
@@ -424,16 +422,18 @@ def g2_verify(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> G2Report:
     used by the surrounding argument needs p >= 11).
     """
     _require_prime(p)
+    system = _g2()
+    s1 = InducedSections(system, (1, 0), p, dim_cap)   # H0(w1)
+    s2 = InducedSections(system, (0, 1), p, dim_cap)   # H0(w2)
     steps = [
-        g2_annihilation_check(p, dim_cap),
-        g2_section_symbols_check(p, dim_cap),
-        g2_highest_section_check(p, dim_cap),
-        g2_coefficient_check(p, dim_cap),
-        g2_final_lemma_check(p, dim_cap),
+        g2_annihilation_check(s2),
+        g2_section_symbols_check(s1, s2),
+        g2_highest_section_check(s1),
+        g2_coefficient_check(p),
+        g2_final_lemma_check(p),
     ]
     overall = all(s.ok for s in steps)
     exploration = p < 11
-    system = _g2()
     return G2Report(p, steps, overall, exploration,
                     overall and not exploration, SCHEMA_VERSION,
                     _input_hash(system, p, "g2_verify"))

@@ -142,15 +142,12 @@ class EssentialSet:
     """All essential multi-indices of a module, block by block."""
     module: WeylModuleP
     by_block: Dict[Tuple[int, ...], BlockSweep]
-    up_to_degree: Optional[int] = None
     _functionals: Dict[MultiIndex, Vector] = field(default_factory=dict, repr=False)
 
     @property
     def indices(self) -> List[MultiIndex]:
-        out = [s for sweep in self.by_block.values() for s in sweep.essential]
-        if self.up_to_degree is not None:
-            out = [s for s in out if sum(s) <= self.up_to_degree]
-        return sorted(out, key=order_key)
+        return sorted((s for sweep in self.by_block.values()
+                       for s in sweep.essential), key=order_key)
 
     def __contains__(self, s: Sequence[int]) -> bool:
         s = tuple(s)
@@ -210,16 +207,14 @@ def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...]) -> BlockSweep:
     return BlockSweep(depth, indices, essential, vectors)
 
 
-def essential_set(m: WeylModuleP, up_to_degree: Optional[int] = None) -> EssentialSet:
+def essential_set(m: WeylModuleP) -> EssentialSet:
     """Sweep every weight block of the module for essential multi-indices.
 
-    All degrees of a block compete, so ``up_to_degree`` only filters the
-    reported set. A block's sweep stops once its kept vectors span the
-    block: no later monomial could be kept, so the result is that of the
-    complete sweep.
+    A block's sweep stops once its kept vectors span the block: no later
+    monomial could be kept, so the result is that of the complete sweep.
     """
     by_block = {t: _sweep_block(m, t) for t in m.block_order if m.dims[t]}
-    return EssentialSet(m, by_block, up_to_degree)
+    return EssentialSet(m, by_block)
 
 
 @dataclass
@@ -280,12 +275,11 @@ def g2_essential_member(k: int, l: int, s: Sequence[int]) -> bool:
             and s2 + s3 + s4 + s5 + s6 <= k + 2 * l)
 
 
-def g2_essential_table(k: int, l: int) -> List[MultiIndex]:
+def g2_essential_solutions(k: int, l: int) -> Iterator[MultiIndex]:
     """All solutions of the G2 essential-set inequalities for k*w1 + l*w2,
-    sorted in the monomial total order."""
+    in enumeration order (pruned nested bounds, no box filter)."""
     if k < 0 or l < 0:
         raise ValueError("the weight coordinates must be dominant (nonnegative)")
-    out: List[MultiIndex] = []
     kl, k2l = k + l, k + 2 * l
     for s1 in range(k2l + 1):
         for s2 in range(min(kl, k2l - s1) + 1):
@@ -295,9 +289,13 @@ def g2_essential_table(k: int, l: int) -> List[MultiIndex]:
                         for s6 in range(min(k, kl - s2 - s3, kl - s3 - s4,
                                             kl - s4 - s5,
                                             k2l - s2 - s3 - s4 - s5) + 1):
-                            out.append((s1, s2, s3, s4, s5, s6))
-    out.sort(key=order_key)
-    return out
+                            yield (s1, s2, s3, s4, s5, s6)
+
+
+def g2_essential_table(k: int, l: int) -> List[MultiIndex]:
+    """All solutions of the G2 essential-set inequalities for k*w1 + l*w2,
+    sorted in the monomial total order."""
+    return sorted(g2_essential_solutions(k, l), key=order_key)
 
 
 # --------------------------------------------------------------------------
@@ -372,9 +370,6 @@ class Polynomial:
 
     def support(self) -> List[MultiIndex]:
         return sorted(self.coeffs, key=order_key)
-
-    def leading_index(self) -> Optional[MultiIndex]:
-        return max(self.coeffs, key=order_key) if self.coeffs else None
 
     def degrees(self) -> List[int]:
         return sorted({sum(s) for s in self.coeffs})

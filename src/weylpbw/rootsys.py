@@ -277,9 +277,6 @@ class RootSystem:
     def root_weight_coords(self, b: Coords) -> Weight:
         return tuple(sum(self.A[i][j] * b[j] for j in range(self.rank)) for i in range(self.rank))
 
-    def is_root(self, c: Coords) -> bool:
-        return c in self._all_roots
-
     def is_positive_root(self, c: Coords) -> bool:
         return c in self._pos_set
 

@@ -161,7 +161,8 @@ def _input_hash(system: RootSystem, lam: Weight, mu: Weight,
 
 
 class InducedFiltration:
-    """The filtration computation: modules, spanning sweep, kept vectors.
+    """The filtration computation on the tensor product of two built legs
+    V(lam), V(mu) (see ``tensor_legs``): spanning sweep and kept vectors.
 
     ``weight_group`` restricts everything to one total weight space (given as
     the root-coordinate depth below lam + mu), which is exact because the
@@ -169,18 +170,17 @@ class InducedFiltration:
     tests cheap on modules whose full tensor square would be expensive.
     """
 
-    def __init__(self, system: RootSystem, lam: Sequence[int], mu: Sequence[int],
-                 p: Optional[int], up_to: Optional[int] = None,
-                 dim_cap: int = DIM_CAP_DEFAULT,
+    def __init__(self, mods: Tuple[WeylModuleP, WeylModuleP],
+                 up_to: Optional[int] = None, dim_cap: int = DIM_CAP_DEFAULT,
                  weight_group: Optional[Sequence[int]] = None):
-        self.system = system
-        self.lam: Weight = tuple(lam)
-        self.mu: Weight = tuple(mu)
-        self.p = p
+        a, b = self.mods = tuple(mods)
+        if a.system.cartan.matrix != b.system.cartan.matrix or a.p != b.p:
+            raise ValueError("the two legs differ in root system or characteristic")
+        self.system = system = a.system
+        self.lam: Weight = a.highest_weight
+        self.mu: Weight = b.highest_weight
+        self.p = p = a.p
         self.weight_group = None if weight_group is None else tuple(weight_group)
-        a = WeylModuleP.build(system, self.lam, p, dim_cap)
-        b = a if self.mu == self.lam else WeylModuleP.build(system, self.mu, p, dim_cap)
-        self.mods = (a, b)
         dim_a = sum(a.dims.values())
         dim_b = sum(b.dims.values())
         if dim_a * dim_b > dim_cap:
@@ -281,23 +281,33 @@ class InducedFiltration:
             self.weight_group, _input_hash(self.system, self.lam, self.mu, self.p))
 
 
+def tensor_legs(system: RootSystem, lam: Sequence[int], mu: Sequence[int],
+                p: Optional[int], dim_cap: int = DIM_CAP_DEFAULT
+                ) -> Tuple[WeylModuleP, WeylModuleP]:
+    """The legs V(lam) and V(mu) of a tensor product; a square shares one module."""
+    a = WeylModuleP.build(system, tuple(lam), p, dim_cap)
+    if tuple(mu) == a.highest_weight:
+        return a, a
+    return a, WeylModuleP.build(system, tuple(mu), p, dim_cap)
+
+
 def induced_filtration(system: RootSystem, lam: Sequence[int], mu: Sequence[int],
                        p: Optional[int], up_to: Optional[int] = None,
                        dim_cap: int = DIM_CAP_DEFAULT) -> InducedFiltrationTable:
     """Level dimensions of the induced filtration, swept to stabilization
     (or to ``up_to`` when given)."""
-    return InducedFiltration(system, lam, mu, p, up_to, dim_cap).table()
+    legs = tensor_legs(system, lam, mu, p, dim_cap)
+    return InducedFiltration(legs, up_to, dim_cap).table()
 
 
-def vv_level_contains(system: RootSystem, lam: Sequence[int], mu: Sequence[int],
-                      p: Optional[int], tvec: TensorVector, level: int,
-                      dim_cap: int = DIM_CAP_DEFAULT) -> bool:
+def vv_level_contains(mods: Tuple[WeylModuleP, WeylModuleP], tvec: TensorVector,
+                      level: int, dim_cap: int = DIM_CAP_DEFAULT) -> bool:
     """Whether a weight-homogeneous tensor vector lies in VV_level, computed
     on that vector's weight space only."""
     group = _total_depth(tvec)
     if group is None:
         return True
-    filt = InducedFiltration(system, lam, mu, p, up_to=level, dim_cap=dim_cap,
+    filt = InducedFiltration(mods, up_to=level, dim_cap=dim_cap,
                              weight_group=group)
     return filt.contains(tvec)
 
@@ -321,9 +331,6 @@ class ProductOrderReport:
     def equal(self) -> bool:
         return self.smash_dims == self.reversed_dims == self.union_dims
 
-    def equal_at(self, n: int) -> bool:
-        return self.smash_dims[n] == self.reversed_dims[n] == self.union_dims[n]
-
 
 def product_order_equality(system: RootSystem, lam: Sequence[int],
                            mu: Sequence[int], p: Optional[int],
@@ -331,7 +338,7 @@ def product_order_equality(system: RootSystem, lam: Sequence[int],
                            dim_cap: int = DIM_CAP_DEFAULT) -> ProductOrderReport:
     """Check that applying the leg monomial before or after the coproduct
     monomial spans the same filtration level, degree by degree."""
-    filt = InducedFiltration(system, lam, mu, p, up_to, dim_cap)
+    filt = InducedFiltration(tensor_legs(system, lam, mu, p, dim_cap), up_to, dim_cap)
     span_rev = _WeightSpan(p)
     span_union = _WeightSpan(p)
     smash_dims: List[int] = []
@@ -379,7 +386,8 @@ def comparison_map_check(system: RootSystem, lam: Sequence[int],
                          dim_cap: int = DIM_CAP_DEFAULT) -> ComparisonReport:
     """Verify V_n(lam) (x) v_mu lies in VV_n at every level and measure the
     kernel of the induced map on graded pieces, degree by degree."""
-    filt = InducedFiltration(system, lam, mu, p, dim_cap=dim_cap)
+    filt = InducedFiltration(tensor_legs(system, lam, mu, p, dim_cap),
+                             dim_cap=dim_cap)
     top = filt.s_max
     table = pbw_filtration(filt.mods[0], top)
     sweep = _WeightSpan(p)
@@ -412,12 +420,10 @@ def dual_filtration_dims(system: RootSystem, lam: Sequence[int],
     V(lam*) (x) V(mu*) vanishing on VV_{n-1}(lam*, mu*)."""
     lam_star = system.star(tuple(lam))
     mu_star = system.star(tuple(mu))
+    legs = tensor_legs(system, lam_star, mu_star, p, dim_cap)
     if n <= 0:
-        a = WeylModuleP.build(system, lam_star, p, dim_cap)
-        b = WeylModuleP.build(system, mu_star, p, dim_cap)
-        return sum(a.dims.values()) * sum(b.dims.values())
-    filt = InducedFiltration(system, lam_star, mu_star, p, up_to=n - 1,
-                             dim_cap=dim_cap)
+        return legs[0].dim * legs[1].dim
+    filt = InducedFiltration(legs, up_to=n - 1, dim_cap=dim_cap)
     return filt.tensor_dim - filt.level(n - 1)
 
 
@@ -443,7 +449,7 @@ def delta_stability_check(system: RootSystem, lam: Sequence[int],
                           dim_cap: int = DIM_CAP_DEFAULT) -> StabilityReport:
     """Apply Delta(X^(k)) to a basis of each level and test membership; a
     violation is recorded rather than raised, so reports stay comparable."""
-    filt = InducedFiltration(system, lam, mu, p, up_to, dim_cap)
+    filt = InducedFiltration(tensor_legs(system, lam, mu, p, dim_cap), up_to, dim_cap)
     top = min(filt.requested, filt.s_max)
     sweep = _WeightSpan(p)
     violations: List[Tuple[int, str, int, int]] = []
@@ -489,11 +495,10 @@ def norm_form_identity_check(system: RootSystem, lam: Sequence[int],
     right side is nonzero, its membership in VV_{(p-1)N}."""
     if p is None:
         raise ValueError("the norm form lives in positive characteristic")
-    a = WeylModuleP.build(system, tuple(lam), p, dim_cap)
-    b = WeylModuleP.build(system, tuple(mu), p, dim_cap)
+    a, b = legs = tensor_legs(system, lam, mu, p, dim_cap)
     f0 = f_zero(system.n_pos, p)
     start = tensor_of((a.highest_vector(), b.highest_vector()), reduce=a.reduce)
-    lhs = tensor_leg_act((a, b), 0, f0, tensor_act((a, b), f0, start))
+    lhs = tensor_leg_act(legs, 0, f0, tensor_act(legs, f0, start))
     rhs = tensor_of((a.act(f0, a.highest_vector()), b.act(f0, b.highest_vector())),
                     reduce=a.reduce)
     identity_ok = lhs == rhs
@@ -501,6 +506,6 @@ def norm_form_identity_check(system: RootSystem, lam: Sequence[int],
     nonzero = bool(rhs)
     membership: Optional[bool] = None
     if nonzero:
-        membership = vv_level_contains(system, lam, mu, p, rhs, level, dim_cap)
+        membership = vv_level_contains(legs, rhs, level, dim_cap)
     return NormFormReport(tuple(lam), tuple(mu), p, identity_ok, nonzero,
                           level, membership)

@@ -4,6 +4,7 @@ import json
 
 from weylpbw import (
     SIGN_CONVENTION_TAG,
+    AdmissibleLattice,
     PayloadStore,
     build_root_system,
     content_key,
@@ -32,18 +33,17 @@ def test_stable_hash_shape():
 
 
 def test_key_fields_pin_convention_and_version():
-    fields = key_fields([[2]], (1,), 3)
+    fields = key_fields([[2]], (1,))
     assert fields["sign_convention"] == SIGN_CONVENTION_TAG
     assert "version" in fields
-    assert fields["p"] == 3
-    assert content_key([[2]], (1,), 3) == stable_hash(fields)
-    assert content_key([[2]], (1,), 3) != content_key([[2]], (1,), None)
+    assert "p" not in fields                # one key serves every prime
+    assert content_key([[2]], (1,)) == stable_hash(fields)
 
 
 def test_store_round_trip(tmp_path):
     store = PayloadStore(tmp_path / "cache")
-    key = content_key([[2]], (2,), None)
-    entry = {"key_fields": key_fields([[2]], (2,), None), "data": [1, 2, 3]}
+    key = content_key([[2]], (2,))
+    entry = {"key_fields": key_fields([[2]], (2,)), "data": [1, 2, 3]}
     path = store.store(key, entry)
     assert path == store.path_for(key)
     assert path.read_text().endswith("\n")
@@ -58,12 +58,12 @@ def test_load_missing_returns_none(tmp_path):
 
 def test_load_rejects_corrupt_and_foreign_entries(tmp_path):
     store = PayloadStore(tmp_path)
-    key = content_key([[2]], (1,), 2)
+    key = content_key([[2]], (1,))
     store.path_for(key).write_text("not json")
     assert store.load(key) is None
     # valid JSON whose recorded fields do not hash back to the key
     store.path_for(key).write_text(json.dumps(
-        {"key_fields": key_fields([[2]], (9,), 2)}))
+        {"key_fields": key_fields([[2]], (9,))}))
     assert store.load(key) is None
     store.path_for(key).write_text(json.dumps([1, 2]))
     assert store.load(key) is None
@@ -73,12 +73,26 @@ def test_load_or_build_round_trip(tmp_path):
     a1 = build_root_system("A1")
     store = PayloadStore(tmp_path)
     first = load_or_build_lattice(a1, (3,), None, store)
-    key = content_key(a1.cartan.matrix, (3,), None)
+    key = content_key(a1.cartan.matrix, (3,))
     assert store.path_for(key).exists()
     second = load_or_build_lattice(a1, (3,), None, store)
     assert second.to_payload() == first.to_payload()
     assert stable_dumps(second.to_payload()) == stable_dumps(first.to_payload())
     assert second.dim == 4
+
+
+def test_one_entry_serves_every_prime(tmp_path, monkeypatch):
+    a1 = build_root_system("A1")
+    store = PayloadStore(tmp_path)
+    built = load_or_build_lattice(a1, (3,), 2, store)
+
+    def no_build(*args):
+        raise AssertionError("a cache hit must not rebuild the lattice")
+    monkeypatch.setattr(AdmissibleLattice, "build", no_build)
+    for p in (3, None):
+        hit = load_or_build_lattice(a1, (3,), p, store)
+        assert stable_dumps(hit.to_payload()) == stable_dumps(built.to_payload())
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_load_or_build_without_store():
@@ -92,10 +106,10 @@ def test_cached_entry_survives_reserialization(tmp_path):
     g2 = build_root_system("G2")
     store = PayloadStore(tmp_path)
     built = load_or_build_lattice(g2, (1, 0), 11, store)
-    key = content_key(g2.cartan.matrix, (1, 0), 11)
+    key = content_key(g2.cartan.matrix, (1, 0))
     raw = store.path_for(key).read_bytes()
     reloaded = load_or_build_lattice(g2, (1, 0), 11, store)
-    store.store(key, {"key_fields": key_fields(g2.cartan.matrix, (1, 0), 11),
+    store.store(key, {"key_fields": key_fields(g2.cartan.matrix, (1, 0)),
                       "payload": reloaded.to_payload()})
     assert store.path_for(key).read_bytes() == raw
     assert reloaded.dims == built.dims
@@ -112,8 +126,8 @@ def corrupt_one_f_entry(path):
 
 def test_load_checks_the_digest_and_the_key(tmp_path):
     store = PayloadStore(tmp_path)
-    key = content_key([[2]], (2,), None)
-    entry = {"key_fields": key_fields([[2]], (2,), None), "data": [1, 2, 3]}
+    key = content_key([[2]], (2,))
+    entry = {"key_fields": key_fields([[2]], (2,)), "data": [1, 2, 3]}
     path = store.store(key, entry)
     body, digest = path.read_text().splitlines()
     assert (json.loads(body), digest) == (entry, stable_hash(entry))
@@ -123,7 +137,7 @@ def test_load_checks_the_digest_and_the_key(tmp_path):
     path.write_text(body + "\n")
     assert store.load(key) is None
     # so is an intact entry filed under another key
-    store.store(key, {"key_fields": key_fields([[2]], (9,), None)})
+    store.store(key, {"key_fields": key_fields([[2]], (9,))})
     assert store.load(key) is None
 
 
@@ -131,7 +145,7 @@ def test_load_or_build_rebuilds_a_corrupted_entry(tmp_path):
     g2 = build_root_system("G2")
     store = PayloadStore(tmp_path)
     built = load_or_build_lattice(g2, (1, 1), 3, store)
-    key = content_key(g2.cartan.matrix, (1, 1), 3)
+    key = content_key(g2.cartan.matrix, (1, 1))
     path = store.path_for(key)
     raw = path.read_bytes()
     corrupt_one_f_entry(path)

@@ -9,14 +9,17 @@ from weylpbw import (
     SmashOperator,
     WeylModuleP,
     build_root_system,
+    check_condition2,
     comparison_map_check,
     delta_stability_check,
     dual_filtration_dims,
     f0_smash_f0,
+    g2_verify,
     induced_filtration,
     norm_form_identity_check,
     product_order_equality,
     tensor_act,
+    tensor_legs,
     tensor_of,
     vv_level_contains,
 )
@@ -63,7 +66,7 @@ def test_level_dims_a1_deeper(a1):
 
 
 def test_filtration_object_padding(a1):
-    filt = InducedFiltration(a1, (1,), (1,), None)
+    filt = InducedFiltration(tensor_legs(a1, (1,), (1,), None))
     assert filt.level(0) == 3
     assert filt.level(25) == 4            # beyond stabilization: full dim
     assert filt.level(-1) == 0
@@ -100,12 +103,12 @@ def test_norm_vector_membership(a1):
     f0 = f_zero(1, p)
     f0v = m.act(f0, m.highest_vector())
     tvec = tensor_of((f0v, f0v), reduce=m.reduce)
-    assert vv_level_contains(a1, (2,), (2,), p, tvec, 1)
-    assert not vv_level_contains(a1, (2,), (2,), p, tvec, 0)
+    assert vv_level_contains((m, m), tvec, 1)
+    assert not vv_level_contains((m, m), tvec, 0)
 
 
 def test_weight_group_restriction(a1):
-    filt = InducedFiltration(a1, (2,), (2,), 2, weight_group=(2,))
+    filt = InducedFiltration(tensor_legs(a1, (2,), (2,), 2), weight_group=(2,))
     assert filt.level_dims == [1, 2, 3]
     assert filt.level_dims[1] < induced_filtration(a1, (2,), (2,), 2).level_dims[1]
 
@@ -117,36 +120,74 @@ def test_restricted_sweep_stops_once_its_weight_space_is_spanned(a1, monkeypatch
     insert = tensorfilt._WeightSpan.insert
     monkeypatch.setattr(tensorfilt._WeightSpan, "insert",
                         lambda self, vec: calls.append(1) or insert(self, vec))
-    filt = InducedFiltration(a1, (3,), (3,), None, weight_group=(6,))
+    filt = InducedFiltration(tensor_legs(a1, (3,), (3,), None), weight_group=(6,))
     assert filt.cap == 1
     assert filt.level_dims == [1, 1, 1, 1]
     assert len(calls) == 1
 
 
 def test_sweep_cap_is_the_swept_dimension(a1, a2):
-    assert InducedFiltration(a1, (2,), (2,), 2, weight_group=(2,)).cap == 3
-    assert InducedFiltration(a1, (2,), (1,), None).cap == 6
-    filt = InducedFiltration(a2, (1, 1), (1, 0), 2, weight_group=(1, 1))
+    square = tensor_legs(a1, (2,), (2,), 2)
+    assert InducedFiltration(square, weight_group=(2,)).cap == 3
+    assert InducedFiltration(tensor_legs(a1, (2,), (1,), None)).cap == 6
+    filt = InducedFiltration(tensor_legs(a2, (1, 1), (1, 0), 2),
+                             weight_group=(1, 1))
     assert filt.cap == filt.level_dims[-1] == 4
 
 
 def test_kept_by_level_splits_the_kept_basis(a2):
-    filt = InducedFiltration(a2, (1, 1), (1, 0), 3)
+    filt = InducedFiltration(tensor_legs(a2, (1, 1), (1, 0), 3))
     levels = filt.kept_by_level()
     assert [len(vecs) for vecs in levels] == filt.table().graded_dims
     assert [v for vecs in levels for v in vecs] == [v for _, v in filt.kept]
 
 
-def test_tensor_square_builds_one_module(a1, monkeypatch):
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """The highest weights of the lattices built from here on, in order."""
     builds = []
     build = AdmissibleLattice.build.__func__
     monkeypatch.setattr(AdmissibleLattice, "build", classmethod(
         lambda cls, *args: builds.append(args[1]) or build(cls, *args)))
-    filt = InducedFiltration(a1, (2,), (2,), 3)
+    return builds
+
+
+def test_tensor_square_builds_one_module(a1, lattice_builds):
+    filt = InducedFiltration(tensor_legs(a1, (2,), (2,), 3))
     assert filt.mods[0] is filt.mods[1]
-    assert builds == [(2,)]
-    InducedFiltration(a1, (2,), (1,), 3)
-    assert builds == [(2,), (2,), (1,)]
+    assert lattice_builds == [(2,)]
+    InducedFiltration(tensor_legs(a1, (2,), (1,), 3))
+    assert lattice_builds == [(2,), (2,), (1,)]
+
+
+@pytest.mark.parametrize("run,expected", [
+    # V(gamma), gamma = 2(p-1)rho, serves F0.v and both legs of the square
+    (lambda: check_condition2(build_root_system("A1"), 3), [(4,)]),
+    # H0(w1) and H0(w2), each shared by the steps that read it
+    (lambda: g2_verify(11), [(1, 0), (0, 1)]),
+    (lambda: norm_form_identity_check(build_root_system("A1"), (2,), (2,), 3),
+     [(2,)]),
+], ids=["condition2", "g2_verify", "norm_form"])
+def test_each_check_builds_each_lattice_once(run, expected, lattice_builds):
+    run()
+    assert lattice_builds == expected
+
+
+def test_membership_builds_no_lattice(a1, lattice_builds):
+    m = WeylModuleP.build(a1, (2,), 2, 100)
+    f0v = m.act(f_zero(1, 2), m.highest_vector())
+    assert vv_level_contains((m, m), tensor_of((f0v, f0v), reduce=m.reduce), 1)
+    assert lattice_builds == [(2,)]          # the leg built here, nothing more
+
+
+def test_legs_must_share_system_and_characteristic(a1, a2):
+    m = WeylModuleP.build(a1, (2,), 2, 100)
+    with pytest.raises(ValueError):
+        InducedFiltration((m, WeylModuleP(m.lattice, 3)))
+    with pytest.raises(ValueError):
+        InducedFiltration((m, WeylModuleP(m.lattice, None)))
+    with pytest.raises(ValueError):
+        InducedFiltration((m, WeylModuleP.build(a2, (1, 0), 2, 100)))
 
 
 # --- the twisted operator ----------------------------------------------------
