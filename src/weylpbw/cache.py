@@ -37,13 +37,24 @@ def stable_hash(payload: object) -> str:
     return hashlib.sha256(stable_dumps(payload).encode("ascii")).hexdigest()
 
 
-def key_fields(cartan: Sequence[Sequence[int]], weight: Sequence[int]) -> dict:
+def _pinned(cartan: Sequence[Sequence[int]]) -> dict:
+    """What every stored or reported answer depends on: the Cartan matrix,
+    the structure-constant sign convention and the code version."""
     return {
         "cartan": [list(map(int, row)) for row in cartan],
-        "weight": list(map(int, weight)),
         "sign_convention": SIGN_CONVENTION_TAG,
         "version": __version__,
     }
+
+
+def key_fields(cartan: Sequence[Sequence[int]], weight: Sequence[int]) -> dict:
+    return dict(_pinned(cartan), weight=list(map(int, weight)))
+
+
+def input_hash(system: RootSystem, **fields) -> str:
+    """The content hash of an analysis's inputs: the pinned fields of its
+    root system plus ``fields``."""
+    return stable_hash(dict(_pinned(system.cartan.matrix), **fields))
 
 
 def content_key(cartan: Sequence[Sequence[int]], weight: Sequence[int]) -> str:

@@ -7,6 +7,11 @@ Four subcommands cover the library surface:
   filtration  filtration level dimensions, single module or tensor product
   verify      splitting-criterion checks (type-G2 pipeline or small rank)
 
+Every command takes --type or --cartan, --format, --out, --quiet and
+--schema. essential, filtration and verify take the dimension cap --cap;
+essential and filtration, which load lattices, also take --cache-dir and
+--no-cache (--no-cache beats --cache-dir, which beats $WEYLPBW_CACHE_DIR).
+
 Exit codes: 0 success, 1 a verification or oracle check failed, 2 usage or
 configuration error, 3 a resource cap was exceeded.
 
@@ -25,7 +30,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,8 +38,8 @@ from .cache import CACHE_DIR_ENV, PayloadStore, load_or_build_lattice, stable_du
 from .charzero import DIM_CAP_DEFAULT
 from .criterion import check_condition2, check_v0, g2_verify
 from .pbw import essential_set, g2_essential_table, order_key, pbw_filtration
-from .rootsys import CartanMatrixError, ResourceCapError, build_root_system
-from .tensorfilt import induced_filtration
+from .rootsys import CartanMatrixError, ResourceCapError, RootSystem, build_root_system
+from .tensorfilt import InducedFiltration
 from .weylmod import WeylModuleP, is_prime
 
 EXIT_OK = 0
@@ -49,54 +53,7 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One command's validated inputs.
-
-    ``cartan_spec`` is either a type label ("G2") or explicit Cartan matrix
-    rows read from a JSON file; ``weight``/``tensor`` are fundamental-weight
-    coordinate tuples; ``p`` is None for characteristic zero.
-    """
-
-    cartan_spec: object
-    label: Optional[str]
-    weight: Optional[Tuple[int, ...]]
-    tensor: Optional[Tuple[int, ...]]
-    p: Optional[int]
-    cap: int
-    store: Optional[PayloadStore]
-    fmt: str
-    out: Optional[str]
-    quiet: bool
-
-    def __post_init__(self):
-        if self.cap < 1:
-            raise UsageError("--cap must be at least 1")
-        if self.p is not None and not is_prime(self.p):
-            raise UsageError(f"--p must be prime, got {self.p}")
-
-    def system(self):
-        if self.cartan_spec is None:
-            raise UsageError("a Cartan type is required: --type or --cartan")
-        try:
-            return build_root_system(self.cartan_spec)
-        except CartanMatrixError as exc:
-            raise UsageError(f"invalid Cartan data: {exc}") from None
-
-
-def _parse_weight(text: str, rank: int, flag: str) -> Tuple[int, ...]:
-    try:
-        coords = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-joined integers, got {text!r}") from None
-    if len(coords) != rank:
-        raise UsageError(f"{flag} has {len(coords)} coordinates; the system has rank {rank}")
-    if any(c < 0 for c in coords):
-        raise UsageError(f"{flag} must be dominant (nonnegative coordinates), got {text!r}")
-    return coords
+# reading the arguments
 
 
 def _read_cartan_file(path: str):
@@ -113,52 +70,57 @@ def _read_cartan_file(path: str):
     return rows
 
 
-def _config_from(args) -> RunConfig:
-    cartan_spec = None
-    label = None
-    if getattr(args, "type", None) is not None:
-        cartan_spec = args.type
-        label = args.type
-    elif getattr(args, "cartan", None) is not None:
-        cartan_spec = _read_cartan_file(args.cartan)
+def _system(args) -> RootSystem:
+    """The root system named by --type or read from --cartan."""
+    if args.type is not None:
+        spec = args.type
+    elif args.cartan is not None:
+        spec = _read_cartan_file(args.cartan)
+    else:
+        raise UsageError("a Cartan type is required: --type or --cartan")
+    try:
+        return build_root_system(spec)
+    except CartanMatrixError as exc:
+        raise UsageError(f"invalid Cartan data: {exc}") from None
 
+
+def _weight(args, system: RootSystem, name: str) -> Tuple[int, ...]:
+    """The dominant weight given by --weight or --tensor, in fundamental coordinates."""
+    text = getattr(args, name)
+    flag = f"--{name}"
+    if text is None:
+        raise UsageError(f"{args.cmd} requires {flag}")
+    try:
+        coords = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} expects comma-joined integers, got {text!r}") from None
+    if len(coords) != system.rank:
+        raise UsageError(f"{flag} has {len(coords)} coordinates; the system has rank {system.rank}")
+    if any(c < 0 for c in coords):
+        raise UsageError(f"{flag} must be dominant (nonnegative coordinates), got {text!r}")
+    return coords
+
+
+def _modules(args, system: RootSystem, *weights: Tuple[int, ...]) -> List[WeylModuleP]:
+    """V(w) over GF(--p) for each weight, loaded through the payload store;
+    equal weights share one module. --no-cache beats --cache-dir, which beats
+    the environment."""
     store = None
-    if not getattr(args, "no_cache", False):
-        cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV)
+    if not args.no_cache:
+        cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
         if cache_dir:
             store = PayloadStore(Path(cache_dir))
-
-    weight = None
-    tensor = None
-    p = getattr(args, "p", None)
-    cfg = RunConfig(
-        cartan_spec=cartan_spec,
-        label=label,
-        weight=weight,
-        tensor=tensor,
-        p=p,
-        cap=getattr(args, "cap", DIM_CAP_DEFAULT),
-        store=store,
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        quiet=getattr(args, "quiet", False),
-    )
-    return cfg
+    built: Dict[Tuple[int, ...], WeylModuleP] = {}
+    for w in weights:
+        if w not in built:
+            lattice = load_or_build_lattice(system, w, args.p, store, args.cap)
+            built[w] = WeylModuleP(lattice, args.p)
+    return [built[w] for w in weights]
 
 
-def _with_weights(cfg: RunConfig, args, system) -> RunConfig:
-    weight = None
-    if getattr(args, "weight", None) is not None:
-        weight = _parse_weight(args.weight, system.rank, "--weight")
-    tensor = None
-    if getattr(args, "tensor", None) is not None:
-        tensor = _parse_weight(args.tensor, system.rank, "--tensor")
-    return RunConfig(cfg.cartan_spec, cfg.label, weight, tensor, cfg.p, cfg.cap,
-                     cfg.store, cfg.fmt, cfg.out, cfg.quiet)
-
-
-def _cartan_rows(system) -> List[List[int]]:
-    return [list(r) for r in system.cartan.matrix]
+def _header(args, system: RootSystem) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "type": args.type,
+            "cartan": [list(r) for r in system.cartan.matrix]}
 
 
 def _join(ints: Sequence[int]) -> str:
@@ -173,8 +135,8 @@ def _join(ints: Sequence[int]) -> str:
 # flat table.
 
 
-def cmd_roots(cfg: RunConfig, args):
-    system = cfg.system()
+def cmd_roots(args):
+    system = _system(args)
     rows = []
     for i, beta in enumerate(system.positive_roots):
         rows.append({
@@ -184,50 +146,35 @@ def cmd_roots(cfg: RunConfig, args):
             "height": system.height(beta),
             "pairings": list(system.root_weight_coords(beta)),
         })
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "type": cfg.label,
-        "cartan": _cartan_rows(system),
-        "count": len(rows),
-        "roots": rows,
-    }
+    payload = _header(args, system)
+    payload.update(count=len(rows), roots=rows)
     flat = (("index", "name", "coords", "height", "pairings"),
             [(r["index"], r["name"], _join(r["coords"]), r["height"],
               _join(r["pairings"])) for r in rows])
-    text = [f"positive roots ({cfg.label or 'custom Cartan matrix'}): {len(rows)}"]
+    text = [f"positive roots ({args.type or 'custom Cartan matrix'}): {len(rows)}"]
     for r in rows:
         text.append(f"  {r['index']:>2}  {r['name']:<10} coords {_join(r['coords']):<12}"
                     f" height {r['height']:>2}  pairings {_join(r['pairings'])}")
     return EXIT_OK, payload, flat, text
 
 
-def cmd_essential(cfg: RunConfig, args):
-    system = cfg.system()
-    cfg = _with_weights(cfg, args, system)
-    if cfg.weight is None:
-        raise UsageError("essential requires --weight")
-    lattice = load_or_build_lattice(system, cfg.weight, cfg.p, cfg.store, cfg.cap)
-    module = WeylModuleP(lattice, cfg.p)
+def cmd_essential(args):
+    system = _system(args)
+    weight = _weight(args, system, "weight")
+    [module] = _modules(args, system, weight)
     es = essential_set(module)
     indices = es.indices
     histogram = es.degree_histogram()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "type": cfg.label,
-        "cartan": _cartan_rows(system),
-        "weight": list(cfg.weight),
-        "p": cfg.p,
-        "count": len(indices),
-        "degree_histogram": histogram,
-        "indices": [list(s) for s in indices],
-    }
+    payload = _header(args, system)
+    payload.update(weight=list(weight), p=args.p, count=len(indices),
+                   degree_histogram=histogram, indices=[list(s) for s in indices])
 
     code = EXIT_OK
     if args.oracle:
-        if cfg.label != "G2":
+        if args.type != "G2":
             raise UsageError("--oracle cross-checks the type-G2 inequality table;"
                              " it needs --type G2")
-        table = g2_essential_table(cfg.weight[0], cfg.weight[1])
+        table = g2_essential_table(weight[0], weight[1])
         mine = {tuple(s) for s in indices}
         other = set(table)
         agrees = mine == other
@@ -242,8 +189,8 @@ def cmd_essential(cfg: RunConfig, args):
     n = system.n_pos
     flat = (tuple(f"s{i+1}" for i in range(n)) + ("degree",),
             [tuple(s) + (sum(s),) for s in indices])
-    text = [f"essential multiindices of V({_join(cfg.weight)})"
-            f" ({cfg.label or 'custom'}, p={cfg.p}): {len(indices)}",
+    text = [f"essential multiindices of V({_join(weight)})"
+            f" ({args.type or 'custom'}, p={args.p}): {len(indices)}",
             f"degree histogram: {histogram}"]
     text.extend("  " + _join(s) for s in indices)
     if "oracle" in payload:
@@ -251,66 +198,55 @@ def cmd_essential(cfg: RunConfig, args):
     return code, payload, flat, text
 
 
-def cmd_filtration(cfg: RunConfig, args):
-    system = cfg.system()
-    cfg = _with_weights(cfg, args, system)
-    if cfg.weight is None:
-        raise UsageError("filtration requires --weight")
+def cmd_filtration(args):
+    system = _system(args)
+    weight = _weight(args, system, "weight")
+    mu = None if args.tensor is None else _weight(args, system, "tensor")
     if args.levels is not None and args.levels < 0:
         raise UsageError("--levels must be nonnegative")
 
-    if cfg.tensor is None:
-        lattice = load_or_build_lattice(system, cfg.weight, cfg.p, cfg.store, cfg.cap)
-        module = WeylModuleP(lattice, cfg.p)
+    payload = _header(args, system)
+    if mu is None:
+        [module] = _modules(args, system, weight)
         top = args.levels if args.levels is not None else sum(
-            system.depth_vector(cfg.weight))
+            system.depth_vector(weight))
         table = pbw_filtration(module, top)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "type": cfg.label,
-            "cartan": _cartan_rows(system),
-            "weight": list(cfg.weight),
-            "p": cfg.p,
-            "levels": [{"n": i, "dim": d} for i, d in enumerate(table.level_dims)],
-            "graded": list(table.graded_dims),
-            "top_dim": table.top_dim,
-        }
-        rows = [(i, d, g) for i, (d, g) in
-                enumerate(zip(table.level_dims, table.graded_dims))]
-        text = [f"filtration of V({_join(cfg.weight)}) ({cfg.label or 'custom'},"
-                f" p={cfg.p}); top dimension {table.top_dim}"]
+        payload.update(
+            weight=list(weight), p=args.p,
+            levels=[{"n": i, "dim": d} for i, d in enumerate(table.level_dims)],
+            graded=list(table.graded_dims), top_dim=table.top_dim)
+        text = [f"filtration of V({_join(weight)}) ({args.type or 'custom'},"
+                f" p={args.p}); top dimension {table.top_dim}"]
     else:
-        table = induced_filtration(system, cfg.weight, cfg.tensor, cfg.p,
-                                   up_to=args.levels, dim_cap=cfg.cap)
-        payload = {"schema_version": SCHEMA_VERSION, "type": cfg.label,
-                   "cartan": _cartan_rows(system)}
+        legs = _modules(args, system, weight, mu)
+        table = InducedFiltration(legs, args.levels, args.cap).table()
         payload.update(table.to_payload())
-        rows = [(i, d, g) for i, (d, g) in
-                enumerate(zip(table.level_dims, table.graded_dims))]
-        text = [f"induced filtration of V({_join(cfg.weight)}) (x)"
-                f" V({_join(cfg.tensor)}) ({cfg.label or 'custom'}, p={cfg.p});"
+        text = [f"induced filtration of V({_join(weight)}) (x)"
+                f" V({_join(mu)}) ({args.type or 'custom'}, p={args.p});"
                 f" tensor dimension {table.tensor_dim}"]
         if len(table.level_dims) >= 1 and all(g == 0 for g in table.graded_dims[1:]):
             payload["note"] = "filtration concentrated in degree 0"
             text.append("note: filtration concentrated in degree 0")
 
+    rows = [(i, d, g) for i, (d, g) in
+            enumerate(zip(table.level_dims, table.graded_dims))]
     flat = (("n", "dim", "graded_dim"), rows)
     text.extend(f"  n={i:<3} dim {d:<6} graded {g}" for i, d, g in rows)
     return EXIT_OK, payload, flat, text
 
 
-def cmd_verify(cfg: RunConfig, args):
+def cmd_verify(args):
     if not (args.g2 or args.condition2 or args.v0):
         raise UsageError("verify needs a mode: --g2, --condition2, or --v0")
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         raise UsageError("verification reports are not flat tables; use json or text")
-    if cfg.p is None:
+    if args.p is None:
         raise UsageError("verify requires --p")
 
     if args.g2:
-        if getattr(args, "type", None) or getattr(args, "cartan", None):
+        if args.type or args.cartan:
             raise UsageError("--g2 fixes the type; do not pass --type/--cartan")
-        report = g2_verify(cfg.p, cfg.cap)
+        report = g2_verify(args.p, args.cap)
         if report.certified:
             status = "pass-certified"
         elif report.exploration_only:
@@ -322,7 +258,7 @@ def cmd_verify(cfg: RunConfig, args):
         # Exploration runs (p < 11) produce data without a certification
         # claim, so they are not verification failures.
         code = EXIT_OK if (report.overall or report.exploration_only) else EXIT_VERIFY
-        text = [f"type-G2 splitting verification at p={cfg.p}: status {status}"]
+        text = [f"type-G2 splitting verification at p={args.p}: status {status}"]
         if report.exploration_only:
             text.append("EXPLORATION ONLY: p < 11 is outside the certified range;"
                         " no certification claimed")
@@ -331,13 +267,13 @@ def cmd_verify(cfg: RunConfig, args):
         text.append(f"overall: {'PASS' if report.overall else 'FAIL'}")
         return code, payload, None, text
 
-    system = cfg.system()
+    system = _system(args)
     checker = check_condition2 if args.condition2 else check_v0
-    report = checker(system, cfg.p, cfg.cap)
+    report = checker(system, args.p, args.cap)
     payload = report.to_payload()
     payload["status"] = "pass" if report.verdict else "fail"
     code = EXIT_OK if report.verdict else EXIT_VERIFY
-    text = [f"{report.condition} for {report.label} at p={cfg.p}:"
+    text = [f"{report.condition} for {report.label} at p={args.p}:"
             f" {'PASS' if report.verdict else 'FAIL'}",
             f"  gamma = {_join(report.gamma)}",
             f"  witness: {report.witness}"]
@@ -444,20 +380,13 @@ def _render(fmt: str, cmd: str, payload: dict, flat, text_lines: List[str]) -> s
     return "\n".join([header] + text_lines) + "\n"
 
 
-def _emit(rendered: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
-
-
-def _add_common(sub, cache: bool = True, system: bool = True) -> None:
-    if system:
-        sub.add_argument("--type", help='Cartan type label, e.g. "G2", "A2", "B3"')
-        sub.add_argument("--cartan", metavar="FILE",
-                         help="JSON file holding Cartan matrix rows")
-    sub.add_argument("--cap", type=int, default=DIM_CAP_DEFAULT,
-                     help="dimension cap (resource guard, default %(default)s)")
+def _add_common(sub, cap: bool = True, cache: bool = True) -> None:
+    sub.add_argument("--type", help='Cartan type label, e.g. "G2", "A2", "B3"')
+    sub.add_argument("--cartan", metavar="FILE",
+                     help="JSON file holding Cartan matrix rows")
+    if cap:
+        sub.add_argument("--cap", type=int, default=DIM_CAP_DEFAULT,
+                         help="dimension cap (resource guard, default %(default)s)")
     if cache:
         sub.add_argument("--cache-dir", metavar="DIR",
                          help=f"payload cache directory (default ${CACHE_DIR_ENV})")
@@ -481,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="cmd", required=True)
 
     sp = subs.add_parser("roots", help="positive roots in the fixed sweep order")
-    _add_common(sp, cache=False)
+    _add_common(sp, cap=False, cache=False)
 
     sp = subs.add_parser("essential", help="essential multiindices of a Weyl module")
     sp.add_argument("--weight", help="fundamental coordinates, comma-joined")
@@ -508,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--v0", action="store_true",
                       help="single-module escape check at gamma = 2(p-1)rho")
     sp.add_argument("--p", type=int, help="prime")
-    _add_common(sp)
+    _add_common(sp, cache=False)
 
     return parser
 
@@ -525,16 +454,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if getattr(args, "schema", False):
+    if args.schema:
         sys.stdout.write(json.dumps(SCHEMAS[args.cmd], indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
     started = time.perf_counter()
     try:
-        cfg = _config_from(args)
-        code, payload, flat, text_lines = _COMMANDS[args.cmd](cfg, args)
-        rendered = _render(cfg.fmt, args.cmd, payload, flat, text_lines)
-        _emit(rendered, cfg.out)
+        if getattr(args, "cap", 1) < 1:
+            raise UsageError("--cap must be at least 1")
+        p = getattr(args, "p", None)
+        if p is not None and not is_prime(p):
+            raise UsageError(f"--p must be prime, got {p}")
+        code, payload, flat, text_lines = _COMMANDS[args.cmd](args)
+        rendered = _render(args.format, args.cmd, payload, flat, text_lines)
+        if args.out:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        else:
+            sys.stdout.write(rendered)
     except UsageError as exc:
         print(f"weylpbw: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -542,7 +478,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"weylpbw: resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         elapsed = (time.perf_counter() - started) * 1000.0
         print(f"weylpbw: {args.cmd} finished in {elapsed:.0f} ms", file=sys.stderr)
     return code

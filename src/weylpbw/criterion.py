@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from . import SCHEMA_VERSION, SIGN_CONVENTION_TAG, __version__
-from .cache import stable_hash
+from . import SCHEMA_VERSION
+from .cache import input_hash
 from .charzero import DIM_CAP_DEFAULT
 from .linalg import row_space
 from .pbw import (InducedSections, Polynomial, g2_essential_member,
@@ -54,16 +54,6 @@ def _label(system: RootSystem) -> str:
                                 for row in system.cartan.matrix)
 
 
-def _input_hash(system: RootSystem, p: int, condition: str) -> str:
-    return stable_hash({
-        "cartan": [list(r) for r in system.cartan.matrix],
-        "p": p,
-        "condition": condition,
-        "sign_convention": SIGN_CONVENTION_TAG,
-        "version": __version__,
-    })
-
-
 @dataclass
 class CriterionReport:
     """One verdict about gamma = 2(p-1)rho for one root system and prime."""
@@ -89,6 +79,32 @@ class CriterionReport:
         }
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def _gamma_start(system: RootSystem, p: int, dim_cap: int):
+    """What both checks start from: gamma, the top level (p-1)N, V(gamma),
+    F0, F0.v, and the witness fields they fill. A verdict is false when F0
+    kills v (no case is expected to hit this)."""
+    _require_prime(p)
+    gamma = gamma_weight(system, p)
+    level = (p - 1) * system.n_pos
+    m = WeylModuleP.build(system, gamma, p, dim_cap)
+    f0 = f_zero(system.n_pos, p)
+    f0v = m.act(f0, m.highest_vector())
+    witness = {"dim_v_gamma": sum(m.dims.values()), "top_level": level,
+               "f0_annihilates": m.is_zero(f0v)}
+    return gamma, level, m, f0, f0v, witness
+
+
+def _report(system: RootSystem, p: int, gamma: Weight, condition: str,
+            verdict: bool, witness: dict) -> CriterionReport:
+    return CriterionReport(_label(system), p, gamma, condition, verdict, witness,
+                           SCHEMA_VERSION, input_hash(system, p=p, condition=condition))
+
+
 def check_condition2(system: RootSystem, p: int,
                      dim_cap: int = DIM_CAP_DEFAULT) -> CriterionReport:
     """Does F0.v (x) F0.v escape level (p-1)N - 1 of the induced filtration
@@ -97,23 +113,9 @@ def check_condition2(system: RootSystem, p: int,
     The computation is restricted to the weight space of the test vector,
     which is exact because all spanning vectors are weight-homogeneous.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    gamma = gamma_weight(system, p)
-    level = (p - 1) * system.n_pos
-    m = WeylModuleP.build(system, gamma, p, dim_cap)
-    f0 = f_zero(system.n_pos, p)
-    f0v = m.act(f0, m.highest_vector())
-    witness: dict = {
-        "dim_v_gamma": sum(m.dims.values()),
-        "top_level": level,
-    }
-    if m.is_zero(f0v):
-        # would force the verdict false; no case is expected to hit this
-        witness["f0_annihilates"] = True
-        verdict = False
-    else:
-        witness["f0_annihilates"] = False
+    gamma, level, m, f0, f0v, witness = _gamma_start(system, p, dim_cap)
+    verdict = False
+    if not witness["f0_annihilates"]:
         ten = tensor_of((f0v, f0v), reduce=m.reduce)
         group = tuple(2 * v for v in system.monomial_depth(f0.exponents))
         filt = InducedFiltration((m, m), up_to=level, dim_cap=dim_cap,
@@ -125,9 +127,7 @@ def check_condition2(system: RootSystem, p: int,
         witness["group_level_dims"] = list(filt.level_dims)
         witness["in_top_level"] = at
         witness["in_level_below"] = below
-    return CriterionReport(_label(system), p, gamma, "condition2", verdict,
-                           witness, SCHEMA_VERSION,
-                           _input_hash(system, p, "condition2"))
+    return _report(system, p, gamma, "condition2", verdict, witness)
 
 
 def check_v0(system: RootSystem, p: int,
@@ -137,19 +137,9 @@ def check_v0(system: RootSystem, p: int,
     Equivalent to the nonvanishing of the image v0 of F0.v in the quotient
     by that level — the single-factor ingredient of the splitting criterion.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    gamma = gamma_weight(system, p)
-    level = (p - 1) * system.n_pos
-    m = WeylModuleP.build(system, gamma, p, dim_cap)
-    f0 = f_zero(system.n_pos, p)
-    f0v = m.act(f0, m.highest_vector())
-    witness = {"dim_v_gamma": sum(m.dims.values()), "top_level": level}
-    if m.is_zero(f0v):
-        witness["f0_annihilates"] = True
-        verdict = False
-    else:
-        witness["f0_annihilates"] = False
+    gamma, level, m, f0, f0v, witness = _gamma_start(system, p, dim_cap)
+    verdict = False
+    if not witness["f0_annihilates"]:
         block = system.monomial_depth(f0.exponents)
         space = row_space(p)
         considered = 0
@@ -165,8 +155,7 @@ def check_v0(system: RootSystem, p: int,
         witness["block_dim"] = m.dims[block]
         witness["lower_span_rank"] = space.rank
         witness["lower_monomials"] = considered
-    return CriterionReport(_label(system), p, gamma, "v0", verdict, witness,
-                           SCHEMA_VERSION, _input_hash(system, p, "v0"))
+    return _report(system, p, gamma, "v0", verdict, witness)
 
 
 def implication_consistent(condition2: CriterionReport,
@@ -193,11 +182,6 @@ class StepVerdict:
 
 def _g2() -> RootSystem:
     return build_root_system("G2")
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
 
 
 def g2_annihilation_check(sections: InducedSections) -> StepVerdict:
@@ -436,4 +420,4 @@ def g2_verify(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> G2Report:
     exploration = p < 11
     return G2Report(p, steps, overall, exploration,
                     overall and not exploration, SCHEMA_VERSION,
-                    _input_hash(system, p, "g2_verify"))
+                    input_hash(system, p=p, condition="g2_verify"))

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 Coords = Tuple[int, ...]
 Weight = Tuple[int, ...]
 
-RANK_CAP_DEFAULT = 4
+RANK_CAP = 4  # largest rank accepted; beyond it a ResourceCapError
 _HEIGHT_CAP = 64  # safety stop for the closure loop; finite type never nears it
 
 
@@ -190,13 +190,13 @@ def _neg(a: Coords) -> Coords:
 class RootSystem:
     """Positive roots, Chevalley constants, and weight utilities for one type."""
 
-    def __init__(self, cartan: CartanData, rank_cap: int = RANK_CAP_DEFAULT):
+    def __init__(self, cartan: CartanData):
         _validate_cartan(cartan.matrix)
         self.cartan = cartan
         self.A = cartan.matrix
         self.rank = len(self.A)
-        if self.rank > rank_cap:
-            raise ResourceCapError(f"rank {self.rank} exceeds cap {rank_cap}")
+        if self.rank > RANK_CAP:
+            raise ResourceCapError(f"rank {self.rank} exceeds cap {RANK_CAP}")
         self.d = _symmetrizer(self.A)
         self._close_roots()
         self.positive_roots: Tuple[Coords, ...] = self._descending_height_order()
@@ -511,11 +511,11 @@ class RootSystem:
 
 
 @lru_cache(maxsize=None)
-def _cached_system(matrix: Tuple[Tuple[int, ...], ...], label: Optional[str], rank_cap: int) -> RootSystem:
-    return RootSystem(CartanData(matrix, label), rank_cap=rank_cap)
+def _cached_system(matrix: Tuple[Tuple[int, ...], ...], label: Optional[str]) -> RootSystem:
+    return RootSystem(CartanData(matrix, label))
 
 
-def build_root_system(spec, rank_cap: int = RANK_CAP_DEFAULT) -> RootSystem:
+def build_root_system(spec) -> RootSystem:
     """Build (and memoize) a root system from a label or an explicit matrix."""
     if isinstance(spec, RootSystem):
         return spec
@@ -525,4 +525,4 @@ def build_root_system(spec, rank_cap: int = RANK_CAP_DEFAULT) -> RootSystem:
         cd = CartanData.from_label(spec)
     else:
         cd = CartanData.from_matrix(spec)
-    return _cached_system(cd.matrix, cd.label, rank_cap)
+    return _cached_system(cd.matrix, cd.label)

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import SIGN_CONVENTION_TAG, __version__
-from .cache import stable_hash
+from .cache import input_hash
 from .charzero import DIM_CAP_DEFAULT
 from .linalg import row_space
 from .pbw import monomials_of_degree, pbw_filtration
@@ -149,17 +148,6 @@ class InducedFiltrationTable:
         }
 
 
-def _input_hash(system: RootSystem, lam: Weight, mu: Weight,
-                p: Optional[int]) -> str:
-    return stable_hash({
-        "cartan": [list(r) for r in system.cartan.matrix],
-        "weights": [list(lam), list(mu)],
-        "p": p,
-        "sign_convention": SIGN_CONVENTION_TAG,
-        "version": __version__,
-    })
-
-
 class InducedFiltration:
     """The filtration computation on the tensor product of two built legs
     V(lam), V(mu) (see ``tensor_legs``): spanning sweep and kept vectors.
@@ -278,7 +266,8 @@ class InducedFiltration:
                                 for i in range(1, len(levels))]
         return InducedFiltrationTable(
             self.lam, self.mu, self.p, levels, graded, self.tensor_dim,
-            self.weight_group, _input_hash(self.system, self.lam, self.mu, self.p))
+            self.weight_group,
+            input_hash(self.system, weights=[list(self.lam), list(self.mu)], p=self.p))
 
 
 def tensor_legs(system: RootSystem, lam: Sequence[int], mu: Sequence[int],

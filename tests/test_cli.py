@@ -1,5 +1,6 @@
 """The weylpbw command-line interface, driven in-process."""
 
+import hashlib
 import json
 
 import pytest
@@ -281,3 +282,118 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     run_json(capsys, "essential", "--type", "A1", "--weight", "2",
              "--no-cache")
     assert not other.exists()
+
+
+# --- golden reports -------------------------------------------------------------
+#
+# Exit code, stdout sha256 and stderr sha256 (with --quiet) of runs across every
+# command, format and exit code. The digests were taken from the code before the
+# command-line layer was rewritten; they pin the reports byte for byte and must
+# not be regenerated to make a change pass.
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GOLDEN = [
+    (("roots", "--type", "G2"), 0,
+     "3d631af6270e6e1785cc62fb8651fae2915639fb07da1063bc4f9f4004d8af4f", EMPTY),
+    (("roots", "--type", "A2", "--format", "csv"), 0,
+     "b8ca307360fd8fd404414b159fc53a8e9e157e12f9a1db020839b535e32ff5e9", EMPTY),
+    (("roots", "--type", "B3", "--format", "text"), 0,
+     "5c4cf03ecc993c3b994f826e07d831550ef72db2f39290b1e4d0a2b538d38efa", EMPTY),
+    (("roots", "--cartan", "A2FILE"), 0,
+     "e71d45ee098bbc8243d99ff90182873e5130518646ac6fe62e20387828464856", EMPTY),
+    (("roots",), 2, EMPTY,
+     "0ea6410228c964df5849a9ad0c62ee2ab6dbaf2d81d200a1efd9c3be93065d7a"),
+    (("roots", "--type", "A5"), 3, EMPTY,
+     "a624eefb30eb06c72311a2432aeeadb8ef8212fb15f9dd11d87f2aca2a28c07d"),
+    (("essential", "--type", "A1", "--weight", "4"), 0,
+     "387330852147d7339f843bef9b6f58d7edf2e477d8d65378bd2c7b7fa8c4c589", EMPTY),
+    (("essential", "--type", "G2", "--weight", "1,0", "--oracle"), 0,
+     "cca47297a20e91f5e1b0152431d226fcfe6ac52d5e9226170963bf4ad692ba58", EMPTY),
+    (("essential", "--type", "A2", "--weight", "1,1", "--p", "3", "--format", "csv"), 0,
+     "47efc354bafdd6312e4860322f5b1aedc3501760bb2abb7696d038cac2d3526c", EMPTY),
+    (("essential", "--type", "B2", "--weight", "1,1", "--p", "2", "--format", "text"), 0,
+     "36fd6c8671f4b6a4741c109e0d529b1b01011351da3c50db9c511b7ee89b25aa", EMPTY),
+    (("essential", "--type", "A1", "--weight", "2", "--oracle"), 2, EMPTY,
+     "e4d24cfda010b8563b97b7d5f603419fafade19feca4d0023d92d0996dc6634a"),
+    (("essential", "--type", "A1", "--weight", "2", "--p", "6"), 2, EMPTY,
+     "a661e512b014fd7a97690117ac489187f9ea52ae461e3578419bdc7346d6a8ff"),
+    (("essential", "--type", "A1"), 2, EMPTY,
+     "010fed3df81c0de18a87ea60f2d7beec40749b5502b73e9426b92f76cc01e67d"),
+    (("filtration", "--type", "A1", "--weight", "2", "--p", "3"), 0,
+     "220e557fdfa5f6f9d4e49d9cc6a72d3b7b9483cf8fc2d0ec827638b4b212a0b9", EMPTY),
+    (("filtration", "--type", "A2", "--weight", "1,1", "--p", "2", "--format", "csv"), 0,
+     "0cb4772ce77a5c01465851dc71ee8fb780cf8bfd5b58c5516312e1ccc1555496", EMPTY),
+    (("filtration", "--type", "A1", "--weight", "1", "--tensor", "1", "--p", "2"), 0,
+     "ff43665afb90ba370b6c936fd8cf2594f2388763f100f46ae2fc357f4c9b6f52", EMPTY),
+    (("filtration", "--type", "A1", "--weight", "2", "--tensor", "0", "--p", "3",
+      "--format", "text"), 0,
+     "b97fdde356ce293b57df5b179f57fe23b77aebd164ecec7a0cd3dae4bab43fba", EMPTY),
+    (("filtration", "--type", "A2", "--weight", "1,0", "--tensor", "0,1", "--p", "3",
+      "--format", "csv"), 0,
+     "ecabe37d83ed3950f17c99e8e6d12306b13c72d31f3343d44df7d17f3d8b87b6", EMPTY),
+    (("filtration", "--type", "A2", "--weight", "8,8", "--cap", "100"), 3, EMPTY,
+     "8ef3f3fd42ba85c26ec76a31395d7ca924dd61e24164dea3192d794af613821c"),
+    (("filtration", "--type", "A1", "--weight", "2", "--cap", "0"), 2, EMPTY,
+     "61cbc2b238ca96916892c6cf8542f81784eb505ed9090aa9b696ac38644a4633"),
+    (("verify", "--condition2", "--type", "A1", "--p", "2"), 0,
+     "88fc364e398fe91a468310f64695f667a76a8d21a341c5834e09a55868568a4f", EMPTY),
+    (("verify", "--v0", "--type", "A1", "--p", "3", "--format", "text"), 0,
+     "ee0ed26e14c57ed871c855c618fd2eda0c555143ab381f5f0075abed5700dfc6", EMPTY),
+    (("verify", "--g2", "--p", "7"), 0,
+     "42ee93fa975038d58bd43eef72f19f911999979a776c14bc4346efab8ae57b37", EMPTY),
+    (("verify", "--g2", "--p", "11"), 1,
+     "eec027eef07fb6a2964424793dcbd1e6e8765a3a26fa1a5acff721672a6f9b5e", EMPTY),
+    (("verify", "--g2", "--p", "7", "--format", "csv"), 2, EMPTY,
+     "b95b1386e9b6547631c88dd0a1a8010ce260044ea0d56746c3742b7593b33615"),
+    (("verify", "--type", "A1", "--p", "2"), 2, EMPTY,
+     "4196492a3f7ee73c940a9de3824964174c98002ee34d088fccc66bec3b9a48a5"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_reports(capsys, tmp_path, argv, code, out_sha, err_sha):
+    a2 = tmp_path / "a2.json"
+    a2.write_text("[[2,-1],[-1,2]]")
+    argv = [str(a2) if a == "A2FILE" else a for a in argv]
+    got, out, err = run(capsys, *argv, "--quiet")
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(err.encode()).hexdigest() == err_sha
+
+
+# --- options that were accepted and ignored are gone -------------------------------
+
+
+def test_roots_takes_no_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--type", "A1", "--cap", "5"])
+    assert exc.value.code == 2
+
+
+def test_verify_takes_no_cache_dir(capsys, tmp_path):
+    cache = tmp_path / "store"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--g2", "--p", "7", "--cache-dir", str(cache)])
+    assert exc.value.code == 2
+    assert not cache.exists()
+
+
+def _entries(cache):
+    return {path.name: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in cache.glob("*.json")}
+
+
+@pytest.mark.parametrize("lam, mu, count", [("1", "1", 1), ("2", "1", 2)])
+def test_filtration_tensor_uses_the_store(capsys, tmp_path, lam, mu, count):
+    cache = tmp_path / "store"
+    args = ("filtration", "--type", "A1", "--weight", lam, "--tensor", mu,
+            "--p", "3", "--cache-dir", str(cache), "--quiet")
+    code, first, _ = run(capsys, *args)
+    assert code == 0
+    entries = _entries(cache)
+    assert len(entries) == count
+    code, second, _ = run(capsys, *args)
+    assert (code, second) == (0, first)
+    assert _entries(cache) == entries

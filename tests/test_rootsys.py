@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import weylpbw
-from weylpbw import CartanMatrixError, InvariantError, build_root_system
-from weylpbw.rootsys import CartanData, RootSystem
+from weylpbw import CartanMatrixError, InvariantError, ResourceCapError, build_root_system
+from weylpbw.rootsys import RANK_CAP, CartanData, RootSystem
 
 G2_ROOTS = ((3, 2), (3, 1), (2, 1), (1, 1), (0, 1), (1, 0))
 
@@ -71,6 +71,12 @@ def test_bad_cartan_rejected():
         build_root_system("E6")                        # label not supported
     with pytest.raises(CartanMatrixError):
         build_root_system("G3")
+
+
+def test_rank_cap():
+    assert build_root_system("A4").rank == RANK_CAP
+    with pytest.raises(ResourceCapError, match="rank 5 exceeds cap 4"):
+        build_root_system("A5")
 
 
 def test_g2_structure_constants_pinned(g2):
