@@ -4,12 +4,15 @@ Two layers live here. ``HWModuleQ`` realises the irreducible module V(lam)
 over Q one weight block at a time: each block carries an exact Gram matrix of
 the contravariant form, and new blocks are spanned by applying simple lowering
 operators to the block one step up, with linear relations detected through the
-Gram matrix alone (no ambient module is ever materialised). ``AdmissibleLattice``
-then extracts the minimal integral form: the Z-span of all divided-power
-lowering monomials applied to the highest vector. Its output is pure integer
-data — block dimensions, block weights, and integer matrices for every root
-raising/lowering operator in lattice coordinates — which is what the modular
-layer consumes.
+Gram matrix alone (no ambient module is ever materialised). Every root
+operator, raising or lowering, comes from one routine: simple roots are read
+off that construction, and each other root beta = alpha_i + rest from the
+Chevalley commutator of X_i and X_rest, on the E side and the F side alike.
+``AdmissibleLattice`` then extracts the minimal integral form: the Z-span of
+all divided-power lowering monomials applied to the highest vector. Its output
+is pure integer data — block dimensions, block weights, and integer matrices
+for every root raising/lowering operator in lattice coordinates — which is
+what the modular layer consumes.
 
 Everything is exact (Fraction / int); nothing here depends on a prime. The
 hot paths keep Fraction work to a minimum: matrix-vector products walk only
@@ -22,9 +25,10 @@ raises ``InvariantError``, which ``python -O`` does not strip.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import ScaledLattice, rank_dense, solve_dense
 from .rootsys import InvariantError, ResourceCapError, RootSystem, build_root_system
@@ -54,28 +58,40 @@ def _mat_vec(mat: Sequence[Sequence], vec: Sequence) -> List[Fraction]:
     return out
 
 
-def _mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
+def _add_product(out: Matrix, a: Matrix, b: Matrix, coef: Fraction) -> None:
+    """out += coef * (a @ b); nothing when a factor is absent ([])."""
     if not a or not b:
-        return _zeros(len(a), len(b[0]) if b else 0)
-    n, k, m = len(a), len(b), len(b[0])
-    out = _zeros(n, m)
-    for r in range(n):
-        ar = a[r]
-        orow = out[r]
-        for t in range(k):
-            v = ar[t]
+        return
+    for arow, orow in zip(a, out):
+        for k, v in enumerate(arow):
             if not v:
                 continue
-            brow = b[t]
-            for c in range(m):
-                if brow[c]:
-                    orow[c] += v * brow[c]
-    return out
+            w = v * coef
+            for c, x in enumerate(b[k]):
+                if x:
+                    orow[c] += w * x
 
 
-def _mat_axpy(a: Matrix, b: Matrix, scale: Fraction) -> Matrix:
-    """a - b, then multiplied by scale (shapes must agree)."""
-    return [[(a[r][c] - b[r][c]) * scale for c in range(len(a[0]))] for r in range(len(a))] if a else []
+def _root_splits(system: RootSystem) -> Dict[int, Tuple[int, int, int]]:
+    """beta = alpha_i + rest for every non-simple positive root #pos.
+
+    Maps pos to (position of alpha_i, position of rest, N(alpha_i, rest)),
+    with i the first simple root whose removal leaves a root.
+    """
+    splits = {}
+    for pos, beta in enumerate(system.positive_roots):
+        if sum(beta) == 1:
+            continue
+        for i in range(system.rank):
+            rest = tuple(v - (k == i) for k, v in enumerate(beta))
+            if beta[i] and system.is_positive_root(rest):
+                break
+        alpha = tuple(int(k == i) for k in range(system.rank))
+        n_const = system.structure_constant(alpha, rest)
+        if n_const == 0:
+            raise InvariantError(f"zero structure constant for root {beta}")
+        splits[pos] = (system.pos_index[alpha], system.pos_index[rest], n_const)
+    return splits
 
 
 @dataclass
@@ -96,7 +112,9 @@ class HWModuleQ:
     vectors of a block are chosen among the candidates F_i u (u running over
     the basis one step up), picked by Gram-matrix pivoting, so every basis
     vector is by construction a lowering monomial applied to the highest
-    vector. All operator matrices are expressed in these block bases.
+    vector. All operator matrices are expressed in these block bases, and
+    ``f_root``/``e_root`` are the two sides of one commutator routine with one
+    cache keyed by (side, block, root).
     """
 
     def __init__(self, system, highest_weight: Weight, dim_cap: int = DIM_CAP_DEFAULT):
@@ -114,8 +132,8 @@ class HWModuleQ:
             )
         self.box: Coords = self.system.depth_vector(lam)
         self.blocks: Dict[Coords, _Block] = {}
-        self._f_root_cache: Dict[Tuple[Coords, int], Matrix] = {}
-        self._e_root_cache: Dict[Tuple[Coords, int], Matrix] = {}
+        self._splits = _root_splits(self.system)
+        self._roots: Dict[Tuple[str, Coords, int], Matrix] = {}
         self._build()
 
     # -- construction --------------------------------------------------------
@@ -124,24 +142,11 @@ class HWModuleQ:
         shift = self.system.root_weight_coords(t)
         return tuple(l - s for l, s in zip(self.highest_weight, shift))
 
-    def _box_points(self) -> Iterator[Coords]:
-        def rec(prefix: List[int], pos: int) -> Iterator[Coords]:
-            if pos == len(self.box):
-                yield tuple(prefix)
-                return
-            for v in range(self.box[pos] + 1):
-                prefix.append(v)
-                yield from rec(prefix, pos + 1)
-                prefix.pop()
-
-        pts = list(rec([], 0))
-        pts.sort(key=lambda t: (sum(t), t))
-        return iter(pts)
-
     def _build(self) -> None:
         rank = self.system.rank
         total = 0
-        for t in self._box_points():
+        points = itertools.product(*(range(b + 1) for b in self.box))
+        for t in sorted(points, key=lambda t: (sum(t), t)):
             if sum(t) == 0:
                 blk = _Block(t, self.highest_weight, 1, [], [[Fraction(1)]],
                              [], [None] * rank)
@@ -270,127 +275,54 @@ class HWModuleQ:
 
     # -- public accessors -----------------------------------------------------
 
-    def block_dim(self, t: Coords) -> int:
-        blk = self.blocks.get(tuple(t))
-        return blk.dim if blk else 0
-
     def gram(self, t: Coords) -> Matrix:
         return self.blocks[tuple(t)].gram
 
-    def e_simple(self, t: Coords, i: int) -> Matrix:
-        """Matrix of E_{alpha_i}: block t -> block t - e_i (rows x cols sized)."""
-        blk = self.blocks.get(tuple(t))
-        if blk is None:
-            return []
-        mat = blk.emat[i]
-        return mat if mat else []
-
-    def f_simple(self, t: Coords, i: int) -> Matrix:
-        """Matrix of F_{alpha_i}: block t -> block t + e_i."""
-        t = tuple(t)
-        blk = self.blocks.get(t)
-        if blk is None or blk.dim == 0:
-            return []
-        tgt_key = tuple(v + (1 if k == i else 0) for k, v in enumerate(t))
-        tgt = self.blocks.get(tgt_key)
-        if tgt is None or tgt.dim == 0:
-            return []
-        cand_pos = {key: idx for idx, key in enumerate(tgt.candidates)}
-        out = _zeros(tgt.dim, blk.dim)
-        for b in range(blk.dim):
-            idx = cand_pos.get((i, b))
-            if idx is None:
-                continue
-            for r in range(tgt.dim):
-                out[r][b] = tgt.expand[r][idx]
-        return out
-
-    def _shift(self, t: Coords, c: Coords, sign: int) -> Coords:
-        return tuple(v + sign * d for v, d in zip(t, c))
-
     def f_root(self, t: Coords, pos: int) -> Matrix:
         """Matrix of the lowering operator for positive root #pos on block t."""
-        t = tuple(t)
-        key = (t, pos)
-        hit = self._f_root_cache.get(key)
-        if hit is not None:
-            return hit
-        beta = self.system.positive_roots[pos]
-        src = self.blocks.get(t)
-        tgt = self.blocks.get(self._shift(t, beta, +1))
-        if src is None or tgt is None or src.dim == 0 or tgt.dim == 0:
-            self._f_root_cache[key] = []
-            return []
-        if sum(beta) == 1:
-            mat = self.f_simple(t, beta.index(1))
-        else:
-            i = next(k for k in range(self.system.rank)
-                     if beta[k] > 0 and self.system.is_positive_root(
-                         tuple(v - (1 if m == k else 0) for m, v in enumerate(beta))))
-            rest = tuple(v - (1 if m == i else 0) for m, v in enumerate(beta))
-            rpos = self.system.pos_index[rest]
-            alpha = tuple(1 if m == i else 0 for m in range(self.system.rank))
-            n_const = self.system.structure_constant(alpha, rest)
-            if n_const == 0:
-                raise InvariantError(f"zero structure constant for root {beta}")
-            t_rest = self._shift(t, rest, +1)
-            t_alpha = self._shift(t, alpha, +1)
-            a = self._mul_shaped(self.f_simple(t_rest, i), self.f_root(t, rpos),
-                                 tgt.dim, self.block_dim(t_rest), src.dim)
-            b = self._mul_shaped(self.f_root(t_alpha, rpos), self.f_simple(t, i),
-                                 tgt.dim, self.block_dim(t_alpha), src.dim)
-            mat = _mat_axpy(a, b, Fraction(-1, n_const))
-        mat = self._pad(mat, tgt.dim, src.dim)
-        self._f_root_cache[key] = mat
-        return mat
+        return self._root("F", tuple(t), pos)
 
     def e_root(self, t: Coords, pos: int) -> Matrix:
         """Matrix of the raising operator for positive root #pos on block t."""
-        t = tuple(t)
-        key = (t, pos)
-        hit = self._e_root_cache.get(key)
+        return self._root("E", tuple(t), pos)
+
+    def _root(self, side: str, t: Coords, pos: int) -> Matrix:
+        """X_beta on block t, into block t + beta ("F") or t - beta ("E").
+
+        [] when either block is absent. F_i is read off the target block's
+        candidate expansion and E_i is the stored ``emat``; a non-simple root
+        comes from the Chevalley relations [E_i, E_rest] = N(alpha_i, rest)
+        E_beta and [F_i, F_rest] = -N(alpha_i, rest) F_beta.
+        """
+        key = (side, t, pos)
+        hit = self._roots.get(key)
         if hit is not None:
             return hit
-        beta = self.system.positive_roots[pos]
-        src = self.blocks.get(t)
-        tgt = self.blocks.get(self._shift(t, beta, -1))
-        if src is None or tgt is None or src.dim == 0 or tgt.dim == 0:
-            self._e_root_cache[key] = []
-            return []
-        if sum(beta) == 1:
-            mat = self.e_simple(t, beta.index(1))
+        sign = 1 if side == "F" else -1
+        roots = self.system.positive_roots
+
+        def moved(c: int) -> Coords:
+            return tuple(v + sign * d for v, d in zip(t, roots[c]))
+
+        src, tgt = self.blocks.get(t), self.blocks.get(moved(pos))
+        if src is None or tgt is None:
+            mat = []
+        elif pos in self._splits:
+            ipos, rpos, n_const = self._splits[pos]
+            public = self.f_root if side == "F" else self.e_root
+            scale = Fraction(-sign, n_const)
+            mat = _zeros(tgt.dim, src.dim)
+            # X_i X_rest - X_rest X_i; a term whose middle block is absent
+            # has both factors absent and adds nothing
+            _add_product(mat, self._root(side, moved(rpos), ipos), public(t, rpos), scale)
+            _add_product(mat, public(moved(ipos), rpos), self._root(side, t, ipos), -scale)
+        elif side == "F":
+            first = tgt.candidates.index((roots[pos].index(1), 0))
+            mat = [row[first:first + src.dim] for row in tgt.expand]
         else:
-            i = next(k for k in range(self.system.rank)
-                     if beta[k] > 0 and self.system.is_positive_root(
-                         tuple(v - (1 if m == k else 0) for m, v in enumerate(beta))))
-            rest = tuple(v - (1 if m == i else 0) for m, v in enumerate(beta))
-            rpos = self.system.pos_index[rest]
-            alpha = tuple(1 if m == i else 0 for m in range(self.system.rank))
-            n_const = self.system.structure_constant(alpha, rest)
-            if n_const == 0:
-                raise InvariantError(f"zero structure constant for root {beta}")
-            t_rest = self._shift(t, rest, -1)
-            t_alpha = self._shift(t, alpha, -1)
-            a = self._mul_shaped(self.e_simple(t_rest, i), self.e_root(t, rpos),
-                                 tgt.dim, self.block_dim(t_rest), src.dim)
-            b = self._mul_shaped(self.e_root(t_alpha, rpos), self.e_simple(t, i),
-                                 tgt.dim, self.block_dim(t_alpha), src.dim)
-            mat = _mat_axpy(a, b, Fraction(1, n_const))
-        mat = self._pad(mat, tgt.dim, src.dim)
-        self._e_root_cache[key] = mat
+            mat = src.emat[roots[pos].index(1)]
+        self._roots[key] = mat
         return mat
-
-    @staticmethod
-    def _pad(mat: Matrix, nrows: int, ncols: int) -> Matrix:
-        if mat:
-            return mat
-        return _zeros(nrows, ncols)
-
-    def _mul_shaped(self, a: Matrix, b: Matrix, nrows: int, ninner: int,
-                    ncols: int) -> Matrix:
-        if nrows == 0 or ninner == 0 or ncols == 0:
-            return _zeros(nrows, ncols)
-        return _mat_mul(self._pad(a, nrows, ninner), self._pad(b, ninner, ncols))
 
 
 class AdmissibleLattice:
@@ -427,11 +359,6 @@ class AdmissibleLattice:
         lattices: Dict[Coords, ScaledLattice] = {
             t: ScaledLattice(blk.dim) for t, blk in module.blocks.items()
         }
-
-        def insert(t: Coords, vec: List[Fraction]) -> None:
-            lattices[t].insert(vec)
-
-        npos = sysm.n_pos
         zero_t = tuple(0 for _ in range(sysm.rank))
 
         def descend(pos: int, t: Coords, vec: List[Fraction]) -> None:
@@ -444,18 +371,17 @@ class AdmissibleLattice:
             while True:
                 step += 1
                 mat = module.f_root(cur_t, pos)
-                nxt_t = tuple(v + d for v, d in zip(cur_t, beta))
-                if not mat or module.blocks.get(nxt_t) is None:
+                if not mat:
                     break
                 cur = [v / step for v in _mat_vec(mat, cur)]
-                cur_t = nxt_t
+                cur_t = tuple(v + d for v, d in zip(cur_t, beta))
                 if not any(cur):
                     break
-                insert(cur_t, cur)
+                lattices[cur_t].insert(cur)
                 descend(pos - 1, cur_t, cur)
 
-        insert(zero_t, [Fraction(1)])
-        descend(npos - 1, zero_t, [Fraction(1)])
+        lattices[zero_t].insert([Fraction(1)])
+        descend(sysm.n_pos - 1, zero_t, [Fraction(1)])
 
         dens: Dict[Coords, int] = {}
         rows: Dict[Coords, List[Tuple[int, ...]]] = {}
@@ -471,8 +397,6 @@ class AdmissibleLattice:
         def to_lattice(src: Coords, tgt: Coords, mat: Matrix) -> List[List[int]]:
             """Rewrite a Q-basis operator block in lattice coordinates."""
             sdim, tdim = module.blocks[src].dim, module.blocks[tgt].dim
-            if not mat:
-                return [[0] * sdim for _ in range(tdim)]
             # rows[tgt] is the HNF basis of a full-rank lattice: square, upper
             # triangular, positive diagonal. Solving basis^T @ x = image is a
             # forward substitution, and x is integral iff every step divides.
@@ -496,17 +420,13 @@ class AdmissibleLattice:
 
         e_gen: Dict[Tuple[int, Coords], List[List[int]]] = {}
         f_gen: Dict[Tuple[int, Coords], List[List[int]]] = {}
-        for t, blk in module.blocks.items():
-            if blk.dim == 0:
-                continue
-            for pos in range(npos):
-                beta = sysm.positive_roots[pos]
-                down = tuple(v + d for v, d in zip(t, beta))
-                if module.blocks.get(down) is not None:
-                    f_gen[(pos, t)] = to_lattice(t, down, module.f_root(t, pos))
-                up = tuple(v - d for v, d in zip(t, beta))
-                if module.blocks.get(up) is not None:
-                    e_gen[(pos, t)] = to_lattice(t, up, module.e_root(t, pos))
+        sides = ((f_gen, 1, module.f_root), (e_gen, -1, module.e_root))
+        for t in module.blocks:
+            for pos, beta in enumerate(sysm.positive_roots):
+                for gen, sign, operator in sides:
+                    tgt = tuple(v + sign * d for v, d in zip(t, beta))
+                    if tgt in module.blocks:
+                        gen[(pos, t)] = to_lattice(t, tgt, operator(t, pos))
 
         weights = {t: blk.weight for t, blk in module.blocks.items()}
         dims = {t: blk.dim for t, blk in module.blocks.items()}

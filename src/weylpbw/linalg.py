@@ -6,6 +6,7 @@ dicts keyed by column index; dense matrices are lists of row lists.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -141,16 +142,26 @@ def row_space(p: int | None):
     return RowSpaceQQ() if p is None else RowSpaceGF(p)
 
 
-def solve_dense(mat: Sequence[Sequence], rhs_cols: Sequence[Sequence]) -> List[List[Fraction]]:
+def solve_dense(mat: Sequence[Sequence], rhs_cols: Sequence[Sequence],
+                p: int | None = None) -> List[List]:
     """Solve mat @ X = rhs for square exact mat; rhs given column-wise.
 
-    Returns the solution column-wise. Raises ValueError('singular matrix')
-    when mat is not invertible.
+    Over Q (Fraction entries) when p is None, else over GF(p) with entries
+    in [0, p). Returns the solution column-wise. Raises
+    ValueError('singular matrix') when mat is not invertible.
     """
+    if p is None:
+        entry, divide = Fraction, operator.truediv
+    else:
+        def entry(v: int) -> int:
+            return v % p
+
+        def divide(a: int, b: int) -> int:
+            return a * pow(b, -1, p) % p
     n = len(mat)
-    a = [[Fraction(mat[r][c]) for c in range(n)] for r in range(n)]
+    a = [[entry(mat[r][c]) for c in range(n)] for r in range(n)]
     m = len(rhs_cols)
-    b = [[Fraction(col[r]) for col in rhs_cols] for r in range(n)]
+    b = [[entry(col[r]) for col in rhs_cols] for r in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -162,44 +173,15 @@ def solve_dense(mat: Sequence[Sequence], rhs_cols: Sequence[Sequence]) -> List[L
         for r in range(n):
             if r == col or a[r][col] == 0:
                 continue
-            f = a[r][col] / pv
+            f = divide(a[r][col], pv)
             for c in range(col, n):
                 a[r][c] -= f * a[col][c]
             for c in range(m):
                 b[r][c] -= f * b[col][c]
-    return [[b[r][c] / a[r][r] for r in range(n)] for c in range(m)]
-
-
-def solve_mod_p(mat: Sequence[Sequence[int]], rhs_cols: Sequence[Sequence[int]],
-                p: int) -> List[List[int]]:
-    """Solve mat @ X = rhs over GF(p) for square invertible mat; rhs column-wise.
-
-    Returns the solution column-wise with entries in [0, p). Raises
-    ValueError('singular matrix') when mat is not invertible mod p.
-    """
-    n = len(mat)
-    a = [[mat[r][c] % p for c in range(n)] for r in range(n)]
-    m = len(rhs_cols)
-    b = [[col[r] % p for col in rhs_cols] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [(v * inv) % p for v in a[col]]
-        b[col] = [(v * inv) % p for v in b[col]]
-        for r in range(n):
-            if r == col or not a[r][col]:
-                continue
-            f = a[r][col]
-            for c in range(col, n):
-                a[r][c] = (a[r][c] - f * a[col][c]) % p
-            for c in range(m):
-                b[r][c] = (b[r][c] - f * b[col][c]) % p
-    return [[b[r][c] for r in range(n)] for c in range(m)]
+            if p is not None:
+                a[r] = [v % p for v in a[r]]
+                b[r] = [v % p for v in b[r]]
+    return [[divide(b[r][c], a[r][r]) for r in range(n)] for c in range(m)]
 
 
 def rank_dense(mat: Sequence[Sequence]) -> Tuple[int, List[int]]:

@@ -25,7 +25,7 @@ from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .charzero import DIM_CAP_DEFAULT
-from .linalg import row_space, solve_dense, solve_mod_p
+from .linalg import row_space, solve_dense
 from .rootsys import InvariantError, RootSystem
 from .weylmod import (DualModuleP, HyperMonomial, Vector, WeylModuleP,
                       tensor_act, tensor_of)
@@ -176,10 +176,7 @@ class EssentialSet:
         ess = sweep.essential
         mat = [sweep.vectors[t] for t in ess]
         unit = [1 if t == s else 0 for t in ess]
-        if self.module.p is None:
-            coords = list(solve_dense(mat, [[Fraction(u) for u in unit]])[0])
-        else:
-            coords = solve_mod_p(mat, [unit], self.module.p)[0]
+        coords = solve_dense(mat, [unit], self.module.p)[0]
         xi = {depth: coords}
         self._functionals[s] = {t: list(c) for t, c in xi.items()}
         return xi
@@ -488,10 +485,7 @@ def section_product(a: InducedSections, b: InducedSections,
         if not any(vals):
             continue
         mat = [sweep.vectors[s] for s in ess]
-        if target.p is None:
-            coords = list(solve_dense(mat, [[Fraction(v) for v in vals]])[0])
-        else:
-            coords = solve_mod_p(mat, [vals], target.p)[0]
+        coords = solve_dense(mat, [vals], target.p)[0]
         out[blk] = coords
     return out
 

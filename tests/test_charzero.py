@@ -12,6 +12,7 @@ from weylpbw import (AdmissibleLattice, HWModuleQ, InvariantError, ResourceCapEr
                      build_root_system)
 from weylpbw.cache import stable_dumps, stable_hash
 from weylpbw.linalg import ScaledLattice
+from weylpbw.weylmod import WeylModuleP
 
 
 @pytest.fixture(scope="module")
@@ -87,18 +88,6 @@ def test_lattice_operators_are_integral(g2):
                 assert isinstance(entry, int)
 
 
-def test_lattice_payload_round_trip(g2):
-    lattice = AdmissibleLattice.build(g2, (1, 0))
-    payload = lattice.to_payload()
-    rebuilt = AdmissibleLattice.from_payload(payload)
-    assert rebuilt.dims == lattice.dims
-    assert rebuilt.weights == lattice.weights
-    assert rebuilt.e_gen == lattice.e_gen
-    assert rebuilt.f_gen == lattice.f_gen
-    # serialize -> deserialize -> serialize is byte-identical
-    assert stable_dumps(rebuilt.to_payload()) == stable_dumps(payload)
-
-
 def test_lattice_payload_cartan_preserved():
     a2 = build_root_system("A2")
     payload = AdmissibleLattice.build(a2, (1, 1)).to_payload()
@@ -125,6 +114,22 @@ GOLDEN_PAYLOAD_DIGESTS = [
 def test_lattice_payload_golden_digest(typ, weight, digest):
     lattice = AdmissibleLattice.build(typ, weight)
     assert stable_hash(lattice.to_payload()) == digest
+
+
+@pytest.mark.parametrize("typ,weight", [(typ, weight) for typ, weight, _ in GOLDEN_PAYLOAD_DIGESTS])
+def test_lattice_payload_round_trip(typ, weight):
+    lattice = AdmissibleLattice.build(typ, weight)
+    payload = lattice.to_payload()
+    rebuilt = AdmissibleLattice.from_payload(payload)
+    assert rebuilt.system.cartan.matrix == lattice.system.cartan.matrix
+    assert rebuilt.highest_weight == lattice.highest_weight
+    assert rebuilt.block_order == lattice.block_order
+    assert rebuilt.dims == lattice.dims
+    assert rebuilt.weights == lattice.weights
+    assert rebuilt.e_gen == lattice.e_gen
+    assert rebuilt.f_gen == lattice.f_gen
+    # serialize -> deserialize -> serialize is byte-identical
+    assert stable_dumps(rebuilt.to_payload()) == stable_dumps(payload)
 
 
 def build_with_corrupt_block():
@@ -172,3 +177,70 @@ def test_invariant_error_survives_optimize_flag():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "InvariantError: operator matrix not integral on the lattice" in result.stdout
+
+
+CHEVALLEY_MODULES = [
+    ("A1", (3,)), ("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 1)), ("C2", (1, 1)),
+    ("G2", (1, 0)), ("G2", (0, 1)), ("G2", (1, 1)), ("A3", (1, 0, 1)),
+    ("B3", (1, 0, 1)), ("C3", (0, 1, 1)),
+]
+
+
+def _apply(m, side, pos, vec):
+    out = {}
+    for t, coords in vec.items():
+        hit = m.leg_apply(side, pos, 1, t, coords)
+        if hit is not None:
+            out[hit[0]] = hit[1]
+    return out
+
+
+def _combine(*terms):
+    """The sum of c * vec over the (c, vec) terms, all-zero blocks dropped."""
+    out = {}
+    for c, vec in terms:
+        for t, coords in vec.items():
+            row = out.setdefault(t, [0] * len(coords))
+            for k, v in enumerate(coords):
+                row[k] += c * v
+    return {t: row for t, row in out.items() if any(row)}
+
+
+def _bracket(m, x, y, vec):
+    return _combine((1, _apply(m, *x, _apply(m, *y, vec))),
+                    (-1, _apply(m, *y, _apply(m, *x, vec))))
+
+
+@pytest.mark.parametrize("typ,weight", CHEVALLEY_MODULES)
+def test_lattice_operators_satisfy_chevalley_relations(typ, weight):
+    """On every basis vector of every block of the integral form:
+    [E_a, E_b] = N(a, b) E_{a+b}, [F_a, F_b] = N(-a, -b) F_{a+b} (0 when
+    a + b is not a root), [E_a, F_a] = <wt, a^vee> and [E_i, F_j] = 0 for
+    distinct simple roots."""
+    m = WeylModuleP(AdmissibleLattice.build(typ, weight), None)
+    system = m.system
+    roots = system.positive_roots
+    simple = range(system.n_pos - system.rank, system.n_pos)
+    for t, dim in m.dims.items():
+        for b in range(dim):
+            vec = {t: [int(k == b) for k in range(dim)]}
+            for a, alpha in enumerate(roots):
+                for c, beta in enumerate(roots):
+                    total = tuple(x + y for x, y in zip(alpha, beta))
+                    if system.is_positive_root(total):
+                        s = system.pos_index[total]
+                        n_e = system.structure_constant(alpha, beta)
+                        n_f = system.structure_constant(tuple(-x for x in alpha),
+                                                        tuple(-x for x in beta))
+                        want_e = _combine((n_e, _apply(m, "E", s, vec)))
+                        want_f = _combine((n_f, _apply(m, "F", s, vec)))
+                    else:
+                        want_e = want_f = {}
+                    assert _bracket(m, ("E", a), ("E", c), vec) == want_e, (t, b, a, c)
+                    assert _bracket(m, ("F", a), ("F", c), vec) == want_f, (t, b, a, c)
+                h = system.pairing(m.weights[t], alpha)
+                assert _bracket(m, ("E", a), ("F", a), vec) == _combine((h, vec)), (t, b, a)
+            for i in simple:
+                for j in simple:
+                    if i != j:
+                        assert _bracket(m, ("E", i), ("F", j), vec) == {}, (t, b, i, j)

@@ -13,7 +13,6 @@ from weylpbw.linalg import (
     rank_dense,
     row_space,
     solve_dense,
-    solve_mod_p,
     xgcd,
 )
 
@@ -67,15 +66,13 @@ def test_row_space_factory():
 def test_solve_dense_round_trip():
     sols = solve_dense([[2, 1], [1, 1]], [[3, 2]])
     assert sols == [[Fraction(1), Fraction(1)]]
+    # the same system over GF(5)
+    assert solve_dense([[2, 1], [1, 1]], [[3, 2]], p=5) == [[1, 1]]
 
 
 def test_solve_dense_singular():
     with pytest.raises(ValueError):
         solve_dense([[1, 1], [2, 2]], [[1, 3]])
-
-
-def test_solve_mod_p():
-    assert solve_mod_p([[2, 1], [1, 1]], [[3, 2]], 5) == [[1, 1]]
 
 
 def test_rank_dense_pivots():

@@ -6,6 +6,7 @@ inherited. This runs that installation in a fresh interpreter, so a rename
 that would break ``perfbench/run.py --trace 1`` fails here in seconds.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +25,35 @@ def test_tracer_installs_on_every_target():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) > 0
+
+
+# Traced counts of building G2 (2,1), B3 (1,0,1) and C3 (0,1,1), taken from
+# the commit before the characteristic-zero root operators shared one
+# commutator routine. A refactor of that layer must leave them unchanged.
+PINNED_BUILD_COUNTS = {
+    "charzero.f_root.calls": 5_863,
+    "charzero.e_root.calls": 1_785,
+    "charzero.gram_entries": 4_800,
+    "charzero.blocks": 149,
+    "linalg.scaled_insert.calls": 1_905,
+    "linalg.rank_dense.calls": 522,
+    "linalg.solve_dense.calls": 149,
+    "linalg.hnf.calls": 149,
+}
+
+
+def test_traced_lattice_builds_keep_their_counts():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    code = ("import json, tracing\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            "from weylpbw import AdmissibleLattice\n"
+            "for typ, weight in [('G2', (2, 1)), ('B3', (1, 0, 1)), ('C3', (0, 1, 1))]:\n"
+            "    AdmissibleLattice.build(typ, weight)\n"
+            "print(json.dumps(dict(tracer.counts)))\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert {name: counts.get(name, 0) for name in PINNED_BUILD_COUNTS} == PINNED_BUILD_COUNTS
