@@ -73,6 +73,8 @@ def test_solve_dense_round_trip():
 def test_solve_dense_singular():
     with pytest.raises(ValueError):
         solve_dense([[1, 1], [2, 2]], [[1, 3]])
+    with pytest.raises(ValueError):   # invertible over Q, determinant 5
+        solve_dense([[1, 1], [1, 6]], [[1, 3]], p=5)
 
 
 def test_rank_dense_pivots():
