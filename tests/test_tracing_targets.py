@@ -15,14 +15,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_installs_on_every_target():
+def _traced_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that can import weylpbw and the tracer."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    code = ("import tracing\n"
-            "tracing.install(tracing.Tracer())\n"
-            "print(len(tracing.TARGETS))\n")
-    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
-                            capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_tracer_installs_on_every_target():
+    result = _traced_python("import tracing\n"
+                            "tracing.install(tracing.Tracer())\n"
+                            "print(len(tracing.TARGETS))\n")
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) > 0
 
@@ -43,17 +47,14 @@ PINNED_BUILD_COUNTS = {
 
 
 def test_traced_lattice_builds_keep_their_counts():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    code = ("import json, tracing\n"
-            "tracer = tracing.Tracer()\n"
-            "tracing.install(tracer)\n"
-            "from weylpbw import AdmissibleLattice\n"
-            "for typ, weight in [('G2', (2, 1)), ('B3', (1, 0, 1)), ('C3', (0, 1, 1))]:\n"
-            "    AdmissibleLattice.build(typ, weight)\n"
-            "print(json.dumps(dict(tracer.counts)))\n")
-    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
-                            capture_output=True, text=True, timeout=300)
+    result = _traced_python(
+        "import json, tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "from weylpbw import AdmissibleLattice\n"
+        "for typ, weight in [('G2', (2, 1)), ('B3', (1, 0, 1)), ('C3', (0, 1, 1))]:\n"
+        "    AdmissibleLattice.build(typ, weight)\n"
+        "print(json.dumps(dict(tracer.counts)))\n")
     assert result.returncode == 0, result.stderr
     counts = json.loads(result.stdout)
     assert {name: counts.get(name, 0) for name in PINNED_BUILD_COUNTS} == PINNED_BUILD_COUNTS
