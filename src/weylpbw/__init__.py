@@ -59,10 +59,8 @@ from .tensorfilt import (  # noqa: E402,F401
     delta_stability_check,
     dual_filtration_dims,
     f0_smash_f0,
-    induced_filtration,
     norm_form_identity_check,
     product_order_equality,
-    tensor_legs,
     vv_level_contains,
 )
 from .criterion import (  # noqa: E402,F401

@@ -9,8 +9,9 @@ Four subcommands cover the library surface:
 
 Every command takes --type or --cartan, --format, --out, --quiet and
 --schema. essential, filtration and verify take the dimension cap --cap;
-essential and filtration, which load lattices, also take --cache-dir and
---no-cache (--no-cache beats --cache-dir, which beats $WEYLPBW_CACHE_DIR).
+essential and filtration also take --cache-dir and --no-cache (--no-cache
+beats --cache-dir, which beats $WEYLPBW_CACHE_DIR). All three build their
+modules in one place, _modules; verify goes through it without a store.
 
 Exit codes: 0 success, 1 a verification or oracle check failed, 2 usage or
 configuration error, 3 a resource cap was exceeded.
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import SCHEMA_VERSION, __version__
 from .cache import CACHE_DIR_ENV, PayloadStore, load_or_build_lattice, stable_dumps
 from .charzero import DIM_CAP_DEFAULT
-from .criterion import check_condition2, check_v0, g2_verify
+from .criterion import check_condition2, check_v0, g2_verify, gamma_weight
 from .pbw import essential_set, g2_essential_table, order_key, pbw_filtration
 from .rootsys import CartanMatrixError, ResourceCapError, RootSystem, build_root_system
 from .tensorfilt import InducedFiltration
@@ -104,7 +105,7 @@ def _weight(args, system: RootSystem, name: str) -> Tuple[int, ...]:
 def _modules(args, system: RootSystem, *weights: Tuple[int, ...]) -> List[WeylModuleP]:
     """V(w) over GF(--p) for each weight, loaded through the payload store;
     equal weights share one module. --no-cache beats --cache-dir, which beats
-    the environment."""
+    the environment; verify, which has no cache options, builds with no store."""
     store = None
     if not args.no_cache:
         cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
@@ -246,7 +247,7 @@ def cmd_verify(args):
     if args.g2:
         if args.type or args.cartan:
             raise UsageError("--g2 fixes the type; do not pass --type/--cartan")
-        report = g2_verify(args.p, args.cap)
+        report = g2_verify(*_modules(args, build_root_system("G2"), (1, 0), (0, 1)))
         if report.certified:
             status = "pass-certified"
         elif report.exploration_only:
@@ -268,8 +269,9 @@ def cmd_verify(args):
         return code, payload, None, text
 
     system = _system(args)
-    checker = check_condition2 if args.condition2 else check_v0
-    report = checker(system, args.p, args.cap)
+    [v_gamma] = _modules(args, system, gamma_weight(system, args.p))
+    report = (check_condition2(v_gamma, args.cap) if args.condition2
+              else check_v0(v_gamma))
     payload = report.to_payload()
     payload["status"] = "pass" if report.verdict else "fail"
     code = EXIT_OK if report.verdict else EXIT_VERIFY
@@ -392,6 +394,8 @@ def _add_common(sub, cap: bool = True, cache: bool = True) -> None:
                          help=f"payload cache directory (default ${CACHE_DIR_ENV})")
         sub.add_argument("--no-cache", action="store_true",
                          help="ignore any configured cache")
+    else:
+        sub.set_defaults(cache_dir=None, no_cache=True)
     sub.add_argument("--format", choices=("json", "csv", "text"), default="json",
                      help="output format (default json; csv for flat tables only)")
     sub.add_argument("--out", metavar="FILE", help="write the report to FILE")

@@ -11,13 +11,14 @@ the chain of finite identities that reduces the full criterion to modules
 of dimension at most 196 plus polynomial computations: annihilation
 identities on a tensor of sections, three polynomial symbols, a uniqueness
 statement read off an inequality table, one monomial coefficient, and a
-closing tensor identity. Every verdict is reproducible bit for bit.
+closing tensor identity. Every verdict is reproducible bit for bit. The
+checks take built modules and read the root system and the prime from them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from . import SCHEMA_VERSION
 from .cache import input_hash
@@ -79,45 +80,48 @@ class CriterionReport:
         }
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
+def _require_prime(p: Optional[int]) -> int:
+    if p is None or not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return p
 
 
-def _gamma_start(system: RootSystem, p: int, dim_cap: int):
-    """What both checks start from: gamma, the top level (p-1)N, V(gamma),
+def _gamma_start(m: WeylModuleP):
+    """What both checks start from, for m = V(gamma): the top level (p-1)N,
     F0, F0.v, and the witness fields they fill. A verdict is false when F0
     kills v (no case is expected to hit this)."""
-    _require_prime(p)
+    system, p = m.system, _require_prime(m.p)
     gamma = gamma_weight(system, p)
+    if m.highest_weight != gamma:
+        raise ValueError(f"V({m.highest_weight}) is not V(gamma), gamma = {gamma}")
     level = (p - 1) * system.n_pos
-    m = WeylModuleP.build(system, gamma, p, dim_cap)
     f0 = f_zero(system.n_pos, p)
     f0v = m.act(f0, m.highest_vector())
     witness = {"dim_v_gamma": sum(m.dims.values()), "top_level": level,
                "f0_annihilates": m.is_zero(f0v)}
-    return gamma, level, m, f0, f0v, witness
+    return level, f0, f0v, witness
 
 
-def _report(system: RootSystem, p: int, gamma: Weight, condition: str,
-            verdict: bool, witness: dict) -> CriterionReport:
-    return CriterionReport(_label(system), p, gamma, condition, verdict, witness,
-                           SCHEMA_VERSION, input_hash(system, p=p, condition=condition))
+def _report(m: WeylModuleP, condition: str, verdict: bool, witness: dict) -> CriterionReport:
+    return CriterionReport(_label(m.system), m.p, m.highest_weight, condition, verdict,
+                           witness, SCHEMA_VERSION,
+                           input_hash(m.system, p=m.p, condition=condition))
 
 
-def check_condition2(system: RootSystem, p: int,
+def check_condition2(m: WeylModuleP,
                      dim_cap: int = DIM_CAP_DEFAULT) -> CriterionReport:
     """Does F0.v (x) F0.v escape level (p-1)N - 1 of the induced filtration
-    on V(gamma) (x) V(gamma)?
+    on V(gamma) (x) V(gamma)? ``m`` is V(gamma) over GF(p); ``dim_cap``
+    bounds the tensor square.
 
     The computation is restricted to the weight space of the test vector,
     which is exact because all spanning vectors are weight-homogeneous.
     """
-    gamma, level, m, f0, f0v, witness = _gamma_start(system, p, dim_cap)
+    level, f0, f0v, witness = _gamma_start(m)
     verdict = False
     if not witness["f0_annihilates"]:
         ten = tensor_of((f0v, f0v), reduce=m.reduce)
-        group = tuple(2 * v for v in system.monomial_depth(f0.exponents))
+        group = tuple(2 * v for v in m.system.monomial_depth(f0.exponents))
         filt = InducedFiltration((m, m), up_to=level, dim_cap=dim_cap,
                                  weight_group=group)
         below = filt.contains_at(ten, level - 1)
@@ -127,23 +131,23 @@ def check_condition2(system: RootSystem, p: int,
         witness["group_level_dims"] = list(filt.level_dims)
         witness["in_top_level"] = at
         witness["in_level_below"] = below
-    return _report(system, p, gamma, "condition2", verdict, witness)
+    return _report(m, "condition2", verdict, witness)
 
 
-def check_v0(system: RootSystem, p: int,
-             dim_cap: int = DIM_CAP_DEFAULT) -> CriterionReport:
+def check_v0(m: WeylModuleP) -> CriterionReport:
     """Does F0.v escape level (p-1)N - 1 of the PBW filtration on V(gamma)?
+    ``m`` is V(gamma) over GF(p).
 
     Equivalent to the nonvanishing of the image v0 of F0.v in the quotient
     by that level — the single-factor ingredient of the splitting criterion.
     """
-    gamma, level, m, f0, f0v, witness = _gamma_start(system, p, dim_cap)
+    level, f0, f0v, witness = _gamma_start(m)
     verdict = False
     if not witness["f0_annihilates"]:
-        block = system.monomial_depth(f0.exponents)
-        space = row_space(p)
+        block = m.system.monomial_depth(f0.exponents)
+        space = row_space(m.p)
         considered = 0
-        for t in monomials_with_depth(system, block):
+        for t in monomials_with_depth(m.system, block):
             if sum(t) <= level - 1:
                 coords = m.monomial_coords(t)
                 if coords is not None:
@@ -155,7 +159,7 @@ def check_v0(system: RootSystem, p: int,
         witness["block_dim"] = m.dims[block]
         witness["lower_span_rank"] = space.rank
         witness["lower_monomials"] = considered
-    return _report(system, p, gamma, "v0", verdict, witness)
+    return _report(m, "v0", verdict, witness)
 
 
 def implication_consistent(condition2: CriterionReport,
@@ -191,8 +195,8 @@ def g2_annihilation_check(sections: InducedSections) -> StepVerdict:
     system = sections.system
     a1 = sections.xi(G2_A1_INDEX)
     a2 = sections.xi(G2_A2_INDEX)
-    w1 = sections.functional_weight(a1)
-    w2 = sections.functional_weight(a2)
+    w1 = sections.dual.functional_weight(a1)
+    w2 = sections.dual.functional_weight(a2)
     pair_weight = tuple(x + y for x, y in zip(w1, w2))
     # -alpha1 must equal -theta + (w1 + 2 w2), theta = (3, 1)
     expected = (-2, 1)
@@ -398,17 +402,22 @@ class G2Report:
         }
 
 
-def g2_verify(p: int, dim_cap: int = DIM_CAP_DEFAULT) -> G2Report:
-    """Run every G2 step for one prime and conjoin the verdicts.
+def g2_verify(v_w1: WeylModuleP, v_w2: WeylModuleP) -> G2Report:
+    """Run every G2 step on V(w1) and V(w2) over GF(p) and conjoin the
+    verdicts. In G2, w* = w, so they carry H0(w1) and H0(w2).
 
     Primes below 11 run in exploration mode: all data is produced, but no
     certification is claimed (the simplicity and self-duality of V(theta)
     used by the surrounding argument needs p >= 11).
     """
-    _require_prime(p)
     system = _g2()
-    s1 = InducedSections(system, (1, 0), p, dim_cap)   # H0(w1)
-    s2 = InducedSections(system, (0, 1), p, dim_cap)   # H0(w2)
+    if ({v_w1.system.cartan.matrix, v_w2.system.cartan.matrix} != {system.cartan.matrix}
+            or (v_w1.highest_weight, v_w2.highest_weight) != ((1, 0), (0, 1))
+            or v_w1.p != v_w2.p):
+        raise ValueError("g2_verify takes the G2 modules V(1,0) and V(0,1) over one prime")
+    p = _require_prime(v_w1.p)
+    s1 = InducedSections(v_w1)   # H0(w1)
+    s2 = InducedSections(v_w2)   # H0(w2)
     steps = [
         g2_annihilation_check(s2),
         g2_section_symbols_check(s1, s2),

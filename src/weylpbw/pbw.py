@@ -24,7 +24,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .charzero import DIM_CAP_DEFAULT
 from .linalg import row_space, solve_dense
 from .rootsys import InvariantError, RootSystem
 from .weylmod import (DualModuleP, HyperMonomial, Vector, WeylModuleP,
@@ -388,26 +387,19 @@ class Polynomial:
 # --------------------------------------------------------------------------
 
 class InducedSections:
-    """The induced module H0(lam) realised as functionals on V(lam*), with
-    its essential dual basis and the symbol maps."""
+    """The induced module H0(lam) realised as functionals on a built
+    V(lam*), with its essential dual basis and the symbol maps."""
 
-    def __init__(self, system: RootSystem, highest_weight: Sequence[int],
-                 p: Optional[int], dim_cap: int = DIM_CAP_DEFAULT):
-        self.system = system
-        self.weight = tuple(highest_weight)
-        self.p = p
-        star = system.star(self.weight)
-        self.module = WeylModuleP.build(system, star, p, dim_cap)  # V(lam*)
-        self.dual = DualModuleP(self.module)                       # H0(lam)
-        self.essentials = essential_set(self.module)
+    def __init__(self, module: WeylModuleP):
+        self.module = module                                   # V(lam*)
+        self.system = system = module.system
+        self.p = module.p
+        self.weight = system.star(module.highest_weight)       # lam
+        self.dual = DualModuleP(module)                        # H0(lam)
+        self.essentials = essential_set(module)
 
     def xi(self, s: Sequence[int]) -> Vector:
         return self.essentials.dual_functional(s)
-
-    def functional_weight(self, xi: Vector):
-        """The weight of a homogeneous functional (None for zero or mixed)."""
-        w = self.module.vector_weight(xi)
-        return None if w is None else tuple(-v for v in w)
 
 
 def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:

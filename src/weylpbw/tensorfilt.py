@@ -17,6 +17,11 @@ orders span the same levels, the comparison map from the single-factor
 filtration is filtration-preserving (with its graded kernel measured, since
 it is not injective in general), and the norm-form identity
 (F0 (x) 1) . Delta(F0) = F0 (x) F0 holds on the cyclic vector.
+
+Everything here takes built legs, a pair (V(lam), V(mu)) of Weyl modules
+over one root system and one characteristic (a square passes one module
+twice); the root system, the prime and the highest weights are read from
+them.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from .cache import input_hash
 from .charzero import DIM_CAP_DEFAULT
 from .linalg import row_space
 from .pbw import monomials_of_degree, pbw_filtration
-from .rootsys import ResourceCapError, RootSystem
+from .rootsys import ResourceCapError
 from .weylmod import (HyperMonomial, TensorVector, WeylModuleP, f_zero,
                       tensor_act, tensor_leg_act, tensor_of)
 
@@ -46,6 +51,15 @@ def _total_depth(tvec: TensorVector) -> Optional[Weight]:
         elif group != here:
             raise ValueError("tensor vector is not weight-homogeneous")
     return group
+
+
+def _common_field(legs: Tuple[WeylModuleP, WeylModuleP]):
+    """The root system and characteristic both legs share; ValueError if
+    they differ."""
+    a, b = legs
+    if a.system.cartan.matrix != b.system.cartan.matrix or a.p != b.p:
+        raise ValueError("the two legs differ in root system or characteristic")
+    return a.system, a.p
 
 
 class _WeightSpan:
@@ -150,7 +164,7 @@ class InducedFiltrationTable:
 
 class InducedFiltration:
     """The filtration computation on the tensor product of two built legs
-    V(lam), V(mu) (see ``tensor_legs``): spanning sweep and kept vectors.
+    V(lam), V(mu): spanning sweep and kept vectors.
 
     ``weight_group`` restricts everything to one total weight space (given as
     the root-coordinate depth below lam + mu), which is exact because the
@@ -162,12 +176,10 @@ class InducedFiltration:
                  up_to: Optional[int] = None, dim_cap: int = DIM_CAP_DEFAULT,
                  weight_group: Optional[Sequence[int]] = None):
         a, b = self.mods = tuple(mods)
-        if a.system.cartan.matrix != b.system.cartan.matrix or a.p != b.p:
-            raise ValueError("the two legs differ in root system or characteristic")
-        self.system = system = a.system
+        system, p = _common_field(self.mods)
+        self.system, self.p = system, p
         self.lam: Weight = a.highest_weight
         self.mu: Weight = b.highest_weight
-        self.p = p = a.p
         self.weight_group = None if weight_group is None else tuple(weight_group)
         dim_a = sum(a.dims.values())
         dim_b = sum(b.dims.values())
@@ -270,34 +282,14 @@ class InducedFiltration:
             input_hash(self.system, weights=[list(self.lam), list(self.mu)], p=self.p))
 
 
-def tensor_legs(system: RootSystem, lam: Sequence[int], mu: Sequence[int],
-                p: Optional[int], dim_cap: int = DIM_CAP_DEFAULT
-                ) -> Tuple[WeylModuleP, WeylModuleP]:
-    """The legs V(lam) and V(mu) of a tensor product; a square shares one module."""
-    a = WeylModuleP.build(system, tuple(lam), p, dim_cap)
-    if tuple(mu) == a.highest_weight:
-        return a, a
-    return a, WeylModuleP.build(system, tuple(mu), p, dim_cap)
-
-
-def induced_filtration(system: RootSystem, lam: Sequence[int], mu: Sequence[int],
-                       p: Optional[int], up_to: Optional[int] = None,
-                       dim_cap: int = DIM_CAP_DEFAULT) -> InducedFiltrationTable:
-    """Level dimensions of the induced filtration, swept to stabilization
-    (or to ``up_to`` when given)."""
-    legs = tensor_legs(system, lam, mu, p, dim_cap)
-    return InducedFiltration(legs, up_to, dim_cap).table()
-
-
 def vv_level_contains(mods: Tuple[WeylModuleP, WeylModuleP], tvec: TensorVector,
-                      level: int, dim_cap: int = DIM_CAP_DEFAULT) -> bool:
+                      level: int) -> bool:
     """Whether a weight-homogeneous tensor vector lies in VV_level, computed
     on that vector's weight space only."""
     group = _total_depth(tvec)
     if group is None:
         return True
-    filt = InducedFiltration(mods, up_to=level, dim_cap=dim_cap,
-                             weight_group=group)
+    filt = InducedFiltration(mods, up_to=level, weight_group=group)
     return filt.contains(tvec)
 
 
@@ -321,13 +313,12 @@ class ProductOrderReport:
         return self.smash_dims == self.reversed_dims == self.union_dims
 
 
-def product_order_equality(system: RootSystem, lam: Sequence[int],
-                           mu: Sequence[int], p: Optional[int],
-                           up_to: Optional[int] = None,
-                           dim_cap: int = DIM_CAP_DEFAULT) -> ProductOrderReport:
+def product_order_equality(mods: Tuple[WeylModuleP, WeylModuleP],
+                           up_to: Optional[int] = None) -> ProductOrderReport:
     """Check that applying the leg monomial before or after the coproduct
     monomial spans the same filtration level, degree by degree."""
-    filt = InducedFiltration(tensor_legs(system, lam, mu, p, dim_cap), up_to, dim_cap)
+    filt = InducedFiltration(mods, up_to)
+    system, p = filt.system, filt.p
     span_rev = _WeightSpan(p)
     span_union = _WeightSpan(p)
     smash_dims: List[int] = []
@@ -370,13 +361,11 @@ class ComparisonReport:
         return self.inclusion_ok and not any(self.kernel_dims)
 
 
-def comparison_map_check(system: RootSystem, lam: Sequence[int],
-                         mu: Sequence[int], p: Optional[int],
-                         dim_cap: int = DIM_CAP_DEFAULT) -> ComparisonReport:
+def comparison_map_check(mods: Tuple[WeylModuleP, WeylModuleP]) -> ComparisonReport:
     """Verify V_n(lam) (x) v_mu lies in VV_n at every level and measure the
     kernel of the induced map on graded pieces, degree by degree."""
-    filt = InducedFiltration(tensor_legs(system, lam, mu, p, dim_cap),
-                             dim_cap=dim_cap)
+    filt = InducedFiltration(mods)
+    system, p = filt.system, filt.p
     top = filt.s_max
     table = pbw_filtration(filt.mods[0], top)
     sweep = _WeightSpan(p)
@@ -402,17 +391,13 @@ def comparison_map_check(system: RootSystem, lam: Sequence[int],
                             list(table.graded_dims), image_dims, kernel_dims)
 
 
-def dual_filtration_dims(system: RootSystem, lam: Sequence[int],
-                         mu: Sequence[int], p: Optional[int], n: int,
-                         dim_cap: int = DIM_CAP_DEFAULT) -> int:
-    """Level n of the filtration dual to the induced one: functionals on
-    V(lam*) (x) V(mu*) vanishing on VV_{n-1}(lam*, mu*)."""
-    lam_star = system.star(tuple(lam))
-    mu_star = system.star(tuple(mu))
-    legs = tensor_legs(system, lam_star, mu_star, p, dim_cap)
+def dual_filtration_dims(star_mods: Tuple[WeylModuleP, WeylModuleP], n: int) -> int:
+    """Level n of the filtration dual to the induced one on V(lam) (x) V(mu):
+    functionals on V(lam*) (x) V(mu*) (the legs ``star_mods``) vanishing on
+    VV_{n-1}(lam*, mu*)."""
     if n <= 0:
-        return legs[0].dim * legs[1].dim
-    filt = InducedFiltration(legs, up_to=n - 1, dim_cap=dim_cap)
+        return star_mods[0].dim * star_mods[1].dim
+    filt = InducedFiltration(star_mods, up_to=n - 1)
     return filt.tensor_dim - filt.level(n - 1)
 
 
@@ -432,13 +417,13 @@ class StabilityReport:
         return not self.violations
 
 
-def delta_stability_check(system: RootSystem, lam: Sequence[int],
-                          mu: Sequence[int], p: Optional[int],
-                          up_to: Optional[int] = None, k_cap: int = 2,
-                          dim_cap: int = DIM_CAP_DEFAULT) -> StabilityReport:
+def delta_stability_check(mods: Tuple[WeylModuleP, WeylModuleP],
+                          up_to: Optional[int] = None,
+                          k_cap: int = 2) -> StabilityReport:
     """Apply Delta(X^(k)) to a basis of each level and test membership; a
     violation is recorded rather than raised, so reports stay comparable."""
-    filt = InducedFiltration(tensor_legs(system, lam, mu, p, dim_cap), up_to, dim_cap)
+    filt = InducedFiltration(mods, up_to)
+    system, p = filt.system, filt.p
     top = min(filt.requested, filt.s_max)
     sweep = _WeightSpan(p)
     violations: List[Tuple[int, str, int, int]] = []
@@ -477,14 +462,13 @@ class NormFormReport:
         return self.identity_ok and (self.membership_ok is not False)
 
 
-def norm_form_identity_check(system: RootSystem, lam: Sequence[int],
-                             mu: Sequence[int], p: int,
-                             dim_cap: int = DIM_CAP_DEFAULT) -> NormFormReport:
+def norm_form_identity_check(legs: Tuple[WeylModuleP, WeylModuleP]) -> NormFormReport:
     """Check (F0 (x) 1) . Delta(F0) . (v (x) w) = F0.v (x) F0.w and, when the
     right side is nonzero, its membership in VV_{(p-1)N}."""
+    a, b = legs
+    system, p = _common_field(legs)
     if p is None:
         raise ValueError("the norm form lives in positive characteristic")
-    a, b = legs = tensor_legs(system, lam, mu, p, dim_cap)
     f0 = f_zero(system.n_pos, p)
     start = tensor_of((a.highest_vector(), b.highest_vector()), reduce=a.reduce)
     lhs = tensor_leg_act(legs, 0, f0, tensor_act(legs, f0, start))
@@ -495,6 +479,6 @@ def norm_form_identity_check(system: RootSystem, lam: Sequence[int],
     nonzero = bool(rhs)
     membership: Optional[bool] = None
     if nonzero:
-        membership = vv_level_contains(legs, rhs, level, dim_cap)
-    return NormFormReport(tuple(lam), tuple(mu), p, identity_ok, nonzero,
-                          level, membership)
+        membership = vv_level_contains(legs, rhs, level)
+    return NormFormReport(a.highest_weight, b.highest_weight, p, identity_ok,
+                          nonzero, level, membership)

@@ -273,8 +273,10 @@ class DualModuleP:
         self.dims: Dict[Coords, int] = module.dims
         self._legs: Dict[Tuple[str, int, int], Dict[Coords, Tuple[Coords, Matrix]]] = {}
 
-    def functional_weight(self, t: Coords) -> Weight:
-        return tuple(-w for w in self.module.weights[tuple(t)])
+    def functional_weight(self, xi: Vector) -> Optional[Weight]:
+        """Minus the weight of a homogeneous functional's blocks (None for 0 or mixed)."""
+        w = self.module.vector_weight(xi)
+        return None if w is None else tuple(-v for v in w)
 
     def leg_matrix(self, side: str, pos: int, k: int,
                    t: Coords) -> Optional[Tuple[Coords, Matrix]]:

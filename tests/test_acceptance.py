@@ -17,9 +17,11 @@ import math
 import time
 
 import pytest
+from builders import g2_fundamentals, h0, legs, v_gamma
 from tensor3 import iterated_coproduct, triple_of
 
 from weylpbw import (
+    InducedFiltration,
     WeylModuleP,
     build_root_system,
     check_condition2,
@@ -28,7 +30,6 @@ from weylpbw import (
     g2_essential_table,
     g2_verify,
     implication_consistent,
-    induced_filtration,
     norm_form_identity_check,
     product_order_equality,
     stable_dumps,
@@ -40,7 +41,7 @@ from weylpbw.criterion import (
     G2_VPRIME_INDEX,
     g2_coefficient_check,
 )
-from weylpbw.pbw import InducedSections, Polynomial, j_map, order_key
+from weylpbw.pbw import Polynomial, j_map, order_key
 from weylpbw.weylmod import HyperMonomial, tensor_act, tensor_of
 
 G2_ROOTS = ((3, 2), (3, 1), (2, 1), (1, 1), (0, 1), (1, 0))
@@ -101,7 +102,7 @@ def test_criterion_03_inequality_table_equals_brute_force():
 def test_criterion_04_restriction_map_shape_on_every_essential():
     g2 = build_root_system("G2")
     for k, l in G2_WEIGHTS_DEPTH3:
-        sections = InducedSections(g2, (k, l), None)
+        sections = h0(g2, (k, l), None)
         es = sections.essentials
         for s in es.indices:
             poly = j_map(sections, sections.xi(s), sum(s))
@@ -116,8 +117,8 @@ def test_criterion_05_section_symbols_and_annihilation_identities():
     started = time.perf_counter()
     g2 = build_root_system("G2")
     for p in (11, 13):
-        h0_w2 = InducedSections(g2, (0, 1), p)
-        h0_w1 = InducedSections(g2, (1, 0), p)
+        h0_w2 = h0(g2, (0, 1), p)
+        h0_w1 = h0(g2, (1, 0), p)
         # j^2 sends a1 to x3 x5, a2 to x2 x5, and v' to x_11122 x_1
         for sections, idx in ((h0_w2, G2_A1_INDEX), (h0_w2, G2_A2_INDEX),
                               (h0_w1, G2_VPRIME_INDEX)):
@@ -157,10 +158,11 @@ def test_criterion_06_top_coefficient_nonzero_mod_p():
 def test_criterion_07_g2_pipeline():
     for p in (11, 13, 17):
         started = time.perf_counter()
-        report = g2_verify(p)
+        report = g2_verify(*g2_fundamentals(p))
         elapsed = time.perf_counter() - started
         assert elapsed < 300.0, (p, elapsed)
-        assert stable_dumps(g2_verify(p).to_payload()) \
+        # the determinism run builds its own modules
+        assert stable_dumps(g2_verify(*g2_fundamentals(p)).to_payload()) \
             == stable_dumps(report.to_payload()), p
         by_name = {s.name: s.ok for s in report.steps}
         assert by_name["annihilation"] and by_name["j_images"]
@@ -179,7 +181,7 @@ def test_criterion_08_property_suites():
     # norm-form operator identity (F0 x 1)DeltaF0 = F0 x F0
     for system, mk in ((a1, lambda p: (p - 1,)), (a2, lambda p: (p - 1, p - 1))):
         for p in (2, 3, 5):
-            report = norm_form_identity_check(system, mk(p), mk(p), p)
+            report = norm_form_identity_check(legs(system, mk(p), mk(p), p))
             assert report.identity_ok and report.ok, (system, p)
 
     # coproduct coassociativity on triple tensors
@@ -221,7 +223,7 @@ def test_criterion_08_property_suites():
     # product-order independence of the induced filtration
     for label, lam, mu, p in (("A1", (1,), (1,), 2), ("A1", (2,), (2,), 3),
                               ("A2", (1, 0), (1, 0), 2), ("A2", (1, 0), (0, 1), 2)):
-        report = product_order_equality(build_root_system(label), lam, mu, p)
+        report = product_order_equality(legs(build_root_system(label), lam, mu, p))
         assert report.equal, (label, lam, mu, p)
 
     assert time.perf_counter() - started < 600.0
@@ -232,18 +234,19 @@ def test_criterion_09_type_a_criterion_sanity():
     a1 = build_root_system("A1")
     a2 = build_root_system("A2")
     for system, p in ((a1, 2), (a1, 3), (a1, 5), (a2, 2)):
-        report = check_condition2(system, p)
+        m = v_gamma(system, p)
+        report = check_condition2(m)
         assert report.verdict, (
             f"check_condition2 false for {report.label} at p={p}: "
             f"a reportable finding, not an accepted outcome")
-        assert implication_consistent(report, check_v0(system, p))
+        assert implication_consistent(report, check_v0(m))
     assert time.perf_counter() - started < 900.0
 
 
 def test_criterion_10_degenerate_tensor_factor():
     started = time.perf_counter()
     a1 = build_root_system("A1")
-    table = induced_filtration(a1, (2,), (0,), 3)
+    table = InducedFiltration(legs(a1, (2,), (0,), 3)).table()
     assert table.level_dims[0] == table.tensor_dim == 3
     assert all(g == 0 for g in table.graded_dims[1:])
     assert time.perf_counter() - started < 1.0

@@ -397,3 +397,29 @@ def test_filtration_tensor_uses_the_store(capsys, tmp_path, lam, mu, count):
     code, second, _ = run(capsys, *args)
     assert (code, second) == (0, first)
     assert _entries(cache) == entries
+
+
+
+# --- every module is built by the command, once -----------------------------------
+
+BUILDS = [
+    # V(gamma), gamma = 2(p-1)rho, serves F0.v and both legs of the square
+    (("verify", "--condition2", "--type", "A1", "--p", "3"), 0, [(4,)]),
+    (("verify", "--v0", "--type", "A1", "--p", "3"), 0, [(4,)]),
+    # V(w1) and V(w2), each shared by the G2 steps that read it
+    (("verify", "--g2", "--p", "11"), 1, [(1, 0), (0, 1)]),
+    # a tensor square shares one module
+    (("filtration", "--type", "A1", "--weight", "2", "--tensor", "2", "--p", "3"), 0,
+     [(2,)]),
+    (("filtration", "--type", "A1", "--weight", "2", "--tensor", "1", "--p", "3"), 0,
+     [(2,), (1,)]),
+]
+
+
+@pytest.mark.parametrize("argv, code, built", BUILDS,
+                         ids=[" ".join(b[0]) for b in BUILDS])
+def test_each_command_builds_each_lattice_once(capsys, monkeypatch, lattice_builds,
+                                               argv, code, built):
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    assert run(capsys, *argv, "--quiet")[0] == code
+    assert lattice_builds == built

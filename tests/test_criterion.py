@@ -4,8 +4,10 @@ and the full mechanical run for type G2."""
 import math
 
 import pytest
+from builders import g2_fundamentals, v_gamma
 
 from weylpbw import (
+    WeylModuleP,
     build_root_system,
     check_condition2,
     check_v0,
@@ -28,7 +30,7 @@ def a2():
 
 @pytest.fixture(scope="module")
 def g2_11():
-    return g2_verify(11)
+    return g2_verify(*g2_fundamentals(11))
 
 
 def test_gamma_weight(a1, a2):
@@ -48,7 +50,7 @@ def test_gamma_weight(a1, a2):
     (5, 9, 4, [8], [1, 2, 3, 4, 5]),
 ])
 def test_condition2_a1(a1, p, dim, top, group, level_dims):
-    report = check_condition2(a1, p)
+    report = check_condition2(v_gamma(a1, p))
     assert report.verdict
     assert report.condition == "condition2"
     assert report.gamma == gamma_weight(a1, p)
@@ -62,7 +64,7 @@ def test_condition2_a1(a1, p, dim, top, group, level_dims):
 
 
 def test_condition2_a2(a2):
-    report = check_condition2(a2, 2)
+    report = check_condition2(v_gamma(a2, 2))
     assert report.verdict
     w = report.witness
     assert w["dim_v_gamma"] == 27
@@ -72,12 +74,27 @@ def test_condition2_a2(a2):
 
 
 def test_condition2_rejects_composite_characteristic(a1):
+    # V(gamma) cannot be reduced at 4, so no module for the check exists
     with pytest.raises(ValueError):
-        check_condition2(a1, 4)
+        check_condition2(v_gamma(a1, 4))
+
+
+@pytest.mark.parametrize("check", [check_condition2, check_v0])
+def test_gamma_checks_reject_characteristic_zero(a1, check):
+    with pytest.raises(ValueError):
+        check(WeylModuleP.build(a1, gamma_weight(a1, 3), None))
+
+
+@pytest.mark.parametrize("check", [check_condition2, check_v0])
+def test_gamma_checks_reject_other_weights(a1, a2, check):
+    with pytest.raises(ValueError):
+        check(WeylModuleP.build(a1, (2,), 3))        # gamma is (4,) at p = 3
+    with pytest.raises(ValueError):
+        check(WeylModuleP.build(a2, (2, 0), 2))      # gamma is (2, 2) at p = 2
 
 
 def test_report_payload(a1):
-    payload = check_condition2(a1, 2).to_payload()
+    payload = check_condition2(v_gamma(a1, 2)).to_payload()
     assert payload["schema_version"] == 1
     assert payload["label"] == "A1"
     assert payload["condition"] == "condition2"
@@ -90,7 +107,7 @@ def test_report_payload(a1):
 
 
 def test_v0_a2(a2):
-    report = check_v0(a2, 2)
+    report = check_v0(v_gamma(a2, 2))
     assert report.verdict
     assert report.condition == "v0"
     w = report.witness
@@ -106,13 +123,14 @@ def test_implication(a1, a2):
     # condition2 true forces v0 true; both hold in every configuration we
     # can afford to enumerate, so consistency is just (+,+)
     for system, p in [(a1, 2), (a1, 3), (a2, 2)]:
-        assert implication_consistent(check_condition2(system, p),
-                                      check_v0(system, p))
+        m = v_gamma(system, p)
+        assert implication_consistent(check_condition2(m), check_v0(m))
 
 
 def test_implication_rejects_mismatched_reports(a1, a2):
     with pytest.raises(ValueError):
-        implication_consistent(check_condition2(a1, 2), check_v0(a2, 2))
+        implication_consistent(check_condition2(v_gamma(a1, 2)),
+                               check_v0(v_gamma(a2, 2)))
 
 
 # --- the G2 run ---------------------------------------------------------------
@@ -162,7 +180,7 @@ def test_g2_overall_verdict(g2_11):
 
 
 def test_g2_p13_matches_closed_form():
-    report = g2_verify(13)
+    report = g2_verify(*g2_fundamentals(13))
     step = next(s for s in report.steps if s.name == "coefficient")
     assert step.details["integer_coefficient"] == math.comb(24, 12)
     assert step.details["literal_coefficient_mod_p"] == 0
@@ -173,14 +191,14 @@ def test_g2_p13_matches_closed_form():
 
 
 def test_g2_small_prime_is_exploration_only():
-    report = g2_verify(7)
+    report = g2_verify(*g2_fundamentals(7))
     assert report.exploration_only
     assert not report.certified
     assert report.to_payload()["exploration_only"] is True
 
 
 def test_g2_payload_deterministic(g2_11):
-    again = g2_verify(11)
+    again = g2_verify(*g2_fundamentals(11))
     assert stable_dumps(again.to_payload()) == stable_dumps(g2_11.to_payload())
     payload = g2_11.to_payload()
     assert payload["type"] == "G2"
@@ -189,5 +207,30 @@ def test_g2_payload_deterministic(g2_11):
 
 
 def test_g2_rejects_composite_p():
+    # no G2 module exists over 9, so there is nothing to verify
     with pytest.raises(ValueError):
-        g2_verify(9)
+        g2_verify(*g2_fundamentals(9))
+
+
+def test_g2_rejects_swapped_weights():
+    v_w1, v_w2 = g2_fundamentals(11)
+    with pytest.raises(ValueError):
+        g2_verify(v_w2, v_w1)
+
+
+def test_g2_rejects_mixed_primes():
+    v_w1, _ = g2_fundamentals(11)
+    _, v_w2 = g2_fundamentals(13)
+    with pytest.raises(ValueError):
+        g2_verify(v_w1, v_w2)
+    with pytest.raises(ValueError):
+        g2_verify(WeylModuleP(v_w1.lattice, None), WeylModuleP(v_w2.lattice, None))
+
+
+def test_g2_rejects_other_types():
+    b2 = build_root_system("B2")
+    v_w1, v_w2 = g2_fundamentals(11)
+    with pytest.raises(ValueError):
+        g2_verify(WeylModuleP.build(b2, (1, 0), 11), v_w2)
+    with pytest.raises(ValueError):
+        g2_verify(v_w1, WeylModuleP.build(b2, (0, 1), 11))

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from builders import h0
 
 from weylpbw import (
     InducedSections,
@@ -218,12 +219,12 @@ def test_polynomial_arithmetic():
 
 def test_j_map_paper_symbols(g2):
     for p in (11, 13):
-        adj = InducedSections(g2, (0, 1), p, 10000)
+        adj = h0(g2, (0, 1), p, 10000)
         a1 = adj.xi((0, 0, 1, 0, 1, 0))
         a2 = adj.xi((0, 1, 0, 0, 1, 0))
         assert j_map(adj, a1, 2) == Polynomial.monomial((0, 0, 1, 0, 1, 0))
         assert j_map(adj, a2, 2) == Polynomial.monomial((0, 1, 0, 0, 1, 0))
-        fund = InducedSections(g2, (1, 0), p, 10000)
+        fund = h0(g2, (1, 0), p, 10000)
         vp = fund.xi((1, 0, 0, 0, 0, 1))
         assert j_map(fund, vp, 2) == Polynomial.monomial((1, 0, 0, 0, 0, 1))
 
@@ -232,7 +233,7 @@ def test_j_map_shape_every_essential(g2):
     """Leading coefficient 1 at s, support at equal degree and t >= s only,
     and no other essential index inside the support."""
     for weight in [(1, 0), (0, 1)]:
-        sections = InducedSections(g2, weight, 11, 10000)
+        sections = h0(g2, weight, 11, 10000)
         es = sections.essentials
         for s in es.indices:
             poly = j_map(sections, sections.xi(s), sum(s))
@@ -245,7 +246,7 @@ def test_j_map_shape_every_essential(g2):
 
 
 def test_j_map_rejects_lower_degree_component(g2):
-    sections = InducedSections(g2, (1, 0), 11, 10000)
+    sections = h0(g2, (1, 0), 11, 10000)
     xi = sections.xi((0, 0, 0, 0, 0, 0))    # a degree-0 essential component
     with pytest.raises(ValueError):
         j_map(sections, xi, 1)
@@ -254,7 +255,7 @@ def test_j_map_rejects_lower_degree_component(g2):
 def test_j_map_skips_higher_degree_components(g2):
     """Components above the requested degree belong to deeper filtration
     levels and do not contribute to the degree-n symbol."""
-    sections = InducedSections(g2, (1, 0), 11, 10000)
+    sections = h0(g2, (1, 0), 11, 10000)
     lo = sections.xi((1, 0, 0, 0, 0, 0))
     hi = sections.xi((1, 0, 0, 0, 0, 1))
     mixed = {}
@@ -266,13 +267,22 @@ def test_j_map_skips_higher_degree_components(g2):
     assert j_map(sections, mixed, 1) == Polynomial.monomial((1, 0, 0, 0, 0, 0))
 
 
+def test_sections_take_the_dual_module():
+    """H0(lam) is built on V(lam*): in A2, V(1,0) carries H0(0,1)."""
+    a2 = build_root_system("A2")
+    module = WeylModuleP.build(a2, (1, 0), 2, 100)
+    sections = InducedSections(module)
+    assert sections.module is module
+    assert (sections.system, sections.p, sections.weight) == (a2, 2, (0, 1))
+
+
 # --- products of sections ----------------------------------------------------
 
 
 def test_section_product_a1_symbols():
     a1 = build_root_system("A1")
-    s1 = InducedSections(a1, (1,), None, 100)
-    s2 = InducedSections(a1, (2,), None, 100)
+    s1 = h0(a1, (1,), None, 100)
+    s2 = h0(a1, (2,), None, 100)
     xi0, xi1 = s1.xi((0,)), s1.xi((1,))
     assert section_product(s1, s1, s2, xi0, xi0) == s2.xi((0,))
     assert section_product(s1, s1, s2, xi0, xi1) == s2.xi((1,))
@@ -282,8 +292,8 @@ def test_section_product_a1_symbols():
 def test_section_product_g2_square_of_top_section(g2):
     """The square of the degree-2 corner section has symbol x1^2 x6^2 with
     coefficient 1 — the multiplicativity the corner argument rests on."""
-    fund = InducedSections(g2, (1, 0), 11, 10000)
-    target = InducedSections(g2, (2, 0), 11, 10000)
+    fund = h0(g2, (1, 0), 11, 10000)
+    target = h0(g2, (2, 0), 11, 10000)
     vp = fund.xi((1, 0, 0, 0, 0, 1))
     square = section_product(fund, fund, target, vp, vp)
     sym = j_map(target, square, 4)
@@ -291,8 +301,8 @@ def test_section_product_g2_square_of_top_section(g2):
 
 
 def test_section_product_weight_mismatch(g2):
-    fund = InducedSections(g2, (1, 0), 11, 10000)
-    bad_target = InducedSections(g2, (1, 1), 11, 10000)
+    fund = h0(g2, (1, 0), 11, 10000)
+    bad_target = h0(g2, (1, 1), 11, 10000)
     with pytest.raises(ValueError):
         section_product(fund, fund, bad_target, fund.xi((0,) * 6),
                         fund.xi((0,) * 6))

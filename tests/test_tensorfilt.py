@@ -1,9 +1,9 @@
 """The induced filtration on tensor products and its structural properties."""
 
 import pytest
+from builders import g2_fundamentals, legs, v_gamma
 
 from weylpbw import (
-    AdmissibleLattice,
     InducedFiltration,
     ResourceCapError,
     SmashOperator,
@@ -15,11 +15,9 @@ from weylpbw import (
     dual_filtration_dims,
     f0_smash_f0,
     g2_verify,
-    induced_filtration,
     norm_form_identity_check,
     product_order_equality,
     tensor_act,
-    tensor_legs,
     tensor_of,
     vv_level_contains,
 )
@@ -37,12 +35,17 @@ def a2():
     return build_root_system("A2")
 
 
+def level_table(system, lam, mu, p):
+    """The induced filtration's level table on V(lam) (x) V(mu)."""
+    return InducedFiltration(legs(system, lam, mu, p)).table()
+
+
 # --- level dimensions --------------------------------------------------------
 
 
 def test_level_dims_a1_square(a1):
     for p in (None, 2):
-        table = induced_filtration(a1, (1,), (1,), p)
+        table = level_table(a1, (1,), (1,), p)
         assert table.level_dims == [3, 4]
         assert table.graded_dims == [3, 1]
         assert table.tensor_dim == 4
@@ -52,34 +55,34 @@ def test_level_zero_is_cartan_component(a2):
     """VV_0 is the diagonal orbit of the highest vector: a copy of the top
     factor of V(lam + mu)."""
     for p in (None, 2):
-        table = induced_filtration(a2, (1, 0), (0, 1), p)
+        table = level_table(a2, (1, 0), (0, 1), p)
         assert table.level_dims == [8, 9, 9]
         assert table.graded_dims == [8, 1, 0]
         assert table.level_dims[0] == a2.weyl_dimension((1, 1))
 
 
 def test_level_dims_a1_deeper(a1):
-    table = induced_filtration(a1, (2,), (2,), 2)
+    table = level_table(a1, (2,), (2,), 2)
     assert table.level_dims == [5, 8, 9]
     assert table.graded_dims == [5, 3, 1]
     assert table.top_dim == 9
 
 
 def test_filtration_object_padding(a1):
-    filt = InducedFiltration(tensor_legs(a1, (1,), (1,), None))
+    filt = InducedFiltration(legs(a1, (1,), (1,), None))
     assert filt.level(0) == 3
     assert filt.level(25) == 4            # beyond stabilization: full dim
     assert filt.level(-1) == 0
 
 
 def test_trivial_tensor_concentrates_in_degree_zero(a1):
-    table = induced_filtration(a1, (2,), (0,), 3)
+    table = level_table(a1, (2,), (0,), 3)
     assert table.level_dims[0] == 3
     assert all(g == 0 for g in table.graded_dims[1:])
 
 
 def test_payload_shape(a1):
-    payload = induced_filtration(a1, (1,), (1,), 2).to_payload()
+    payload = level_table(a1, (1,), (1,), 2).to_payload()
     assert payload["highest_weights"] == [[1], [1]]
     assert payload["p"] == 2
     assert payload["levels"] == [{"n": 0, "dim": 3}, {"n": 1, "dim": 4}]
@@ -89,7 +92,7 @@ def test_payload_shape(a1):
 
 def test_dim_cap(a1):
     with pytest.raises(ResourceCapError):
-        induced_filtration(a1, (30,), (30,), None, dim_cap=100)
+        InducedFiltration(legs(a1, (30,), (30,), None), dim_cap=100)
 
 
 # --- membership --------------------------------------------------------------
@@ -108,9 +111,9 @@ def test_norm_vector_membership(a1):
 
 
 def test_weight_group_restriction(a1):
-    filt = InducedFiltration(tensor_legs(a1, (2,), (2,), 2), weight_group=(2,))
+    filt = InducedFiltration(legs(a1, (2,), (2,), 2), weight_group=(2,))
     assert filt.level_dims == [1, 2, 3]
-    assert filt.level_dims[1] < induced_filtration(a1, (2,), (2,), 2).level_dims[1]
+    assert filt.level_dims[1] < level_table(a1, (2,), (2,), 2).level_dims[1]
 
 
 def test_restricted_sweep_stops_once_its_weight_space_is_spanned(a1, monkeypatch):
@@ -120,56 +123,48 @@ def test_restricted_sweep_stops_once_its_weight_space_is_spanned(a1, monkeypatch
     insert = tensorfilt._WeightSpan.insert
     monkeypatch.setattr(tensorfilt._WeightSpan, "insert",
                         lambda self, vec: calls.append(1) or insert(self, vec))
-    filt = InducedFiltration(tensor_legs(a1, (3,), (3,), None), weight_group=(6,))
+    filt = InducedFiltration(legs(a1, (3,), (3,), None), weight_group=(6,))
     assert filt.cap == 1
     assert filt.level_dims == [1, 1, 1, 1]
     assert len(calls) == 1
 
 
 def test_sweep_cap_is_the_swept_dimension(a1, a2):
-    square = tensor_legs(a1, (2,), (2,), 2)
+    square = legs(a1, (2,), (2,), 2)
     assert InducedFiltration(square, weight_group=(2,)).cap == 3
-    assert InducedFiltration(tensor_legs(a1, (2,), (1,), None)).cap == 6
-    filt = InducedFiltration(tensor_legs(a2, (1, 1), (1, 0), 2),
+    assert InducedFiltration(legs(a1, (2,), (1,), None)).cap == 6
+    filt = InducedFiltration(legs(a2, (1, 1), (1, 0), 2),
                              weight_group=(1, 1))
     assert filt.cap == filt.level_dims[-1] == 4
 
 
 def test_kept_by_level_splits_the_kept_basis(a2):
-    filt = InducedFiltration(tensor_legs(a2, (1, 1), (1, 0), 3))
+    filt = InducedFiltration(legs(a2, (1, 1), (1, 0), 3))
     levels = filt.kept_by_level()
     assert [len(vecs) for vecs in levels] == filt.table().graded_dims
     assert [v for vecs in levels for v in vecs] == [v for _, v in filt.kept]
 
 
-@pytest.fixture
-def lattice_builds(monkeypatch):
-    """The highest weights of the lattices built from here on, in order."""
-    builds = []
-    build = AdmissibleLattice.build.__func__
-    monkeypatch.setattr(AdmissibleLattice, "build", classmethod(
-        lambda cls, *args: builds.append(args[1]) or build(cls, *args)))
-    return builds
-
-
 def test_tensor_square_builds_one_module(a1, lattice_builds):
-    filt = InducedFiltration(tensor_legs(a1, (2,), (2,), 3))
+    m = WeylModuleP.build(a1, (2,), 3)
+    filt = InducedFiltration((m, m))
     assert filt.mods[0] is filt.mods[1]
     assert lattice_builds == [(2,)]
-    InducedFiltration(tensor_legs(a1, (2,), (1,), 3))
-    assert lattice_builds == [(2,), (2,), (1,)]
 
 
-@pytest.mark.parametrize("run,expected", [
+@pytest.mark.parametrize("build,check,expected", [
     # V(gamma), gamma = 2(p-1)rho, serves F0.v and both legs of the square
-    (lambda: check_condition2(build_root_system("A1"), 3), [(4,)]),
-    # H0(w1) and H0(w2), each shared by the steps that read it
-    (lambda: g2_verify(11), [(1, 0), (0, 1)]),
-    (lambda: norm_form_identity_check(build_root_system("A1"), (2,), (2,), 3),
-     [(2,)]),
+    (lambda: [v_gamma(build_root_system("A1"), 3)], check_condition2, [(4,)]),
+    # V(w1) and V(w2), each shared by the steps that read it
+    (lambda: g2_fundamentals(11), g2_verify, [(1, 0), (0, 1)]),
+    (lambda: [legs(build_root_system("A1"), (2,), (2,), 3)],
+     norm_form_identity_check, [(2,)]),
 ], ids=["condition2", "g2_verify", "norm_form"])
-def test_each_check_builds_each_lattice_once(run, expected, lattice_builds):
-    run()
+def test_each_check_builds_each_lattice_once(build, check, expected, lattice_builds):
+    """The caller builds each module once; a check given them builds none."""
+    mods = build()
+    assert lattice_builds == expected
+    check(*mods)
     assert lattice_builds == expected
 
 
@@ -188,6 +183,8 @@ def test_legs_must_share_system_and_characteristic(a1, a2):
         InducedFiltration((m, WeylModuleP(m.lattice, None)))
     with pytest.raises(ValueError):
         InducedFiltration((m, WeylModuleP.build(a2, (1, 0), 2, 100)))
+    with pytest.raises(ValueError):
+        norm_form_identity_check((m, WeylModuleP(m.lattice, 3)))
 
 
 # --- the twisted operator ----------------------------------------------------
@@ -218,7 +215,7 @@ def test_f0_smash_f0_matches_direct_computation(a1):
 ])
 def test_norm_form_identity(label, lam, p):
     system = build_root_system(label)
-    report = norm_form_identity_check(system, lam, lam, p)
+    report = norm_form_identity_check(legs(system, lam, lam, p))
     assert report.identity_ok
     assert report.vector_nonzero
     assert report.membership_level == (p - 1) * system.n_pos
@@ -226,7 +223,7 @@ def test_norm_form_identity(label, lam, p):
 
 
 def test_norm_form_identity_mixed_weights(a1):
-    report = norm_form_identity_check(a1, (2,), (4,), 3)
+    report = norm_form_identity_check(legs(a1, (2,), (4,), 3))
     assert report.identity_ok
     assert report.vector_nonzero
     assert report.membership_ok
@@ -235,7 +232,7 @@ def test_norm_form_identity_mixed_weights(a1):
 def test_norm_form_annihilated_vector(a1):
     # V(1) at p = 3: F^(2) kills the highest vector, so the identity holds
     # trivially and membership is vacuous
-    report = norm_form_identity_check(a1, (1,), (1,), 3)
+    report = norm_form_identity_check(legs(a1, (1,), (1,), 3))
     assert report.identity_ok
     assert not report.vector_nonzero
     assert report.membership_ok is None
@@ -244,7 +241,7 @@ def test_norm_form_annihilated_vector(a1):
 
 def test_norm_form_needs_positive_characteristic(a1):
     with pytest.raises(ValueError):
-        norm_form_identity_check(a1, (2,), (2,), None)
+        norm_form_identity_check(legs(a1, (2,), (2,), None))
 
 
 # --- order independence of the product --------------------------------------
@@ -257,7 +254,7 @@ def test_norm_form_needs_positive_characteristic(a1):
 ])
 def test_product_order_equality(label, lam, p, expected):
     system = build_root_system(label)
-    report = product_order_equality(system, lam, lam, p)
+    report = product_order_equality(legs(system, lam, lam, p))
     assert report.equal
     assert report.smash_dims == expected
     assert report.reversed_dims == expected
@@ -268,7 +265,7 @@ def test_product_order_equality(label, lam, p, expected):
 
 
 def test_comparison_map_collapses_against_trivial_factor(a1):
-    report = comparison_map_check(a1, (2,), (0,), 3)
+    report = comparison_map_check(legs(a1, (2,), (0,), 3))
     assert report.inclusion_ok
     assert report.module_graded_dims == [1, 1, 1]
     assert report.image_dims == [1, 0, 0]
@@ -277,14 +274,14 @@ def test_comparison_map_collapses_against_trivial_factor(a1):
 
 
 def test_comparison_map_injective_case(a1):
-    report = comparison_map_check(a1, (1,), (1,), 2)
+    report = comparison_map_check(legs(a1, (1,), (1,), 2))
     assert report.inclusion_ok
     assert report.kernel_dims == [0, 0]
     assert report.injective
 
 
 def test_comparison_map_a2_adjoint(a2):
-    report = comparison_map_check(a2, (1, 1), (0, 0), None)
+    report = comparison_map_check(legs(a2, (1, 1), (0, 0), None))
     assert report.inclusion_ok
     assert report.module_graded_dims == [1, 3, 4, 0, 0]
     assert report.image_dims == [1, 0, 0, 0, 0]
@@ -301,7 +298,7 @@ def test_comparison_map_a2_adjoint(a2):
 ])
 def test_delta_stability(label, lam, mu, p, k_cap):
     system = build_root_system(label)
-    report = delta_stability_check(system, lam, mu, p, k_cap=k_cap)
+    report = delta_stability_check(legs(system, lam, mu, p), k_cap=k_cap)
     assert report.stable
     assert report.violations == []
     assert report.checked_levels >= 1
@@ -311,7 +308,9 @@ def test_delta_stability(label, lam, mu, p, k_cap):
 
 
 def test_dual_filtration_dims(a1, a2):
-    assert [dual_filtration_dims(a1, (1,), (1,), 2, n) for n in range(4)] \
-        == [4, 1, 0, 0]
-    assert [dual_filtration_dims(a2, (1, 0), (0, 1), 2, n) for n in range(4)] \
-        == [9, 1, 0, 0]
+    # V(1)* = V(1) in A1; in A2 the dual of V(1,0) (x) V(0,1) is
+    # V(0,1) (x) V(1,0)
+    star = legs(a1, (1,), (1,), 2)
+    assert [dual_filtration_dims(star, n) for n in range(4)] == [4, 1, 0, 0]
+    star = legs(a2, a2.star((1, 0)), a2.star((0, 1)), 2)
+    assert [dual_filtration_dims(star, n) for n in range(4)] == [9, 1, 0, 0]

@@ -165,8 +165,10 @@ def test_dual_act_rejects_wrong_length():
 def test_dual_functional_weights():
     a1 = build_root_system("A1")
     d = DualModuleP(WeylModuleP.build(a1, (2,), None, 100))
-    assert d.functional_weight((2,)) == (2,)       # dual to the lowest vector
-    assert d.functional_weight((0,)) == (-2,)
+    assert d.functional_weight({(2,): [1]}) == (2,)   # dual to the lowest vector
+    assert d.functional_weight({(0,): [1]}) == (-2,)
+    assert d.functional_weight({(1,): [0]}) is None   # the zero functional
+    assert d.functional_weight({(0,): [1], (2,): [1]}) is None   # mixed
 
 
 def test_tensor_of_is_sparse_canonical():
