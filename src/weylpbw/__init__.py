@@ -54,11 +54,9 @@ from .pbw import (  # noqa: E402,F401
 from .tensorfilt import (  # noqa: E402,F401
     InducedFiltration,
     InducedFiltrationTable,
-    SmashOperator,
     comparison_map_check,
     delta_stability_check,
     dual_filtration_dims,
-    f0_smash_f0,
     norm_form_identity_check,
     product_order_equality,
     vv_level_contains,

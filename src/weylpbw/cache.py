@@ -5,9 +5,11 @@ Cartan matrix, the highest weight, the structure-constant sign convention,
 and the code version. The admissible Z-lattice does not depend on the
 characteristic, so there is one entry per (Cartan matrix, weight), shared by
 every prime and by characteristic zero. An entry file is the entry's JSON
-line and then that line's sha256; a loaded entry that fails its digest, or
-whose recorded key fields no longer hash to its own key, is discarded and
-recomputed — a stale, foreign or damaged file can never poison a run.
+line and then that line's sha256. A loaded entry that fails its digest,
+whose recorded key fields no longer hash to its own key, whose payload does
+not parse, or whose lattice has another highest weight or the wrong
+dimension is discarded and recomputed — a stale, foreign or damaged file can
+never poison a run.
 Writes go through a temporary file in the same directory followed by an
 atomic rename, so a crashed run leaves no half-written entries.
 """
@@ -124,8 +126,14 @@ def load_or_build_lattice(system: RootSystem, weight: Sequence[int],
     key = content_key(system.cartan.matrix, weight)
     hit = store.load(key)
     if hit is not None:
-        lattice = AdmissibleLattice.from_payload(hit["payload"])
-        if lattice.system.cartan.matrix == system.cartan.matrix:
+        try:
+            lattice = AdmissibleLattice.from_payload(hit["payload"])
+        except (KeyError, TypeError, ValueError, IndexError):
+            lattice = None
+        if (lattice is not None
+                and lattice.system.cartan.matrix == system.cartan.matrix
+                and lattice.highest_weight == weight
+                and lattice.dim == system.weyl_dimension(weight)):
             return lattice
     lattice = AdmissibleLattice.build(system, weight, dim_cap)
     store.store(key, {

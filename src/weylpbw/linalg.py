@@ -6,8 +6,10 @@ dicts keyed by column index; dense matrices are lists of row lists.
 """
 from __future__ import annotations
 
+import copy
 import operator
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -140,6 +142,21 @@ class RowSpaceQQ:
 def row_space(p: int | None):
     """Rank/membership engine for the given scalar field (None means Q)."""
     return RowSpaceQQ() if p is None else RowSpaceGF(p)
+
+
+def pivot_prefix(space, k: int):
+    """The row space of the first k pivots ``space`` stored, over its field.
+
+    An insert that raises the rank stores one pivot under a new leading
+    column and never changes it, so the pivots keep their insertion order
+    and the first k of them span exactly the first k rank-raising vectors.
+    Rows with distinct leading columns reduce as an echelon basis, so the
+    result's ``contains`` decides membership in that span. The rows are
+    shared with ``space``, not copied.
+    """
+    sub = copy.copy(space)
+    sub.pivots = dict(islice(space.pivots.items(), k))
+    return sub
 
 
 def solve_dense(mat: Sequence[Sequence], rhs_cols: Sequence[Sequence],

@@ -329,9 +329,6 @@ class Polynomial:
             out[s] = out.get(s, 0) + c
         return Polynomial(out)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: Dict[MultiIndex, object] = {}
         for s, a in self.coeffs.items():
@@ -339,19 +336,6 @@ class Polynomial:
                 key = tuple(x + y for x, y in zip(s, t))
                 out[key] = out.get(key, 0) + a * b
         return Polynomial(out)
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        if n == 0:
-            if not self.coeffs:
-                raise ValueError("0^0 of the zero polynomial")
-            width = len(next(iter(self.coeffs)))
-            return Polynomial({tuple([0] * width): 1})
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
 
     def scale(self, c) -> "Polynomial":
         return Polynomial({s: c * v for s, v in self.coeffs.items()})
@@ -366,9 +350,6 @@ class Polynomial:
 
     def support(self) -> List[MultiIndex]:
         return sorted(self.coeffs, key=order_key)
-
-    def degrees(self) -> List[int]:
-        return sorted({sum(s) for s in self.coeffs})
 
     def __repr__(self) -> str:
         if not self.coeffs:

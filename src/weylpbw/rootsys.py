@@ -434,9 +434,6 @@ class RootSystem:
     def rho(self) -> Weight:
         return tuple([1] * self.rank)
 
-    def fundamental_weight(self, i: int) -> Weight:
-        return tuple(int(i == j) for j in range(self.rank))
-
     def pairing(self, lam: Weight, beta: Coords) -> int:
         """<lam, beta^vee> for a weight lam and a root beta."""
         cor = self.coroot_coords(beta)
@@ -444,10 +441,6 @@ class RootSystem:
 
     def is_dominant(self, lam: Weight) -> bool:
         return all(m >= 0 for m in lam)
-
-    def dominates(self, mu: Weight, nu: Weight) -> bool:
-        """nu ⪯ mu in the dominance order used here: mu - nu dominant."""
-        return all(a - b >= 0 for a, b in zip(mu, nu))
 
     def star(self, lam: Weight) -> Weight:
         """-w0(lam): the highest weight of the dual of V(lam)."""

@@ -11,11 +11,16 @@ use lowering monomials only — the cyclic vector is highest-weight — and the
 raising/lowering stability of the levels is then *checked*, not presupposed.
 
 Every spanning vector is a weight vector, so ranks are swept one total
-weight at a time with exact elimination (no probabilistic shortcuts). The
-module also verifies the structural facts used downstream: the two product
-orders span the same levels, the comparison map from the single-factor
-filtration is filtration-preserving (with its graded kernel measured, since
-it is not injective in general), and the norm-form identity
+weight at a time with exact elimination (no probabilistic shortcuts). A
+vector the sweep keeps adds one pivot to its weight's row space, and pivots
+keep their insertion order, so every level VV_n is spanned, weight by
+weight, by a prefix of those pivots: membership in any level is one
+reduction against that prefix, with no second sweep.
+
+The module also verifies the structural facts used downstream: the two
+product orders span the same levels, the comparison map from the
+single-factor filtration is filtration-preserving (with its graded kernel
+measured, since it is not injective in general), and the norm-form identity
 (F0 (x) 1) . Delta(F0) = F0 (x) F0 holds on the cyclic vector.
 
 Everything here takes built legs, a pair (V(lam), V(mu)) of Weyl modules
@@ -25,12 +30,13 @@ them.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cache import input_hash
 from .charzero import DIM_CAP_DEFAULT
-from .linalg import row_space
+from .linalg import pivot_prefix, row_space
 from .pbw import monomials_of_degree, pbw_filtration
 from .rootsys import ResourceCapError
 from .weylmod import (HyperMonomial, TensorVector, WeylModuleP, f_zero,
@@ -98,40 +104,18 @@ class _WeightSpan:
             space = self._spaces[group] = row_space(self.p)
         return space.insert(self._flatten(group, tvec))
 
-    def contains(self, tvec: TensorVector) -> bool:
+    def contains(self, tvec: TensorVector, k: int) -> bool:
+        """Membership of a nonzero weight vector in the span of the first k
+        vectors that raised the rank of its weight's space."""
         group = _total_depth(tvec)
-        if group is None:
-            return True
         space = self._spaces.get(group)
         if space is None:
             return False
-        return space.contains(self._flatten(group, tvec))
+        return pivot_prefix(space, k).contains(self._flatten(group, tvec))
 
     @property
     def rank(self) -> int:
         return sum(space.rank for space in self._spaces.values())
-
-
-@dataclass(frozen=True)
-class SmashOperator:
-    """A pair (A, X) of lowering/arbitrary monomials acting as (A (x) 1) after
-    the coproduct of X — the module-level shadow of the smash product A # X."""
-    outer: HyperMonomial
-    inner: HyperMonomial
-
-    def __post_init__(self):
-        if self.outer.side != "F":
-            raise ValueError("the outer factor acts on the first leg and must lower")
-
-    def apply(self, mods: Tuple[WeylModuleP, WeylModuleP],
-              tvec: TensorVector) -> TensorVector:
-        return tensor_leg_act(mods, 0, self.outer, tensor_act(mods, self.inner, tvec))
-
-
-def f0_smash_f0(n_pos: int, p: int) -> SmashOperator:
-    """The operator (F0 (x) 1) . Delta(F0), F0 the all-(p-1) lowering monomial."""
-    f0 = f_zero(n_pos, p)
-    return SmashOperator(f0, f0)
 
 
 @dataclass
@@ -202,6 +186,8 @@ class InducedFiltration:
         self._tpairs = self._delta_orbit()
         self.span = _WeightSpan(p)
         self.kept: List[Tuple[int, TensorVector]] = []
+        # the degrees of the kept vectors, one ascending list per total weight
+        self._kept_degrees: Dict[Weight, List[int]] = {}
         self.level_dims: List[int] = []
         self._sweep(min(self.requested, self.s_max))
 
@@ -238,6 +224,7 @@ class InducedFiltration:
                 for vec in self._spanning(n):
                     if self.span.insert(vec):
                         self.kept.append((n, vec))
+                        self._kept_degrees.setdefault(_total_depth(vec), []).append(n)
                         if len(self.kept) == self.cap:
                             break
             self.level_dims.append(self.span.rank)
@@ -257,20 +244,21 @@ class InducedFiltration:
             return self.level_dims[n]
         return self.level_dims[-1]
 
-    def contains(self, tvec: TensorVector) -> bool:
-        """Membership of a weight-homogeneous vector in the top computed level."""
-        return self.span.contains(tvec)
-
     def contains_at(self, tvec: TensorVector, n: int) -> bool:
-        """Membership in VV_n for any computed level n, re-swept from the
-        kept vectors of degree <= n."""
-        if n >= len(self.level_dims) - 1:
-            return self.contains(tvec)
-        span = _WeightSpan(self.p)
-        for d, vec in self.kept:
-            if d <= n:
-                span.insert(vec)
-        return span.contains(tvec)
+        """Membership of a weight-homogeneous vector in VV_n, for any n.
+
+        Each kept vector added one pivot to its weight's row space, and the
+        sweep keeps vectors in degree order, so VV_n in weight g is spanned
+        by the first k pivots of g's space, k the number of kept vectors of
+        weight g and degree <= n. One reduction against that prefix decides
+        membership; below level 0 the prefix is empty, and above the swept
+        levels it is the whole space.
+        """
+        group = _total_depth(tvec)
+        if group is None:
+            return True
+        k = bisect_right(self._kept_degrees.get(group, []), n)
+        return self.span.contains(tvec, k)
 
     def table(self) -> InducedFiltrationTable:
         levels = [self.level(n) for n in range(self.requested + 1)]
@@ -290,7 +278,7 @@ def vv_level_contains(mods: Tuple[WeylModuleP, WeylModuleP], tvec: TensorVector,
     if group is None:
         return True
     filt = InducedFiltration(mods, up_to=level, weight_group=group)
-    return filt.contains(tvec)
+    return filt.contains_at(tvec, level)
 
 
 # --------------------------------------------------------------------------
@@ -425,13 +413,10 @@ def delta_stability_check(mods: Tuple[WeylModuleP, WeylModuleP],
     filt = InducedFiltration(mods, up_to)
     system, p = filt.system, filt.p
     top = min(filt.requested, filt.s_max)
-    sweep = _WeightSpan(p)
     violations: List[Tuple[int, str, int, int]] = []
     basis: List[TensorVector] = []
     zero = [0] * system.n_pos
     for n, kept in enumerate(filt.kept_by_level()):
-        for vec in kept:
-            sweep.insert(vec)
         basis.extend(kept)
         for w in basis:
             for side in ("F", "E"):
@@ -440,7 +425,7 @@ def delta_stability_check(mods: Tuple[WeylModuleP, WeylModuleP],
                         expo = list(zero)
                         expo[pos] = k
                         u = tensor_act(filt.mods, HyperMonomial(side, tuple(expo)), w)
-                        if u and not sweep.contains(u):
+                        if u and not filt.contains_at(u, n):
                             violations.append((n, side, pos, k))
     return StabilityReport(filt.lam, filt.mu, p, k_cap, top, violations)
 

@@ -153,3 +153,21 @@ def test_load_or_build_rebuilds_a_corrupted_entry(tmp_path):
     rebuilt = load_or_build_lattice(g2, (1, 1), 3, store)
     assert stable_dumps(rebuilt.to_payload()) == stable_dumps(built.to_payload())
     assert path.read_bytes() == raw                 # the entry was rewritten
+
+
+def test_load_or_build_rebuilds_an_entry_that_does_not_check(tmp_path):
+    """A digest-valid entry under the right key whose payload does not parse,
+    or parses to another module, is a miss: rebuilt and overwritten."""
+    a2 = build_root_system("A2")
+    store = PayloadStore(tmp_path)
+    key = content_key(a2.cartan.matrix, (1, 0))
+    want = stable_dumps(AdmissibleLattice.build(a2, (1, 0)).to_payload())
+    dual = AdmissibleLattice.build(a2, (0, 1)).to_payload()    # the same dimension
+    short = AdmissibleLattice.build(a2, (1, 0)).to_payload()
+    short["blocks"] = short["blocks"][:-1]
+    for payload in ({"cartan": [[2]]}, [1, 2], {"cartan": "A2"}, dual, short):
+        store.store(key, {"key_fields": key_fields(a2.cartan.matrix, (1, 0)),
+                          "payload": payload})
+        rebuilt = load_or_build_lattice(a2, (1, 0), None, store)
+        assert stable_dumps(rebuilt.to_payload()) == want
+        assert stable_dumps(store.load(key)["payload"]) == want

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from weylpbw.cache import CACHE_DIR_ENV
+from weylpbw.cache import CACHE_DIR_ENV, PayloadStore, content_key, key_fields
 from weylpbw.cli import main
 
 
@@ -267,6 +267,19 @@ def test_corrupted_cache_entry_is_rebuilt(capsys, tmp_path):
     f[sorted(f)[0]][0][0] += 5
     path.write_text(f"{json.dumps(entry)}\n{digest}\n")
     code, out, _ = run(capsys, *args, "--cache-dir", str(cache), "--quiet")
+    assert (code, out) == (0, want)
+
+
+def test_unparsable_cache_entry_is_rebuilt(capsys, tmp_path):
+    """A digest-valid entry under the right key whose payload is not a
+    lattice is a miss, not a traceback."""
+    args = ("essential", "--type", "A1", "--weight", "2")
+    code, want, _ = run(capsys, *args, "--no-cache", "--quiet")
+    assert code == 0
+    store = PayloadStore(tmp_path / "store")
+    store.store(content_key([[2]], (2,)),
+                {"key_fields": key_fields([[2]], (2,)), "payload": {"cartan": [[2]]}})
+    code, out, _ = run(capsys, *args, "--cache-dir", str(store.root), "--quiet")
     assert (code, out) == (0, want)
 
 

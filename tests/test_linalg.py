@@ -1,5 +1,6 @@
 """Exact linear algebra: row spaces, solvers, and integer lattices."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from weylpbw.linalg import (
     ScaledLattice,
     clear_denominators,
     hnf_rows,
+    pivot_prefix,
     rank_dense,
     row_space,
     solve_dense,
@@ -61,6 +63,38 @@ def test_row_space_qq():
 def test_row_space_factory():
     assert isinstance(row_space(None), RowSpaceQQ)
     assert isinstance(row_space(7), RowSpaceGF)
+
+
+@pytest.mark.parametrize("p", [2, 3, None])
+def test_pivot_prefix_spans_the_first_rank_raising_vectors(p):
+    """The first k pivots span exactly the first k vectors whose insert
+    raised the rank, checked against a fresh space of those vectors."""
+    rng = random.Random(p)
+    space = row_space(p)
+    raising = []
+    for _ in range(40):
+        vec = {c: rng.randint(-2, 2) for c in rng.sample(range(8), rng.randint(1, 4))}
+        if space.insert(vec):
+            raising.append(vec)
+    assert space.rank == len(raising) >= 4
+    probes = [{c: rng.randint(-2, 2) for c in range(8)} for _ in range(30)]
+    for j in range(1, len(raising) + 1):        # a combination that needs raising[j - 1]
+        combo = {}
+        for i, vec in enumerate(raising[:j]):
+            f = 1 if i == j - 1 else rng.randint(-2, 2)
+            for c, v in vec.items():
+                combo[c] = combo.get(c, 0) + f * v
+        probes.append(combo)
+    for k in range(len(raising) + 2):
+        fresh = row_space(p)
+        for vec in raising[:k]:
+            fresh.insert(vec)
+        sub = pivot_prefix(space, k)
+        assert sub.rank == fresh.rank == min(k, len(raising))
+        for vec in raising + probes:
+            assert sub.contains(vec) == fresh.contains(vec)
+    assert pivot_prefix(space, 0).pivots == {}
+    assert space.rank == len(raising)           # the prefix changed nothing
 
 
 def test_solve_dense_round_trip():

@@ -1,28 +1,27 @@
 """The induced filtration on tensor products and its structural properties."""
 
+import random
+
 import pytest
 from builders import g2_fundamentals, legs, v_gamma
 
 from weylpbw import (
     InducedFiltration,
     ResourceCapError,
-    SmashOperator,
     WeylModuleP,
     build_root_system,
     check_condition2,
     comparison_map_check,
     delta_stability_check,
     dual_filtration_dims,
-    f0_smash_f0,
     g2_verify,
     norm_form_identity_check,
     product_order_equality,
-    tensor_act,
     tensor_of,
     vv_level_contains,
 )
-from weylpbw import tensorfilt
-from weylpbw.weylmod import HyperMonomial, f_zero, tensor_leg_act
+from weylpbw import linalg, tensorfilt
+from weylpbw.weylmod import f_zero
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +144,101 @@ def test_kept_by_level_splits_the_kept_basis(a2):
     assert [v for vecs in levels for v in vecs] == [v for _, v in filt.kept]
 
 
+# --- membership at every level ----------------------------------------------
+
+
+def condition2_filtration(label, p):
+    """The filtration check_condition2 sweeps: V(gamma) (x) V(gamma) on the
+    weight of F0.v (x) F0.v, up to level (p-1)N."""
+    system = build_root_system(label)
+    m = v_gamma(system, p)
+    f0 = f_zero(system.n_pos, p)
+    group = tuple(2 * v for v in system.monomial_depth(f0.exponents))
+    return InducedFiltration((m, m), up_to=(p - 1) * system.n_pos, weight_group=group)
+
+
+MEMBERSHIP_CASES = {
+    "A1-square-gf2": lambda: InducedFiltration(legs(build_root_system("A1"), (2,), (2,), 2)),
+    "A2-gf3": lambda: InducedFiltration(legs(build_root_system("A2"), (1, 1), (1, 0), 3)),
+    "B2-qq": lambda: InducedFiltration(legs(build_root_system("B2"), (1, 0), (0, 1), None)),
+    "A2-square-qq-restricted": lambda: InducedFiltration(
+        legs(build_root_system("A2"), (1, 1), (1, 1), None), weight_group=(1, 1)),
+    "condition2-A1-p7": lambda: condition2_filtration("A1", 7),
+    "condition2-B2-p2": lambda: condition2_filtration("B2", 2),
+    "condition2-A2-p3": lambda: condition2_filtration("A2", 3),
+}
+
+
+def combine(terms, p):
+    """The tensor vector sum(c * vec for c, vec in terms), reduced mod p."""
+    out = {}
+    for c, vec in terms:
+        for key, block in vec.items():
+            acc = out.setdefault(key, [[0] * len(block[0]) for _ in block])
+            for row, vals in zip(acc, block):
+                for j, v in enumerate(vals):
+                    row[j] += c * v
+    if p is not None:
+        out = {key: [[v % p for v in row] for row in block] for key, block in out.items()}
+    return {key: block for key, block in out.items() if any(map(any, block))}
+
+
+def membership_probes(filt, rng):
+    """For each weight the sweep kept vectors of: a random combination of all
+    of them, combinations that need one kept vector, and one tensor basis
+    vector; plus the zero vector."""
+    by_weight = {}
+    for _, vec in filt.kept:
+        by_weight.setdefault(tensorfilt._total_depth(vec), []).append(vec)
+    scalars = range(-2, 3) if filt.p is None else range(filt.p)
+    probes = [{}]
+    for vecs in by_weight.values():
+        probes.append(combine([(rng.choice(scalars), v) for v in vecs], filt.p))
+        for last in rng.sample(range(len(vecs)), min(3, len(vecs))):
+            probes.append(combine([(rng.choice(scalars), v) for v in vecs[:last]]
+                                  + [(1, vecs[last])], filt.p))
+        key, block = rng.choice(sorted(vecs[-1].items()))
+        unit = [[0] * len(block[0]) for _ in block]
+        unit[rng.randrange(len(block))][rng.randrange(len(block[0]))] = 1
+        probes.append({key: unit})
+    return probes
+
+
+@pytest.mark.parametrize("make", MEMBERSHIP_CASES.values(), ids=MEMBERSHIP_CASES.keys())
+def test_contains_at_matches_a_fresh_sweep_at_every_level(make):
+    """contains_at(v, n) agrees with a fresh span of the kept vectors of
+    degree <= n, from below level 0 to above the swept levels."""
+    filt = make()
+    probes = membership_probes(filt, random.Random(11))
+    top = len(filt.level_dims) - 1
+    outcomes = set()
+    for n in range(-1, top + 2):
+        fresh = tensorfilt._WeightSpan(filt.p)
+        for d, vec in filt.kept:
+            if d <= n:
+                fresh.insert(vec)
+        for vec in probes:
+            # a prefix as long as the whole rank is all of the fresh span
+            want = fresh.contains(vec, fresh.rank) if vec else True
+            assert filt.contains_at(vec, n) == want, (n, vec)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_contains_at_inserts_nothing(monkeypatch):
+    filts = [MEMBERSHIP_CASES[case]() for case in ("A2-gf3", "B2-qq")]
+
+    def no_insert(self, vec):
+        raise AssertionError("a membership query must not insert")
+    monkeypatch.setattr(linalg.RowSpaceGF, "insert", no_insert)
+    monkeypatch.setattr(linalg.RowSpaceQQ, "insert", no_insert)
+    for filt in filts:
+        probes = membership_probes(filt, random.Random(3))
+        for n in range(-1, len(filt.level_dims) + 1):
+            for vec in probes:
+                filt.contains_at(vec, n)
+
+
 def test_tensor_square_builds_one_module(a1, lattice_builds):
     m = WeylModuleP.build(a1, (2,), 3)
     filt = InducedFiltration((m, m))
@@ -185,25 +279,6 @@ def test_legs_must_share_system_and_characteristic(a1, a2):
         InducedFiltration((m, WeylModuleP.build(a2, (1, 0), 2, 100)))
     with pytest.raises(ValueError):
         norm_form_identity_check((m, WeylModuleP(m.lattice, 3)))
-
-
-# --- the twisted operator ----------------------------------------------------
-
-
-def test_smash_operator_requires_lowering(a1):
-    with pytest.raises(ValueError):
-        SmashOperator(HyperMonomial("E", (1,)), HyperMonomial("F", (1,)))
-
-
-def test_f0_smash_f0_matches_direct_computation(a1):
-    p = 3
-    op = f0_smash_f0(1, p)
-    m = WeylModuleP.build(a1, (4,), p, 100)
-    start = tensor_of((m.highest_vector(), m.highest_vector()))
-    via_op = op.apply((m, m), start)
-    f0 = f_zero(1, p)
-    direct = tensor_leg_act((m, m), 0, f0, tensor_act((m, m), f0, start))
-    assert via_op == direct
 
 
 # --- norm-form identity ------------------------------------------------------

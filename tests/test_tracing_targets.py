@@ -58,3 +58,35 @@ def test_traced_lattice_builds_keep_their_counts():
     assert result.returncode == 0, result.stderr
     counts = json.loads(result.stdout)
     assert {name: counts.get(name, 0) for name in PINNED_BUILD_COUNTS} == PINNED_BUILD_COUNTS
+
+
+def test_every_active_span_fires(tmp_path):
+    """Tiny items of each benchmark workload reach every span the workload
+    declares ``active``; ``perfbench/run.py --trace 1`` fails on a silent one."""
+    result = _traced_python(
+        "import contextlib, io, json, tracing, workloads\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "from weylpbw import PayloadStore, build_root_system, cli, load_or_build_lattice\n"
+        f"store = PayloadStore({str(tmp_path / 'store')!r})\n"
+        "calls = {}\n"
+        "def main(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main([*argv, '--quiet'])\n"
+        "def close(name):\n"
+        "    calls[name] = {m for m, n in tracer.counts.items() if m.endswith('.calls') and n}\n"
+        "    tracer.counts.clear()\n"
+        "main('verify', '--condition2', '--type', 'A1', '--p', '3')\n"
+        "main('verify', '--v0', '--type', 'A1', '--p', '3')\n"
+        "main('verify', '--g2', '--p', '11')\n"
+        "close('verify')\n"
+        "load_or_build_lattice(build_root_system('A2'), (1, 1), None, store)\n"
+        "close('lattice-cold')\n"
+        "for command in ('essential', 'filtration'):\n"
+        "    main(command, '--type', 'A2', '--weight', '1,1', '--p', '3',\n"
+        "         '--cache-dir', str(store.root))\n"
+        "close('sweep-warm')\n"
+        "print(json.dumps({name: [s for s in w.active if s + '.calls' not in calls[name]]\n"
+        "                  for name, w in workloads.WORKLOADS.items()}))\n")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"lattice-cold": [], "sweep-warm": [], "verify": []}
