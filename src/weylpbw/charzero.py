@@ -4,30 +4,33 @@ Two layers live here. ``HWModuleQ`` realises the irreducible module V(lam)
 over Q one weight block at a time: each block carries an exact Gram matrix of
 the contravariant form, and new blocks are spanned by applying simple lowering
 operators to the block one step up, with linear relations detected through the
-Gram matrix alone (no ambient module is ever materialised). Every root
-operator, raising or lowering, comes from one routine: simple roots are read
-off that construction, and each other root beta = alpha_i + rest from the
-Chevalley commutator of X_i and X_rest, on the E side and the F side alike.
-``AdmissibleLattice`` then extracts the minimal integral form: the Z-span of
-all divided-power lowering monomials applied to the highest vector. Its output
-is pure integer data — block dimensions, block weights, and integer matrices
-for every root raising/lowering operator in lattice coordinates — which is
-what the modular layer consumes.
+Gram matrix alone (no ambient module is ever materialised); it yields the
+simple-root operators E_i and F_i. ``AdmissibleLattice`` then extracts the
+minimal integral form U_Z^- v. U_Z^- is generated by the simple-root divided
+powers F_i^(k) (Kostant, "Groups over Z"), so block by block L_t is the sum of
+F_i^(k) L_{t - k alpha_i}. The simple E_i and F_i are rewritten in lattice
+coordinates, and each other root beta = alpha_i + rest follows over Z from
+the Chevalley commutator of X_i and X_rest, divided exactly by the structure
+constant. The output is pure integer data — block dimensions, block weights,
+and integer matrices for every root raising/lowering operator in lattice
+coordinates — which is what the modular layer consumes.
 
-Everything is exact (Fraction / int); nothing here depends on a prime. The
-hot paths keep Fraction work to a minimum: matrix-vector products walk only
-the nonzero entries, the Gram product Gram(mid) @ E_i u is computed once per
-candidate column, block ranks come from fraction-free elimination
-(``linalg.rank_dense``), and operators are rewritten in lattice coordinates
-by integer forward substitution against the block's Hermite basis, which is
-square, upper triangular and has a positive diagonal. A failed invariant
-raises ``InvariantError``, which ``python -O`` does not strip.
+Everything is exact (Fraction / int); nothing here depends on a prime.
+Fractions stay in the Gram layer: each simple operator is cleared once to an
+integer matrix over one denominator, generators are pushed as integer rows
+over one denominator each, and operators reach lattice coordinates by integer
+forward substitution against the block's Hermite basis (square, upper
+triangular, positive diagonal). A failed invariant raises ``InvariantError``,
+which ``python -O`` does not strip.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import ScaledLattice, rank_dense, solve_dense
@@ -58,18 +61,10 @@ def _mat_vec(mat: Sequence[Sequence], vec: Sequence) -> List[Fraction]:
     return out
 
 
-def _add_product(out: Matrix, a: Matrix, b: Matrix, coef: Fraction) -> None:
-    """out += coef * (a @ b); nothing when a factor is absent ([])."""
-    if not a or not b:
-        return
-    for arow, orow in zip(a, out):
-        for k, v in enumerate(arow):
-            if not v:
-                continue
-            w = v * coef
-            for c, x in enumerate(b[k]):
-                if x:
-                    orow[c] += w * x
+def _integer_matrix(mat: Matrix) -> Tuple[List[List[int]], int]:
+    """(ints, den) with mat = ints / den and den the least common denominator."""
+    den = lcm(1, *(v.denominator for row in mat for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in mat], den
 
 
 def _root_splits(system: RootSystem) -> Dict[int, Tuple[int, int, int]]:
@@ -112,9 +107,8 @@ class HWModuleQ:
     vectors of a block are chosen among the candidates F_i u (u running over
     the basis one step up), picked by Gram-matrix pivoting, so every basis
     vector is by construction a lowering monomial applied to the highest
-    vector. All operator matrices are expressed in these block bases, and
-    ``f_root``/``e_root`` are the two sides of one commutator routine with one
-    cache keyed by (side, block, root).
+    vector. ``f_root``/``e_root`` give the simple-root operators in these
+    block bases; the other roots are derived over Z by ``AdmissibleLattice``.
     """
 
     def __init__(self, system, highest_weight: Weight, dim_cap: int = DIM_CAP_DEFAULT):
@@ -132,8 +126,6 @@ class HWModuleQ:
             )
         self.box: Coords = self.system.depth_vector(lam)
         self.blocks: Dict[Coords, _Block] = {}
-        self._splits = _root_splits(self.system)
-        self._roots: Dict[Tuple[str, Coords, int], Matrix] = {}
         self._build()
 
     # -- construction --------------------------------------------------------
@@ -279,59 +271,39 @@ class HWModuleQ:
         return self.blocks[tuple(t)].gram
 
     def f_root(self, t: Coords, pos: int) -> Matrix:
-        """Matrix of the lowering operator for positive root #pos on block t."""
-        return self._root("F", tuple(t), pos)
+        """F_i on block t into block t + alpha_i, for the simple root #pos;
+        [] when either block is absent."""
+        i = self._simple(pos)
+        src = self.blocks.get(tuple(t))
+        tgt = self.blocks.get(tuple(v + (k == i) for k, v in enumerate(t)))
+        if src is None or tgt is None:
+            return []
+        first = tgt.candidates.index((i, 0))
+        return [row[first:first + src.dim] for row in tgt.expand]
 
     def e_root(self, t: Coords, pos: int) -> Matrix:
-        """Matrix of the raising operator for positive root #pos on block t."""
-        return self._root("E", tuple(t), pos)
+        """E_i on block t into block t - alpha_i, for the simple root #pos;
+        [] when either block is absent."""
+        i = self._simple(pos)
+        src = self.blocks.get(tuple(t))
+        return [] if src is None else src.emat[i]
 
-    def _root(self, side: str, t: Coords, pos: int) -> Matrix:
-        """X_beta on block t, into block t + beta ("F") or t - beta ("E").
-
-        [] when either block is absent. F_i is read off the target block's
-        candidate expansion and E_i is the stored ``emat``; a non-simple root
-        comes from the Chevalley relations [E_i, E_rest] = N(alpha_i, rest)
-        E_beta and [F_i, F_rest] = -N(alpha_i, rest) F_beta.
-        """
-        key = (side, t, pos)
-        hit = self._roots.get(key)
-        if hit is not None:
-            return hit
-        sign = 1 if side == "F" else -1
-        roots = self.system.positive_roots
-
-        def moved(c: int) -> Coords:
-            return tuple(v + sign * d for v, d in zip(t, roots[c]))
-
-        src, tgt = self.blocks.get(t), self.blocks.get(moved(pos))
-        if src is None or tgt is None:
-            mat = []
-        elif pos in self._splits:
-            ipos, rpos, n_const = self._splits[pos]
-            public = self.f_root if side == "F" else self.e_root
-            scale = Fraction(-sign, n_const)
-            mat = _zeros(tgt.dim, src.dim)
-            # X_i X_rest - X_rest X_i; a term whose middle block is absent
-            # has both factors absent and adds nothing
-            _add_product(mat, self._root(side, moved(rpos), ipos), public(t, rpos), scale)
-            _add_product(mat, public(moved(ipos), rpos), self._root(side, t, ipos), -scale)
-        elif side == "F":
-            first = tgt.candidates.index((roots[pos].index(1), 0))
-            mat = [row[first:first + src.dim] for row in tgt.expand]
-        else:
-            mat = src.emat[roots[pos].index(1)]
-        self._roots[key] = mat
-        return mat
+    def _simple(self, pos: int) -> int:
+        beta = self.system.positive_roots[pos]
+        if sum(beta) != 1:
+            raise ValueError(f"root #{pos} {beta} is not simple")
+        return beta.index(1)
 
 
 class AdmissibleLattice:
     """Minimal integral form of V(lam): integer operator matrices per block.
 
-    The lattice in each weight block is generated by every ordered divided
-    lowering monomial applied to the highest vector; bases are canonical
-    (Hermite form), so the integer data below is reproducible bit for bit
-    across runs and platforms.
+    The lattice is U_Z^- v, the Z-span of every ordered divided lowering
+    monomial applied to the highest vector; ``build`` generates it from the
+    simple-root divided powers alone and derives the non-simple root
+    operators over Z by exact commutators. Bases are canonical (Hermite
+    form), so the integer data below is reproducible bit for bit across runs
+    and platforms.
     """
 
     def __init__(self, system, highest_weight: Weight, *,
@@ -355,82 +327,116 @@ class AdmissibleLattice:
     def build(cls, system, highest_weight: Weight,
               dim_cap: int = DIM_CAP_DEFAULT) -> "AdmissibleLattice":
         module = HWModuleQ(system, highest_weight, dim_cap)
-        sysm = module.system
-        lattices: Dict[Coords, ScaledLattice] = {
-            t: ScaledLattice(blk.dim) for t, blk in module.blocks.items()
-        }
-        zero_t = tuple(0 for _ in range(sysm.rank))
+        sysm, blocks = module.system, module.blocks
+        roots = sysm.positive_roots
+        simple = range(sysm.n_pos - sysm.rank, sysm.n_pos)
 
-        def descend(pos: int, t: Coords, vec: List[Fraction]) -> None:
-            if pos < 0:
-                return
-            descend(pos - 1, t, vec)
-            beta = sysm.positive_roots[pos]
-            cur_t, cur = t, vec
-            step = 0
-            while True:
-                step += 1
-                mat = module.f_root(cur_t, pos)
-                if not mat:
-                    break
-                cur = [v / step for v in _mat_vec(mat, cur)]
-                cur_t = tuple(v + d for v, d in zip(cur_t, beta))
-                if not any(cur):
-                    break
-                lattices[cur_t].insert(cur)
-                descend(pos - 1, cur_t, cur)
+        def moved(t: Coords, pos: int, sign: int) -> Coords:
+            return tuple(v + sign * d for v, d in zip(t, roots[pos]))
 
-        lattices[zero_t].insert([Fraction(1)])
-        descend(sysm.n_pos - 1, zero_t, [Fraction(1)])
+        @functools.cache
+        def simple_op(side: str, t: Coords, pos: int) -> Tuple[List[List[int]], int]:
+            """The simple X_i on block t in the Q-basis, as (integers, denominator)."""
+            return _integer_matrix((module.f_root if side == "F" else module.e_root)(t, pos))
 
+        # L_t = sum over i, k of F_i^(k) L_{t - k alpha_i}. Blocks come by
+        # depth, so L_t is complete when reached; its basis is then pushed
+        # down every simple string as integer rows over one denominator each,
+        # with F_i^(k) = F_i F_i^(k-1) / k.
+        lattices = {t: ScaledLattice(blk.dim) for t, blk in blocks.items()}
+        lattices[tuple(0 for _ in range(sysm.rank))].insert([1])
         dens: Dict[Coords, int] = {}
         rows: Dict[Coords, List[Tuple[int, ...]]] = {}
-        for t, blk in module.blocks.items():
-            den, basis = lattices[t].finalize()
+        for t, blk in blocks.items():
+            den, basis = lattices.pop(t).finalize()
             if len(basis) != blk.dim:
                 raise InvariantError(
                     f"lattice rank {len(basis)} != block dimension {blk.dim} at {t}"
                 )
-            dens[t] = den
-            rows[t] = basis
+            dens[t], rows[t] = den, basis
+            for pos in simple:
+                cur_t, cur, k = t, [(row, den) for row in basis], 1
+                while cur and moved(cur_t, pos, 1) in blocks:
+                    ints, op_den = simple_op("F", cur_t, pos)
+                    cur_t, nxt = moved(cur_t, pos, 1), []
+                    for vec, vec_den in cur:
+                        image = [sum(map(mul, r, vec)) for r in ints]
+                        if any(image):
+                            new_den = vec_den * op_den * k
+                            g = gcd(new_den, *image)
+                            nxt.append(([v // g for v in image], new_den // g))
+                            lattices[cur_t].insert(*nxt[-1])
+                    cur, k = nxt, k + 1
 
-        def to_lattice(src: Coords, tgt: Coords, mat: Matrix) -> List[List[int]]:
-            """Rewrite a Q-basis operator block in lattice coordinates."""
-            sdim, tdim = module.blocks[src].dim, module.blocks[tgt].dim
+        def to_lattice(src: Coords, tgt: Coords,
+                       op: Tuple[List[List[int]], int]) -> List[List[int]]:
+            """Rewrite a Q-basis operator (integers, denominator) in lattice coordinates."""
+            ints, den = op
             # rows[tgt] is the HNF basis of a full-rank lattice: square, upper
             # triangular, positive diagonal. Solving basis^T @ x = image is a
             # forward substitution, and x is integral iff every step divides.
-            basis = rows[tgt]
-            scale = Fraction(dens[tgt], dens[src])
-            out: List[List[int]] = [[0] * sdim for _ in range(tdim)]
-            for a in range(sdim):
-                image = _mat_vec(mat, rows[src][a])
+            basis, div = rows[tgt], dens[src] * den
+            out: List[List[int]] = [[0] * len(rows[src]) for _ in basis]
+            for a, row in enumerate(rows[src]):
                 x: List[int] = []
-                for r in range(tdim):
-                    v = image[r] * scale
-                    acc = v.numerator - sum(basis[k][r] * x[k] for k in range(r) if x[k])
-                    q, rem = divmod(acc, basis[r][r])
-                    if rem or v.denominator != 1:
+                for r, ir in enumerate(ints):
+                    acc, rem = divmod(sum(map(mul, ir, row)) * dens[tgt], div)
+                    if not rem:
+                        acc -= sum(basis[k][r] * x[k] for k in range(r) if x[k])
+                        acc, rem = divmod(acc, basis[r][r])
+                    if rem:
                         raise InvariantError(
                             f"operator matrix not integral on the lattice at {src}"
                         )
-                    x.append(q)
-                    out[r][a] = q
+                    x.append(acc)
+                    out[r][a] = acc
             return out
 
         e_gen: Dict[Tuple[int, Coords], List[List[int]]] = {}
         f_gen: Dict[Tuple[int, Coords], List[List[int]]] = {}
-        sides = ((f_gen, 1, module.f_root), (e_gen, -1, module.e_root))
-        for t in module.blocks:
-            for pos, beta in enumerate(sysm.positive_roots):
-                for gen, sign, operator in sides:
-                    tgt = tuple(v + sign * d for v, d in zip(t, beta))
-                    if tgt in module.blocks:
-                        gen[(pos, t)] = to_lattice(t, tgt, operator(t, pos))
+        sides = (("F", f_gen, 1), ("E", e_gen, -1))
+        for t in blocks:
+            for pos in simple:
+                for side, gen, sign in sides:
+                    tgt = moved(t, pos, sign)
+                    if tgt in blocks:
+                        gen[(pos, t)] = to_lattice(t, tgt, simple_op(side, t, pos))
 
-        weights = {t: blk.weight for t, blk in module.blocks.items()}
-        dims = {t: blk.dim for t, blk in module.blocks.items()}
-        return cls(sysm, highest_weight, block_order=list(module.blocks),
+        # Every other root, lowest first, from the Chevalley relations
+        # [E_i, E_rest] = N E_beta and [F_i, F_rest] = -N F_beta, over Z.
+        splits = _root_splits(sysm)
+        for pos in sorted(splits, key=lambda c: sum(roots[c])):
+            ipos, rpos, n_const = splits[pos]
+            for side, gen, sign in sides:
+                for t in blocks:
+                    tgt = moved(t, pos, sign)
+                    if tgt not in blocks:
+                        continue
+                    acc = [[0] * blocks[t].dim for _ in range(blocks[tgt].dim)]
+                    # X_beta = -sign (X_i X_rest - X_rest X_i) / N; a term whose
+                    # middle block is absent has both factors absent
+                    for c, mid_a, mid_b in ((-sign, ipos, rpos), (sign, rpos, ipos)):
+                        a = gen.get((mid_a, moved(t, mid_b, sign)))
+                        b = gen.get((mid_b, t))
+                        if a is None or b is None:
+                            continue
+                        cols = list(zip(*b))
+                        for out_row, a_row in zip(acc, a):
+                            for j, col in enumerate(cols):
+                                out_row[j] += c * sum(map(mul, a_row, col))
+                    for out_row in acc:
+                        for j, v in enumerate(out_row):
+                            out_row[j], rem = divmod(v, n_const)
+                            if rem:
+                                raise InvariantError(
+                                    f"{side} commutator for root {roots[pos]} at block "
+                                    f"{t} is not divisible by N = {n_const}"
+                                )
+                    gen[(pos, t)] = acc
+
+        weights = {t: blk.weight for t, blk in blocks.items()}
+        dims = {t: blk.dim for t, blk in blocks.items()}
+        return cls(sysm, highest_weight, block_order=list(blocks),
                    weights=weights, dims=dims, e_gen=e_gen, f_gen=f_gen)
 
     # -- serialization ----------------------------------------------------------

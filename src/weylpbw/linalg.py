@@ -274,36 +274,27 @@ def hnf_rows(rows: Iterable[Sequence[int]], width: int) -> List[Tuple[int, ...]]
 
 
 class ScaledLattice:
-    """Z-lattice inside Q^width accumulated from rational generators.
+    """Z-lattice inside Q^width spanned by generators row / den, row integral.
 
-    Internally den * L is kept as an integer echelon; finalize() returns
-    (den, HNF rows of den * L) with the common content removed.
+    finalize() returns (den, HNF rows of den * L), den the least positive
+    integer that makes den * L integral.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.den = 1
-        self._rows: List[List[int]] = []
+        self._gens: List[Tuple[Sequence[int], int]] = []
 
-    def insert(self, vec: Sequence[Fraction]) -> None:
-        d = 1
-        for v in vec:
-            d = lcm(d, Fraction(v).denominator)
-        if self.den % d:
-            factor = lcm(self.den, d) // self.den
-            self._rows = [[v * factor for v in r] for r in self._rows]
-            self.den *= factor
-        self._rows.append([int(v * self.den) for v in vec])
+    def insert(self, row: Sequence[int], den: int = 1) -> None:
+        """Add the generator row / den."""
+        self._gens.append((row, den))
 
     def finalize(self) -> Tuple[int, List[Tuple[int, ...]]]:
-        rows = hnf_rows(self._rows, self.width)
+        den = lcm(1, *(d for _, d in self._gens))
+        rows = hnf_rows(([v * (den // d) for v in row] for row, d in self._gens),
+                        self.width)
         if not rows:
             return 1, []
-        g = self.den
-        for r in rows:
-            for v in r:
-                g = gcd(g, v)
+        g = gcd(den, *(v for r in rows for v in r))
         if g > 1:
-            rows = [tuple(v // g for v in r) for r in rows]
-            return self.den // g, rows
-        return self.den, rows
+            return den // g, [tuple(v // g for v in r) for r in rows]
+        return den, rows

@@ -1,6 +1,7 @@
 """Highest-weight modules over Q and their minimal integral forms."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 
 import weylpbw
 from weylpbw import (AdmissibleLattice, HWModuleQ, InvariantError, ResourceCapError,
-                     build_root_system)
+                     build_root_system, charzero)
 from weylpbw.cache import stable_dumps, stable_hash
-from weylpbw.linalg import ScaledLattice
+from weylpbw.linalg import ScaledLattice, hnf_rows
+from weylpbw.pbw import monomials_with_depth
 from weylpbw.weylmod import WeylModuleP
 
 
@@ -60,6 +62,19 @@ def test_gram_contravariance(g2):
                 assert gram[i][j] == gram[j][i]
         rank, _ = rank_dense(gram)
         assert rank == blk.dim, t
+
+
+def test_root_operators_serve_simple_roots_only(g2):
+    """Non-simple root operators are derived over Z by the lattice build, so
+    the Q-side accessors refuse them."""
+    module = HWModuleQ(g2, (1, 0))
+    for pos, beta in enumerate(g2.positive_roots):
+        for operator in (module.f_root, module.e_root):
+            if sum(beta) == 1:
+                assert isinstance(operator((1, 0), pos), list)
+            else:
+                with pytest.raises(ValueError, match="not simple"):
+                    operator((1, 0), pos)
 
 
 def test_dim_cap_enforced(g2):
@@ -116,6 +131,22 @@ def test_lattice_payload_golden_digest(typ, weight, digest):
     assert stable_hash(lattice.to_payload()) == digest
 
 
+def assert_lattice_is_pbw_span(lattice):
+    """Each block of ``lattice`` is the Z-span of the ordered divided PBW
+    monomials F^(s) v over all positive roots, the lattice's original
+    definition: in lattice coordinates their Hermite form is the identity."""
+    m = WeylModuleP(lattice, None)
+    for t, dim in lattice.dims.items():
+        coords = (m.monomial_coords(s) for s in monomials_with_depth(lattice.system, t))
+        identity = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
+        assert hnf_rows((c for c in coords if c is not None), dim) == identity, t
+
+
+@pytest.mark.parametrize("typ,weight", [(typ, weight) for typ, weight, _ in GOLDEN_PAYLOAD_DIGESTS])
+def test_lattice_is_the_span_of_ordered_divided_monomials(typ, weight):
+    assert_lattice_is_pbw_span(AdmissibleLattice.build(typ, weight))
+
+
 @pytest.mark.parametrize("typ,weight", [(typ, weight) for typ, weight, _ in GOLDEN_PAYLOAD_DIGESTS])
 def test_lattice_payload_round_trip(typ, weight):
     lattice = AdmissibleLattice.build(typ, weight)
@@ -161,8 +192,8 @@ def test_corrupt_lattice_raises_invariant_error():
     assert issubclass(InvariantError, AssertionError)
 
 
-def test_invariant_error_survives_optimize_flag():
-    """``python -O`` strips asserts; the integrality check must still fire."""
+def _invariant_error_under_optimize(builder: str) -> str:
+    """Run ``test_charzero.<builder>()`` under ``python -O``; its InvariantError line."""
     here = Path(__file__).resolve().parent
     src = Path(weylpbw.__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -170,13 +201,53 @@ def test_invariant_error_survives_optimize_flag():
         [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import test_charzero\n"
             "try:\n"
-            "    test_charzero.build_with_corrupt_block()\n"
+            f"    test_charzero.{builder}()\n"
             "except test_charzero.InvariantError as exc:\n"
             "    print('InvariantError:', exc)\n")
     result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert "InvariantError: operator matrix not integral on the lattice" in result.stdout
+    return result.stdout
+
+
+def test_invariant_error_survives_optimize_flag():
+    """``python -O`` strips asserts; the integrality check must still fire."""
+    assert ("InvariantError: operator matrix not integral on the lattice"
+            in _invariant_error_under_optimize("build_with_corrupt_block"))
+
+
+def build_with_corrupt_structure_constant():
+    """Build G2 (1,0) with N(alpha_1, alpha_2) doubled in ``_root_splits``.
+
+    The commutator [F_1, F_2] on the lattice is -N F_12 with the true N = +-1,
+    so halving it leaves a remainder wherever F_12 has an odd entry.
+    """
+    original = charzero._root_splits
+
+    def corrupted(system):
+        splits = original(system)
+        pos = system.pos_index[(1, 1)]
+        ipos, rpos, n_const = splits[pos]
+        return {**splits, pos: (ipos, rpos, 2 * n_const)}
+
+    charzero._root_splits = corrupted
+    try:
+        return AdmissibleLattice.build("G2", (1, 0))
+    finally:
+        charzero._root_splits = original
+
+
+CORRUPT_COMMUTATOR = r"F commutator for root \(1, 1\) at block \(0, 0\) is not divisible by N = -?2"
+
+
+def test_corrupt_structure_constant_raises_invariant_error():
+    with pytest.raises(InvariantError, match=CORRUPT_COMMUTATOR):
+        build_with_corrupt_structure_constant()
+
+
+def test_commutator_check_survives_optimize_flag():
+    out = _invariant_error_under_optimize("build_with_corrupt_structure_constant")
+    assert re.search("InvariantError: " + CORRUPT_COMMUTATOR, out), out
 
 
 CHEVALLEY_MODULES = [

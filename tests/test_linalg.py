@@ -126,8 +126,8 @@ def test_hnf_rows():
 
 def test_scaled_lattice_finalize():
     sl = ScaledLattice(2)
-    sl.insert([Fraction(1, 2), Fraction(0)])
-    sl.insert([Fraction(1, 3), Fraction(1, 3)])
+    sl.insert([1, 0], 2)  # (1/2, 0)
+    sl.insert([1, 1], 3)  # (1/3, 1/3)
     denom, basis = sl.finalize()
     assert denom == 6
     assert basis == [(1, 4), (0, 6)]

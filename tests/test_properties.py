@@ -22,6 +22,8 @@ from weylpbw.linalg import rank_dense, row_space  # noqa: E402
 from weylpbw.pbw import monomials_of_degree, monomials_with_depth, sweep_key  # noqa: E402
 from weylpbw.weylmod import HyperMonomial, tensor_act, tensor_leg_act, tensor_of  # noqa: E402
 
+from test_charzero import assert_lattice_is_pbw_span  # noqa: E402
+
 small_ints = st.integers(-4, 4)
 entries = st.one_of(small_ints, st.fractions(-3, 3, max_denominator=5))
 
@@ -215,6 +217,20 @@ def test_monomial_coords_agrees_with_act(data):
         assert vec == {}
     else:
         assert vec == {m.system.monomial_depth(s): coords}
+
+
+# -- the integral form: simple-root generation against the PBW definition ------
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_lattice_is_the_span_of_ordered_divided_monomials(data):
+    """Rank <= 2, |lam| <= 3: the lattice built from simple-root divided powers
+    is the Z-span of every ordered divided PBW monomial applied to v."""
+    label = data.draw(st.sampled_from(["A1", "A2", "B2", "C2", "G2"]))
+    rank = build_root_system(label).rank
+    weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
+                             .filter(lambda w: sum(w) <= 3)))
+    assert_lattice_is_pbw_span(AdmissibleLattice.build(label, weight))
 
 
 # -- the PBW sweeps: forced enumeration tail and early stops -------------------

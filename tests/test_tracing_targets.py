@@ -31,15 +31,18 @@ def test_tracer_installs_on_every_target():
     assert int(result.stdout) > 0
 
 
-# Traced counts of building G2 (2,1), B3 (1,0,1) and C3 (0,1,1), taken from
-# the commit before the characteristic-zero root operators shared one
-# commutator routine. A refactor of that layer must leave them unchanged.
+# Traced counts of building G2 (2,1), B3 (1,0,1) and C3 (0,1,1). The five
+# Gram-layer counts (gram entries, blocks, rank_dense, solve_dense, hnf) are
+# those of every earlier construction; the other three are the simple-root
+# lattice build: one f_root/e_root call per (block, simple root) whose operator
+# it clears to integers, and one insert per nonzero pushed generator. A
+# refactor of the characteristic-zero layer must leave them unchanged.
 PINNED_BUILD_COUNTS = {
-    "charzero.f_root.calls": 5_863,
-    "charzero.e_root.calls": 1_785,
+    "charzero.f_root.calls": 255,
+    "charzero.e_root.calls": 255,
     "charzero.gram_entries": 4_800,
     "charzero.blocks": 149,
-    "linalg.scaled_insert.calls": 1_905,
+    "linalg.scaled_insert.calls": 1_417,
     "linalg.rank_dense.calls": 522,
     "linalg.solve_dense.calls": 149,
     "linalg.hnf.calls": 149,
