@@ -193,7 +193,7 @@ def test_corrupt_lattice_raises_invariant_error():
 
 
 def _invariant_error_under_optimize(builder: str) -> str:
-    """Run ``test_charzero.<builder>()`` under ``python -O``; its InvariantError line."""
+    """Run ``test_charzero.<builder>()`` under ``python -O``; the stdout it prints."""
     here = Path(__file__).resolve().parent
     src = Path(weylpbw.__file__).resolve().parent.parent
     env = dict(os.environ)
