@@ -1,8 +1,8 @@
 """Characteristic-zero highest-weight modules and their minimal integral forms.
 
 Two layers live here. ``HWModuleQ`` realises the irreducible module V(lam)
-over Q one weight block at a time: each block carries an exact Gram matrix of
-the contravariant form, and new blocks are spanned by applying simple lowering
+over Q one weight block at a time: each block carries the Gram matrix of the
+contravariant form, and new blocks are spanned by applying simple lowering
 operators to the block one step up, with linear relations detected through the
 Gram matrix alone (no ambient module is ever materialised); it yields the
 simple-root operators E_i and F_i. ``AdmissibleLattice`` then extracts the
@@ -15,56 +15,39 @@ constant. The output is pure integer data — block dimensions, block weights,
 and integer matrices for every root raising/lowering operator in lattice
 coordinates — which is what the modular layer consumes.
 
-Everything is exact (Fraction / int); nothing here depends on a prime.
-Fractions stay in the Gram layer: each simple operator is cleared once to an
-integer matrix over one denominator, generators are pushed as integer rows
-over one denominator each, and operators reach lattice coordinates by integer
-forward substitution against the block's Hermite basis (square, upper
-triangular, positive diagonal). A failed invariant raises ``InvariantError``,
-which ``python -O`` does not strip.
+Everything is exact integer arithmetic; nothing here depends on a prime.
+Every basis vector is an integer lowering monomial applied to the highest
+vector, so every Gram matrix is integral (Jantzen, II.8). Only a block's
+inverse Gram is rational, and it is kept as an integer pair (d, X) with
+G X = d I from one fraction-free Gauss-Jordan pass; each simple operator
+comes out as an integer matrix over one denominator. Generators are pushed
+as integer rows over one denominator each, and operators reach lattice
+coordinates by integer forward substitution against the block's Hermite
+basis (square, upper triangular, positive diagonal). A failed invariant
+raises ``InvariantError``, which ``python -O`` does not strip.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import ScaledLattice, rank_dense, solve_dense
+from .linalg import ScaledLattice, inverse_pair, rank_dense
 from .rootsys import InvariantError, ResourceCapError, RootSystem, build_root_system
 
 Coords = Tuple[int, ...]
 Weight = Tuple[int, ...]
-Matrix = List[List[Fraction]]
+IntMatrix = List[List[int]]
 
 DIM_CAP_DEFAULT = 200_000
 
 
-def _zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def _mat_vec(mat: Sequence[Sequence], vec: Sequence) -> List[Fraction]:
-    """mat @ vec over the nonzero entries of vec; entries are always Fraction."""
-    nz = [(c, v) for c, v in enumerate(vec) if v]
-    out = []
-    for row in mat:
-        acc = Fraction(0)
-        for c, v in nz:
-            x = row[c]
-            if x:
-                acc += x * v
-        out.append(acc)
-    return out
-
-
-def _integer_matrix(mat: Matrix) -> Tuple[List[List[int]], int]:
-    """(ints, den) with mat = ints / den and den the least common denominator."""
-    den = lcm(1, *(v.denominator for row in mat for v in row))
-    return [[v.numerator * (den // v.denominator) for v in row] for row in mat], den
+def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _root_splits(system: RootSystem) -> Dict[int, Tuple[int, int, int]]:
@@ -94,10 +77,13 @@ class _Block:
     key: Coords
     weight: Weight
     dim: int
-    candidates: List[Tuple[int, int]]          # (simple index i, basis index in block key - e_i)
-    gram: Matrix                               # Gram of the chosen basis, dim x dim
-    expand: Matrix                             # dim x n_candidates: candidate -> basis coords
-    emat: List[Optional[Matrix]]               # per simple i: matrix of E_i into block key - e_i
+    candidates: List[Tuple[int, int]]  # (simple index i, basis index in block key - e_i)
+    gram: IntMatrix                    # G: Gram of the chosen basis, dim x dim
+    den: int                           # d > 0 ...
+    adj: IntMatrix                     # ... and X with G X = d I, so G^-1 = X / d
+    # per simple j, [] when block key - e_j is absent:
+    pairing: List[IntMatrix]           # P[j][a][b] = <u_a of key - e_j, E_j u_b>
+    lower: List[IntMatrix]             # X_{key - e_j} P[j]: E_j into key - e_j, times its d
 
 
 class HWModuleQ:
@@ -106,9 +92,12 @@ class HWModuleQ:
     Blocks are indexed by the root coordinates of lam - mu ("depth"). Basis
     vectors of a block are chosen among the candidates F_i u (u running over
     the basis one step up), picked by Gram-matrix pivoting, so every basis
-    vector is by construction a lowering monomial applied to the highest
-    vector. ``f_root``/``e_root`` give the simple-root operators in these
-    block bases; the other roots are derived over Z by ``AdmissibleLattice``.
+    vector is an integer lowering monomial applied to the highest vector and
+    every Gram entry is an integer. A block stores its Gram G, the integer
+    pair (d, X) with G X = d I in place of G^-1, and its pairings with the
+    blocks one step up; ``f_root``/``e_root`` give the simple-root operators
+    in these block bases as (integer matrix, denominator). The other roots
+    are derived over Z by ``AdmissibleLattice``.
     """
 
     def __init__(self, system, highest_weight: Weight, dim_cap: int = DIM_CAP_DEFAULT):
@@ -140,10 +129,8 @@ class HWModuleQ:
         points = itertools.product(*(range(b + 1) for b in self.box))
         for t in sorted(points, key=lambda t: (sum(t), t)):
             if sum(t) == 0:
-                blk = _Block(t, self.highest_weight, 1, [], [[Fraction(1)]],
-                             [], [None] * rank)
-                blk.emat = [[] for _ in range(rank)]  # E_i kills the highest vector
-                self.blocks[t] = blk
+                self.blocks[t] = _Block(t, self.highest_weight, 1, [], [[1]], 1, [[1]],
+                                        [[] for _ in range(rank)], [[] for _ in range(rank)])
                 total += 1
                 continue
             blk = self._build_block(t)
@@ -164,129 +151,89 @@ class HWModuleQ:
     def _build_block(self, t: Coords) -> _Block:
         rank = self.system.rank
         weight = self._block_weight(t)
+        ups = [self._up(t, i) for i in range(rank)]
         cands: List[Tuple[int, int]] = []
-        for i in range(rank):
-            src = self._up(t, i)
-            if src is not None:
-                cands.extend((i, b) for b in range(src.dim))
+        first: Dict[int, int] = {}     # i -> index of candidate (i, 0)
+        for i, up in enumerate(ups):
+            if up is not None:
+                first[i] = len(cands)
+                cands.extend((i, b) for b in range(up.dim))
 
-        # Gram matrix of all candidates, via the one- and two-step-up blocks.
+        # <F_i u_b, F_j u_c> = <E_j u_b, E_i u_c> + [i == j] h_i <u_b, u_c>, with
+        # u_b in block t - e_i, u_c in block t - e_j and h_i the pairing of the
+        # weight of t - e_i with alpha_i. Both E-images lie in mid = t - e_i - e_j;
+        # the first term is P_{t-e_i}[j]^T X_mid P_{t-e_j}[i] / d_mid, read off
+        # as (column b of P_{t-e_i}[j]) . (column c of lower[i] of t - e_j).
         n = len(cands)
-        gram = _zeros(n, n)
-        for col, (j, bp) in enumerate(cands):
-            up_j = self._up(t, j)
-            # gm_by_root[i] = Gram(mid) @ E_i u_{bp}, where E_i maps u_{bp} in
-            # block t - e_j to mid = t - e_j - e_i; it depends on (col, i) only.
-            gm_by_root: Dict[int, List[Fraction]] = {}
-            for i in {c[0] for c in cands}:
-                if up_j.key[i] == 0:
+        gram = [[0] * n for _ in range(n)]
+        for i, up_i in enumerate(ups):
+            if up_i is None:
+                continue
+            for j in range(i, rank):
+                up_j = ups[j]
+                if up_j is None:
                     continue
-                mat = up_j.emat[i]
-                if mat is None or not mat:
-                    continue
-                w = [mat[r][bp] for r in range(len(mat))]
-                if not any(w):
-                    continue
-                mid = self.blocks.get(tuple(
-                    v - (1 if k == i else 0) - (1 if k == j else 0)
-                    for k, v in enumerate(t)
-                ))
-                if mid is not None and mid.dim:
-                    gm_by_root[i] = _mat_vec(mid.gram, w)
-            for row, (i, b) in enumerate(cands):
-                if row > col:
-                    break  # symmetric: fill upper triangle, mirror below
-                up_i = self._up(t, i)
-                val = Fraction(0)
-                gm = gm_by_root.get(i)
-                if gm is not None:
-                    vb = up_i.emat[j]
-                    if vb:
-                        for r, g in enumerate(gm):
-                            if g:
-                                x = vb[r][b]
-                                if x:
-                                    val += x * g
+                block = [[0] * up_j.dim for _ in range(up_i.dim)]
+                mid = self._up(up_i.key, j)
+                if mid is not None:
+                    rights = list(zip(*up_j.lower[i]))
+                    for out, left in zip(block, zip(*up_i.pairing[j])):
+                        for c, right in enumerate(rights):
+                            out[c], rem = divmod(sum(map(mul, left, right)), mid.den)
+                            if rem:
+                                raise InvariantError(
+                                    f"candidate Gram entry at block {t} is not integral"
+                                )
                 if i == j:
                     h = up_i.weight[i]
-                    val += h * up_i.gram[b][bp]
-                gram[row][col] = val
-                gram[col][row] = val
+                    for out, g_row in zip(block, up_i.gram):
+                        for c, g in enumerate(g_row):
+                            out[c] += h * g
+                for b, out in enumerate(block):
+                    row = first[i] + b
+                    for c, val in enumerate(out):
+                        gram[row][first[j] + c] = gram[first[j] + c][row] = val
 
         dim, pivots = rank_dense(gram)
         if dim == 0:
-            return _Block(t, weight, 0, cands, [], [], [[] for _ in range(rank)])
-
-        sel = [[gram[r][c] for c in pivots] for r in pivots]
-        # expand[:, c] = coordinates of candidate c in the pivot basis; the
-        # j-th pivot candidate is the j-th basis vector, so only the other
-        # candidates need a solve
-        unit = {c: j for j, c in enumerate(pivots)}
-        others = [c for c in range(n) if c not in unit]
-        solved = dict(zip(others, solve_dense(sel, [[gram[r][c] for r in pivots]
-                                                     for c in others])))
-        expand = [[solved[c][r] if c in solved else Fraction(int(unit[c] == r))
-                   for c in range(n)] for r in range(dim)]
-        basis_gram = [[gram[pivots[r]][pivots[c]] for c in range(dim)] for r in range(dim)]
-
-        blk = _Block(t, weight, dim, cands, basis_gram, expand, [None] * rank)
-        blk.emat = [self._emat_for(blk, j, pivots) for j in range(rank)]
-        return blk
-
-    def _emat_for(self, blk: _Block, j: int, pivots: List[int]) -> Matrix:
-        """Matrix of E_j on the new block, into block key - e_j."""
-        t = blk.key
-        if t[j] == 0:
-            return []
-        tgt_key = tuple(v - (1 if k == j else 0) for k, v in enumerate(t))
-        tgt = self.blocks.get(tgt_key)
-        if tgt is None or tgt.dim == 0:
-            return []
-        out = _zeros(tgt.dim, blk.dim)
-        cand_pos = {key: idx for idx, key in enumerate(tgt.candidates)}
-        for col, ci in enumerate(pivots):
-            i, b = blk.candidates[ci]
-            src = self._up(t, i)  # u_b lives here
-            # term 1: F_i (E_j u_b), re-expanded in the target block basis
-            if src.key[j] > 0 and src.emat[j]:
-                w = [src.emat[j][r][b] for r in range(len(src.emat[j]))]
-                for a, wa in enumerate(w):
-                    if wa == 0:
-                        continue
-                    idx = cand_pos.get((i, a))
-                    if idx is None:
-                        continue
-                    for r in range(tgt.dim):
-                        out[r][col] += wa * tgt.expand[r][idx]
-            # term 2: the Cartan correction when the same string is retraced
-            if i == j:
-                h = src.weight[i]
-                if h:
-                    out[b][col] += h  # i == j, so tgt is src and b < tgt.dim
-        return out
+            return _Block(t, weight, 0, cands, [], 1, [], [], [])
+        basis_gram = [[gram[r][c] for c in pivots] for r in pivots]
+        try:
+            den, adj = inverse_pair(basis_gram)
+        except ValueError:
+            raise InvariantError(f"chosen basis Gram at block {t} is singular") from None
+        # <u_a of t - e_j, E_j u_b> = <F_j u_a, u_b>: candidate (j, a) against pivot b
+        pairing = [[[gram[first[j] + a][c] for c in pivots] for a in range(up.dim)]
+                   if up is not None else [] for j, up in enumerate(ups)]
+        lower = [_mat_mul(up.adj, pairing[j]) if up is not None else []
+                 for j, up in enumerate(ups)]
+        return _Block(t, weight, dim, cands, basis_gram, den, adj, pairing, lower)
 
     # -- public accessors -----------------------------------------------------
 
-    def gram(self, t: Coords) -> Matrix:
+    def gram(self, t: Coords) -> IntMatrix:
         return self.blocks[tuple(t)].gram
 
-    def f_root(self, t: Coords, pos: int) -> Matrix:
-        """F_i on block t into block t + alpha_i, for the simple root #pos;
-        [] when either block is absent."""
+    def f_root(self, t: Coords, pos: int) -> Tuple[IntMatrix, int]:
+        """F_i on block t into block t + alpha_i, for the simple root #pos, as
+        (ints, den) with matrix ints / den; ([], 1) when either block is absent."""
         i = self._simple(pos)
         src = self.blocks.get(tuple(t))
         tgt = self.blocks.get(tuple(v + (k == i) for k, v in enumerate(t)))
         if src is None or tgt is None:
-            return []
-        first = tgt.candidates.index((i, 0))
-        return [row[first:first + src.dim] for row in tgt.expand]
+            return [], 1
+        # G_tgt y = (<u_c, F_i u_a>)_c = row a of P_tgt[i], so y = X_tgt P_tgt[i]^T / d_tgt
+        return _mat_mul(tgt.adj, list(zip(*tgt.pairing[i]))), tgt.den
 
-    def e_root(self, t: Coords, pos: int) -> Matrix:
-        """E_i on block t into block t - alpha_i, for the simple root #pos;
-        [] when either block is absent."""
+    def e_root(self, t: Coords, pos: int) -> Tuple[IntMatrix, int]:
+        """E_i on block t into block t - alpha_i, for the simple root #pos, as
+        (ints, den) with matrix ints / den; ([], 1) when either block is absent."""
         i = self._simple(pos)
         src = self.blocks.get(tuple(t))
-        return [] if src is None else src.emat[i]
+        tgt = None if src is None else self._up(src.key, i)
+        if tgt is None:
+            return [], 1
+        return src.lower[i], tgt.den
 
     def _simple(self, pos: int) -> int:
         beta = self.system.positive_roots[pos]
@@ -337,7 +284,7 @@ class AdmissibleLattice:
         @functools.cache
         def simple_op(side: str, t: Coords, pos: int) -> Tuple[List[List[int]], int]:
             """The simple X_i on block t in the Q-basis, as (integers, denominator)."""
-            return _integer_matrix((module.f_root if side == "F" else module.e_root)(t, pos))
+            return (module.f_root if side == "F" else module.e_root)(t, pos)
 
         # L_t = sum over i, k of F_i^(k) L_{t - k alpha_i}. Blocks come by
         # depth, so L_t is complete when reached; its basis is then pushed

@@ -29,14 +29,14 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 
 def clear_denominators(vec: Sequence[Fraction]) -> List[int]:
-    """Scale a rational vector to a primitive integer vector on the same line."""
-    den = 1
-    for v in vec:
-        den = lcm(den, Fraction(v).denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    """Scale a rational vector to a primitive integer vector on the same line.
+
+    Entries may be Fraction or int; both carry ``numerator`` and
+    ``denominator``, so integer rows pass through without a Fraction each.
+    """
+    den = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (den // v.denominator) for v in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
@@ -199,6 +199,35 @@ def solve_dense(mat: Sequence[Sequence], rhs_cols: Sequence[Sequence],
                 a[r] = [v % p for v in a[r]]
                 b[r] = [v % p for v in b[r]]
     return [[divide(b[r][c], a[r][r]) for r in range(n)] for c in range(m)]
+
+
+def inverse_pair(mat: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
+    """(d, X) with mat @ X = d * I, for a square integer matrix.
+
+    d is the least positive integer that makes d * mat^-1 integral, so
+    gcd(d, X) = 1. One fraction-free Gauss-Jordan pass (Bareiss) over
+    [mat | I]: each step divides exactly by the previous pivot, the left half
+    ends as det(mat) * I and the right half as the adjugate, which is then
+    divided by its common factor with the determinant. Raises
+    ValueError('singular matrix') when mat is not invertible.
+    """
+    n = len(mat)
+    rows = [[*row, *(int(c == r) for c in range(n))] for r, row in enumerate(mat)]
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        pv = top[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                f = row[col]
+                rows[r] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = pv
+    g = gcd(prev, *(v for row in rows for v in row[n:])) * (1 if prev > 0 else -1)
+    return prev // g, [[v // g for v in row[n:]] for row in rows]
 
 
 def rank_dense(mat: Sequence[Sequence]) -> Tuple[int, List[int]]:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -66,15 +67,72 @@ def test_gram_contravariance(g2):
 
 def test_root_operators_serve_simple_roots_only(g2):
     """Non-simple root operators are derived over Z by the lattice build, so
-    the Q-side accessors refuse them."""
+    the Q-side accessors refuse them; the simple ones come as an integer
+    matrix over a positive denominator."""
     module = HWModuleQ(g2, (1, 0))
     for pos, beta in enumerate(g2.positive_roots):
         for operator in (module.f_root, module.e_root):
             if sum(beta) == 1:
-                assert isinstance(operator((1, 0), pos), list)
+                ints, den = operator((1, 0), pos)
+                assert isinstance(den, int) and den > 0
+                assert all(isinstance(v, int) for row in ints for v in row)
             else:
                 with pytest.raises(ValueError, match="not simple"):
                     operator((1, 0), pos)
+
+
+def _leading_minors_positive(gram):
+    """Sylvester's criterion: Gaussian elimination without pivoting meets only
+    positive pivots exactly when every leading principal minor is positive."""
+    a = [[Fraction(v) for v in row] for row in gram]
+    for k, top in enumerate(a):
+        if top[k] <= 0:
+            return False
+        for row in a[k + 1:]:
+            f = row[k] / top[k]
+            for c in range(k, len(top)):
+                row[c] -= f * top[c]
+    return True
+
+
+def _rational(pair):
+    ints, den = pair
+    return [[Fraction(v, den) for v in row] for row in ints]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def assert_integer_gram_layer(module):
+    """Every block Gram is an integer, symmetric, positive definite matrix, its
+    stored pair satisfies G X = d I, and the simple operators that ``f_root``
+    and ``e_root`` return as (ints, den) satisfy [E_i, F_i] = <mu, alpha_i^vee>."""
+    system = module.system
+    simple = range(system.n_pos - system.rank, system.n_pos)
+    for t, blk in module.blocks.items():
+        gram = module.gram(t)
+        assert all(type(v) is int for row in gram for v in row), t
+        assert gram == [list(col) for col in zip(*gram)], t
+        assert _leading_minors_positive(gram), t
+        assert blk.den > 0
+        assert _product(gram, blk.adj) == [[blk.den * (r == c) for c in range(blk.dim)]
+                                           for r in range(blk.dim)], t
+        for pos in simple:
+            i = system.positive_roots[pos].index(1)
+            up = tuple(v - (k == i) for k, v in enumerate(t))
+            down = tuple(v + (k == i) for k, v in enumerate(t))
+            bracket = [[Fraction(-blk.weight[i] * (r == c)) for c in range(blk.dim)]
+                       for r in range(blk.dim)]
+            if down in module.blocks:   # + E_i F_i
+                ef = _product(_rational(module.e_root(down, pos)),
+                              _rational(module.f_root(t, pos)))
+                bracket = [[x + y for x, y in zip(*rows)] for rows in zip(bracket, ef)]
+            if up in module.blocks:     # - F_i E_i
+                fe = _product(_rational(module.f_root(up, pos)),
+                              _rational(module.e_root(t, pos)))
+                bracket = [[x - y for x, y in zip(*rows)] for rows in zip(bracket, fe)]
+            assert not any(v for row in bracket for v in row), (t, pos)
 
 
 def test_dim_cap_enforced(g2):
@@ -140,6 +198,11 @@ def assert_lattice_is_pbw_span(lattice):
         coords = (m.monomial_coords(s) for s in monomials_with_depth(lattice.system, t))
         identity = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
         assert hnf_rows((c for c in coords if c is not None), dim) == identity, t
+
+
+@pytest.mark.parametrize("typ,weight", [(typ, weight) for typ, weight, _ in GOLDEN_PAYLOAD_DIGESTS])
+def test_integer_gram_layer(typ, weight):
+    assert_integer_gram_layer(HWModuleQ(typ, weight))
 
 
 @pytest.mark.parametrize("typ,weight", [(typ, weight) for typ, weight, _ in GOLDEN_PAYLOAD_DIGESTS])
@@ -248,6 +311,48 @@ def test_corrupt_structure_constant_raises_invariant_error():
 def test_commutator_check_survives_optimize_flag():
     out = _invariant_error_under_optimize("build_with_corrupt_structure_constant")
     assert re.search("InvariantError: " + CORRUPT_COMMUTATOR, out), out
+
+
+def build_with_corrupt_inverse_pair():
+    """Build A2 (1,1) with d doubled in the stored pair (d, X) of block (1, 0).
+
+    Gram entries two steps down are then read as half their value, which
+    leaves a remainder at block (1, 2).
+    """
+    original = charzero.inverse_pair
+    calls = []
+
+    def corrupted(mat):
+        den, adj = original(mat)
+        calls.append(mat)
+        return (2 * den if len(calls) == 2 else den), adj
+
+    charzero.inverse_pair = corrupted
+    try:
+        return HWModuleQ("A2", (1, 1))
+    finally:
+        charzero.inverse_pair = original
+
+
+CORRUPT_GRAM = r"candidate Gram entry at block \(1, 2\) is not integral"
+
+
+def test_corrupt_inverse_pair_raises_invariant_error():
+    with pytest.raises(InvariantError, match=CORRUPT_GRAM):
+        build_with_corrupt_inverse_pair()
+
+
+def test_gram_integrality_check_survives_optimize_flag():
+    out = _invariant_error_under_optimize("build_with_corrupt_inverse_pair")
+    assert re.search("InvariantError: " + CORRUPT_GRAM, out), out
+
+
+def test_singular_basis_gram_raises_invariant_error(monkeypatch):
+    """A pivot choice that keeps a dependent candidate (here F_2 v = 0 in
+    G2 (1,0)) leaves a singular basis Gram, which the build refuses."""
+    monkeypatch.setattr(charzero, "rank_dense", lambda mat: (len(mat), list(range(len(mat)))))
+    with pytest.raises(InvariantError, match=r"chosen basis Gram at block \(0, 1\) is singular"):
+        HWModuleQ("G2", (1, 0))
 
 
 CHEVALLEY_MODULES = [

@@ -15,14 +15,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from weylpbw import (AdmissibleLattice, DualModuleP, WeylModuleP,  # noqa: E402
+from weylpbw import (AdmissibleLattice, DualModuleP, HWModuleQ, WeylModuleP,  # noqa: E402
                      build_root_system, essential_set, pbw_filtration)
-from weylpbw.charzero import _mat_vec  # noqa: E402
-from weylpbw.linalg import rank_dense, row_space  # noqa: E402
+from weylpbw.linalg import inverse_pair, rank_dense, row_space  # noqa: E402
 from weylpbw.pbw import monomials_of_degree, monomials_with_depth, sweep_key  # noqa: E402
 from weylpbw.weylmod import HyperMonomial, tensor_act, tensor_leg_act, tensor_of  # noqa: E402
 
-from test_charzero import assert_lattice_is_pbw_span  # noqa: E402
+from test_charzero import assert_integer_gram_layer, assert_lattice_is_pbw_span  # noqa: E402
 
 small_ints = st.integers(-4, 4)
 entries = st.one_of(small_ints, st.fractions(-3, 3, max_denominator=5))
@@ -73,24 +72,25 @@ def test_rank_dense_matches_sympy(mat):
     assert pivots == list(oracle.rref()[1])
 
 
-@st.composite
-def matrix_and_vector(draw):
-    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
-    mat = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
-                        min_size=nrows, max_size=nrows))
-    vec = draw(st.lists(st.one_of(st.just(0), entries), min_size=ncols, max_size=ncols))
-    return mat, vec
+square_int_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n))
 
 
 @settings(deadline=None, max_examples=200)
-@given(matrix_and_vector())
-def test_sparse_mat_vec_matches_dense_definition(case):
-    mat, vec = case
-    dense = [sum((Fraction(row[c]) * vec[c] for c in range(len(vec))), Fraction(0))
-             for row in mat]
-    got = _mat_vec(mat, vec)
-    assert got == dense
-    assert all(type(v) is Fraction for v in got)
+@given(square_int_matrices)
+def test_inverse_pair_matches_sympy(mat):
+    """mat @ X = d I with d the least positive denominator of mat^-1, or the
+    matrix is singular."""
+    oracle = _sympy(mat)
+    if oracle.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            inverse_pair(mat)
+        return
+    den, adj = inverse_pair(mat)
+    assert den == math.lcm(*(v.q for v in oracle.inv()))
+    n = len(mat)
+    assert [[sum(mat[r][k] * adj[k][c] for k in range(n)) for c in range(n)]
+            for r in range(n)] == [[den * (r == c) for c in range(n)] for r in range(n)]
 
 
 # -- the action kernel: module, dual and tensor actions ------------------------
@@ -221,16 +221,29 @@ def test_monomial_coords_agrees_with_act(data):
 
 # -- the integral form: simple-root generation against the PBW definition ------
 
+def _small_module(draw):
+    """A rank <= 2 type and a dominant weight with |lam| <= 3."""
+    label = draw(st.sampled_from(["A1", "A2", "B2", "C2", "G2"]))
+    rank = build_root_system(label).rank
+    weight = tuple(draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
+                        .filter(lambda w: sum(w) <= 3)))
+    return label, weight
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_lattice_is_the_span_of_ordered_divided_monomials(data):
-    """Rank <= 2, |lam| <= 3: the lattice built from simple-root divided powers
-    is the Z-span of every ordered divided PBW monomial applied to v."""
-    label = data.draw(st.sampled_from(["A1", "A2", "B2", "C2", "G2"]))
-    rank = build_root_system(label).rank
-    weight = tuple(data.draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank)
-                             .filter(lambda w: sum(w) <= 3)))
-    assert_lattice_is_pbw_span(AdmissibleLattice.build(label, weight))
+    """The lattice built from simple-root divided powers is the Z-span of
+    every ordered divided PBW monomial applied to v."""
+    assert_lattice_is_pbw_span(AdmissibleLattice.build(*_small_module(data.draw)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_integer_gram_layer(data):
+    """Integer, positive definite block Grams with G X = d I, and
+    [E_i, F_i] = <mu, alpha_i^vee> from the (ints, den) operators."""
+    assert_integer_gram_layer(HWModuleQ(*_small_module(data.draw)))
 
 
 # -- the PBW sweeps: forced enumeration tail and early stops -------------------
