@@ -349,17 +349,24 @@ class AdmissibleLattice:
                     if tgt in blocks:
                         gen[(pos, t)] = to_lattice(t, tgt, simple_op(side, t, pos))
 
+        # The module, its operator memo and the Hermite bases are done with;
+        # freeing them here lowers the peak memory of the build.
+        weights = {t: blk.weight for t, blk in blocks.items()}
+        dims = {t: blk.dim for t, blk in blocks.items()}
+        del module, blocks, rows, dens
+        simple_op.cache_clear()
+
         # Every other root, lowest first, from the Chevalley relations
         # [E_i, E_rest] = N E_beta and [F_i, F_rest] = -N F_beta, over Z.
         splits = _root_splits(sysm)
         for pos in sorted(splits, key=lambda c: sum(roots[c])):
             ipos, rpos, n_const = splits[pos]
             for side, gen, sign in sides:
-                for t in blocks:
+                for t in dims:
                     tgt = moved(t, pos, sign)
-                    if tgt not in blocks:
+                    if tgt not in dims:
                         continue
-                    acc = [[0] * blocks[t].dim for _ in range(blocks[tgt].dim)]
+                    acc = [[0] * dims[t] for _ in range(dims[tgt])]
                     # X_beta = -sign (X_i X_rest - X_rest X_i) / N; a term whose
                     # middle block is absent has both factors absent
                     for c, mid_a, mid_b in ((-sign, ipos, rpos), (sign, rpos, ipos)):
@@ -381,9 +388,7 @@ class AdmissibleLattice:
                                 )
                     gen[(pos, t)] = acc
 
-        weights = {t: blk.weight for t, blk in blocks.items()}
-        dims = {t: blk.dim for t, blk in blocks.items()}
-        return cls(sysm, highest_weight, block_order=list(blocks),
+        return cls(sysm, highest_weight, block_order=list(dims),
                    weights=weights, dims=dims, e_gen=e_gen, f_gen=f_gen)
 
     # -- serialization ----------------------------------------------------------
