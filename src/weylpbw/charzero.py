@@ -35,7 +35,7 @@ from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import ScaledLattice, inverse_pair, rank_dense
+from .linalg import ScaledLattice, inverse_pair, mat_mul, rank_dense
 from .rootsys import InvariantError, ResourceCapError, RootSystem, build_root_system
 
 Coords = Tuple[int, ...]
@@ -43,11 +43,6 @@ Weight = Tuple[int, ...]
 IntMatrix = List[List[int]]
 
 DIM_CAP_DEFAULT = 200_000
-
-
-def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _root_splits(system: RootSystem) -> Dict[int, Tuple[int, int, int]]:
@@ -205,7 +200,7 @@ class HWModuleQ:
         # <u_a of t - e_j, E_j u_b> = <F_j u_a, u_b>: candidate (j, a) against pivot b
         pairing = [[[gram[first[j] + a][c] for c in pivots] for a in range(up.dim)]
                    if up is not None else [] for j, up in enumerate(ups)]
-        lower = [_mat_mul(up.adj, pairing[j]) if up is not None else []
+        lower = [mat_mul(up.adj, pairing[j]) if up is not None else []
                  for j, up in enumerate(ups)]
         return _Block(t, weight, dim, cands, basis_gram, den, adj, pairing, lower)
 
@@ -223,7 +218,7 @@ class HWModuleQ:
         if src is None or tgt is None:
             return [], 1
         # G_tgt y = (<u_c, F_i u_a>)_c = row a of P_tgt[i], so y = X_tgt P_tgt[i]^T / d_tgt
-        return _mat_mul(tgt.adj, list(zip(*tgt.pairing[i]))), tgt.den
+        return mat_mul(tgt.adj, list(zip(*tgt.pairing[i]))), tgt.den
 
     def e_root(self, t: Coords, pos: int) -> Tuple[IntMatrix, int]:
         """E_i on block t into block t - alpha_i, for the simple root #pos, as
@@ -374,10 +369,9 @@ class AdmissibleLattice:
                         b = gen.get((mid_b, t))
                         if a is None or b is None:
                             continue
-                        cols = list(zip(*b))
-                        for out_row, a_row in zip(acc, a):
-                            for j, col in enumerate(cols):
-                                out_row[j] += c * sum(map(mul, a_row, col))
+                        for out_row, prod_row in zip(acc, mat_mul(a, b)):
+                            for j, v in enumerate(prod_row):
+                                out_row[j] += c * v
                     for out_row in acc:
                         for j, v in enumerate(out_row):
                             out_row[j], rem = divmod(v, n_const)

@@ -1,16 +1,19 @@
 """Exact linear algebra over Q, Z and GF(p).
 
-Everything in here is exact: Fraction entries, arbitrary-precision integer
-rows, or ints reduced mod a prime. No floating point. Sparse vectors are
-dicts keyed by column index; dense matrices are lists of row lists.
+Everything in here is exact: arbitrary-precision integer rows, or ints
+reduced mod a prime. No floating point. Every matrix eliminated here is
+integral; a solve inverts it once as an integer pair (d, X) with
+mat @ X = d * I, so a Fraction appears only as the solution over Q.
+Sparse vectors are dicts keyed by column index; dense matrices are lists
+of row lists.
 """
 from __future__ import annotations
 
 import copy
-import operator
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Row = Dict[int, int]
@@ -26,20 +29,6 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def clear_denominators(vec: Sequence[Fraction]) -> List[int]:
-    """Scale a rational vector to a primitive integer vector on the same line.
-
-    Entries may be Fraction or int; both carry ``numerator`` and
-    ``denominator``, so integer rows pass through without a Fraction each.
-    """
-    den = lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (den // v.denominator) for v in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
 
 
 class RowSpaceGF:
@@ -159,46 +148,31 @@ def pivot_prefix(space, k: int):
     return sub
 
 
-def solve_dense(mat: Sequence[Sequence], rhs_cols: Sequence[Sequence],
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[List]:
+    """The exact product a @ b of two dense matrices."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def solve_dense(mat: Sequence[Sequence[int]], rhs_cols: Sequence[Sequence],
                 p: int | None = None) -> List[List]:
-    """Solve mat @ X = rhs for square exact mat; rhs given column-wise.
+    """Solve mat @ X = rhs for a square integer mat; rhs given column-wise.
 
-    Over Q (Fraction entries) when p is None, else over GF(p) with entries
-    in [0, p). Returns the solution column-wise. Raises
-    ValueError('singular matrix') when mat is not invertible.
+    X = adj @ rhs / d from the integer pair (d, adj) of ``inverse_pair``.
+    Over Q (p None) the entries are Fractions and rhs may be rational; over
+    GF(p) they are ints in [0, p). d is the least denominator of mat^-1, so
+    mat is singular mod p exactly when p divides d. Returns the solution
+    column-wise. Raises ValueError('singular matrix') when mat is not
+    invertible over the field.
     """
+    den, adj = inverse_pair(mat)
+    cols = mat_mul(rhs_cols, list(zip(*adj)))   # (adj @ rhs)^T
     if p is None:
-        entry, divide = Fraction, operator.truediv
-    else:
-        def entry(v: int) -> int:
-            return v % p
-
-        def divide(a: int, b: int) -> int:
-            return a * pow(b, -1, p) % p
-    n = len(mat)
-    a = [[entry(mat[r][c]) for c in range(n)] for r in range(n)]
-    m = len(rhs_cols)
-    b = [[entry(col[r]) for col in rhs_cols] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        pv = a[col][col]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = divide(a[r][col], pv)
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-            for c in range(m):
-                b[r][c] -= f * b[col][c]
-            if p is not None:
-                a[r] = [v % p for v in a[r]]
-                b[r] = [v % p for v in b[r]]
-    return [[divide(b[r][c], a[r][r]) for r in range(n)] for c in range(m)]
+        return [[Fraction(v, den) for v in col] for col in cols]
+    if den % p == 0:
+        raise ValueError("singular matrix")
+    inv = pow(den, -1, p)
+    return [[v * inv % p for v in col] for col in cols]
 
 
 def inverse_pair(mat: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
@@ -230,17 +204,15 @@ def inverse_pair(mat: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
     return prev // g, [[v // g for v in row[n:]] for row in rows]
 
 
-def rank_dense(mat: Sequence[Sequence]) -> Tuple[int, List[int]]:
-    """Exact rank and pivot-column list of a rectangular Fraction/int matrix.
+def rank_dense(mat: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
+    """Exact rank and pivot-column list of a rectangular integer matrix.
 
-    Scaling a row changes neither the rank nor the pivot columns, so each row
-    is first cleared of denominators; the integer rows are then reduced to
-    echelon form by fraction-free Bareiss steps (every division by the
-    previous pivot is exact), so no Fraction arithmetic remains.
+    The rows are reduced to echelon form by fraction-free Bareiss steps;
+    every division by the previous pivot is exact.
     """
     if not mat:
         return 0, []
-    rows = [clear_denominators(r) for r in mat]
+    rows = [list(r) for r in mat]
     nrows, ncols = len(rows), len(rows[0])
     pivots: List[int] = []
     prev = 1

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -482,12 +481,12 @@ def _chain_constants(system: RootSystem, beta_pos: int,
         if not system.is_positive_root(nxt):
             break
         run *= system.structure_constant(beta, cur)
-        val = Fraction(run, math.factorial(r))
-        if val.denominator != 1:
+        val, rem = divmod(run, math.factorial(r))
+        if rem:
             raise InvariantError(
-                f"divided chain coefficient {val} of root #{gamma_pos} along"
-                f" root #{beta_pos} is not integral")
-        out.append(int(val))
+                f"divided chain coefficient {run}/{math.factorial(r)} of root"
+                f" #{gamma_pos} along root #{beta_pos} is not integral")
+        out.append(val)
         cur = nxt
         r += 1
     return out

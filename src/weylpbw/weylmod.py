@@ -33,6 +33,7 @@ from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .charzero import DIM_CAP_DEFAULT, AdmissibleLattice
+from .linalg import mat_mul
 from .rootsys import InvariantError, RootSystem
 
 Coords = Tuple[int, ...]
@@ -175,8 +176,7 @@ class WeylModuleP:
                 top = step.get(mid)
                 if top is None:
                     continue
-                prod = [[sum(top[r][m] * mat[m][c] for m in range(len(mat)))
-                         for c in range(len(mat[0]))] for r in range(len(top))]
+                prod = mat_mul(top, mat)
                 if any(v % k for row in prod for v in row):
                     raise InvariantError(
                         f"divided power {side}^({k}) of root #{pos} is not"
@@ -332,8 +332,7 @@ def _tensor_leg_apply(legs, idx: int, side: str, pos: int, k: int,
         if idx:
             out[(ta, tgt)] = [[sum(map(mul, row, m)) for m in mat] for row in block]
         else:
-            cols = list(zip(*block))
-            out[(tgt, tb)] = [[sum(map(mul, m, col)) for col in cols] for m in mat]
+            out[(tgt, tb)] = mat_mul(mat, block)
     return _tidy(out, legs[0].p)
 
 

@@ -7,6 +7,7 @@ from builders import h0
 
 from weylpbw import (
     InducedSections,
+    InvariantError,
     Polynomial,
     WeylModuleP,
     build_root_system,
@@ -335,3 +336,13 @@ def test_sn_action_divided_multiplicativity(g2):
             lhs = sn_divided_action(g2, 5, a, sn_divided_action(g2, 5, b, poly))
             rhs = sn_divided_action(g2, 5, a + b, poly).scale(math.comb(a + b, a))
             assert lhs == rhs, (a, b)
+
+
+def test_sn_action_rejects_non_integral_chain_coefficient(g2, monkeypatch):
+    """With every structure constant forced to 1, a root string of length
+    three along the short simple root gives (ad E)^2 / 2! = 1/2: a named
+    error, not a silent Fraction."""
+    monkeypatch.setattr(g2, "structure_constant", lambda a, b: 1)
+    with pytest.raises(InvariantError,
+                       match="divided chain coefficient 1/2 .* is not integral"):
+        sn_divided_action(g2, 5, 1, Polynomial.monomial((0, 0, 0, 0, 1, 0)))

@@ -8,6 +8,7 @@ Hypothesis is missing, and the sympy comparison when sympy is.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weylpbw import (AdmissibleLattice, DualModuleP, HWModuleQ, WeylModuleP,  # noqa: E402
                      build_root_system, essential_set, pbw_filtration)
-from weylpbw.linalg import inverse_pair, rank_dense, row_space  # noqa: E402
+from weylpbw.linalg import (RowSpaceGF, inverse_pair, rank_dense, row_space,  # noqa: E402
+                            solve_dense)
 from weylpbw.pbw import monomials_of_degree, monomials_with_depth, sweep_key  # noqa: E402
 from weylpbw.weylmod import HyperMonomial, tensor_act, tensor_leg_act, tensor_of  # noqa: E402
 
@@ -27,16 +29,11 @@ small_ints = st.integers(-4, 4)
 entries = st.one_of(small_ints, st.fractions(-3, 3, max_denominator=5))
 
 
-def _mixed(draw, value: Fraction):
-    """Return an integral value as int or Fraction, as the caller's data might."""
-    if value.denominator == 1 and draw(st.booleans()):
-        return int(value)
-    return Fraction(value)
-
-
 @st.composite
 def rectangular_matrices(draw):
-    """Matrices of rank <= k as a product, with some rows and columns zeroed."""
+    """Integer matrices of rank <= k: a product with some rows and columns
+    zeroed, each rational row then scaled to integers (scaling a row keeps
+    the rank and the pivot columns)."""
     nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     k = draw(st.integers(0, min(nrows, ncols)))
     left = draw(st.lists(st.lists(small_ints, min_size=k, max_size=k),
@@ -52,8 +49,9 @@ def rectangular_matrices(draw):
             v = sum((left[r][t] * Fraction(right[t][c]) for t in range(k)), Fraction(0))
             if r in zero_rows or c in zero_cols:
                 v = Fraction(0)
-            row.append(_mixed(draw, v))
-        mat.append(row)
+            row.append(v)
+        den = math.lcm(*(v.denominator for v in row))
+        mat.append([int(v * den) for v in row])
     return mat
 
 
@@ -91,6 +89,69 @@ def test_inverse_pair_matches_sympy(mat):
     n = len(mat)
     assert [[sum(mat[r][k] * adj[k][c] for k in range(n)) for c in range(n)]
             for r in range(n)] == [[den * (r == c) for c in range(n)] for r in range(n)]
+
+
+@st.composite
+def square_systems(draw, rational_rhs: bool):
+    """A square integer matrix and one to three right-hand columns."""
+    mat = draw(square_int_matrices)
+    rhs = entries if rational_rhs else small_ints
+    cols = draw(st.lists(st.lists(rhs, min_size=len(mat), max_size=len(mat)),
+                         min_size=1, max_size=3))
+    return mat, cols
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_systems(rational_rhs=True))
+def test_solve_dense_matches_sympy_over_q(system):
+    mat, cols = system
+    oracle = _sympy(mat)
+    if oracle.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            solve_dense(mat, cols)
+        return
+    sols = solve_dense(mat, cols)
+    assert len(sols) == len(cols)
+    for col, sol in zip(cols, sols):
+        assert _sympy([sol]) == (oracle.inv() * _sympy([col]).T).T
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_systems(rational_rhs=False), st.sampled_from([2, 3, 5, 7]))
+def test_solve_dense_matches_sympy_over_gf_p(system, p):
+    """Entries in [0, p) and mat @ X = rhs mod p, or ValueError exactly when
+    det(mat) vanishes mod p (also when it does not vanish over Q)."""
+    mat, cols = system
+    if _sympy(mat).det() % p == 0:
+        with pytest.raises(ValueError, match="singular"):
+            solve_dense(mat, cols, p)
+        return
+    sols = solve_dense(mat, cols, p)
+    assert len(sols) == len(cols)
+    for col, sol in zip(cols, sols):
+        assert all(0 <= v < p for v in sol)
+        assert [(sum(map(operator.mul, row, sol)) - b) % p
+                for row, b in zip(mat, col)] == [0] * len(mat)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([2, 3, 5, 7]), st.data())
+def test_row_space_gf_matches_sympy(nrows, ncols, p, data):
+    """RowSpaceGF rank and leading columns against sympy's rref over GF(p)."""
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = data.draw(st.lists(st.lists(small_ints, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    space = RowSpaceGF(p)
+    for row in rows:
+        space.insert({c: v for c, v in enumerate(row) if v})
+    field = GF(p)
+    _, pivots = DomainMatrix([[field(v) for v in row] for row in rows],
+                             (nrows, ncols), field).rref()
+    assert space.rank == len(pivots)
+    assert sorted(space.pivots) == list(pivots)
 
 
 # -- the action kernel: module, dual and tensor actions ------------------------
