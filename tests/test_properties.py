@@ -8,7 +8,6 @@ Hypothesis is missing, and the sympy comparison when sympy is.
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 import pytest
@@ -130,7 +129,7 @@ def test_solve_dense_matches_sympy_over_gf_p(system, p):
     assert len(sols) == len(cols)
     for col, sol in zip(cols, sols):
         assert all(0 <= v < p for v in sol)
-        assert [(sum(map(operator.mul, row, sol)) - b) % p
+        assert [(sum(a * x for a, x in zip(row, sol)) - b) % p
                 for row, b in zip(mat, col)] == [0] * len(mat)
 
 
