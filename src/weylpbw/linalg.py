@@ -4,12 +4,16 @@ Everything in here is exact: arbitrary-precision integer rows, or ints
 reduced mod a prime. No floating point. Every matrix eliminated here is
 integral; a solve inverts it once as an integer pair (d, X) with
 mat @ X = d * I, so a Fraction appears only as the solution over Q.
-Sparse vectors are dicts keyed by column index; dense matrices are lists
-of row lists.
+Row spaces take sparse vectors as dicts keyed by column index; over Q they
+keep the rows as such dicts, and over GF(p) they pack each row into one int
+of fixed-width lanes, one lane per column. Dense matrices are lists of row
+lists.
 """
 from __future__ import annotations
 
 import copy
+import sys
+from array import array
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -17,6 +21,10 @@ from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Row = Dict[int, int]
+
+# array type codes by item size, for the lanes of packed GF(p) rows
+_LANE_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -32,41 +40,108 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 
 class RowSpaceGF:
-    """Incremental row space over GF(p); rows are sparse dicts, pivot value 1."""
+    """Incremental row space over GF(p); each row is packed into one int.
+
+    Entry c of a row sits in lane c, bits [c*B, (c+1)*B) of a nonnegative
+    int. A lane is twice as wide as the narrowest of 1, 2, 4, 8, 16, ...
+    bytes that holds p - 1, so it holds a reduced entry plus at least one
+    product (p - 1)**2 below 2**B. A stored pivot has every lane reduced
+    into [0, p) and a 1 in its leading lane; ``pivots`` maps each leading
+    column to its packed row, in insertion order.
+
+    Reduction eliminates the lowest nonzero lane first: with f its value
+    mod p and piv the pivot there, x += (p - f) * piv, after which that lane
+    is cleared. Only the lane read is reduced; every other lane grows by at
+    most (p - 1)**2 per step, and never falls. After ``budget`` steps, the
+    most that can pass with every lane below 2**B, the whole row is
+    normalised mod p, so no lane ever carries into the next.
+    """
 
     def __init__(self, p: int):
         self.p = p
-        self.pivots: Dict[int, Row] = {}
+        word = 1
+        while (p - 1) >> (8 * word):
+            word *= 2
+        self.lane_bytes = 2 * word
+        self.lane_bits = bits = 16 * word
+        # (p - 1) + budget * (p - 1)**2 < 2**bits: the most steps between normalisations
+        self.budget = ((1 << bits) - p) // (p - 1) ** 2
+        self._code = _LANE_CODES.get(self.lane_bytes)
+        self.pivots: Dict[int, int] = {}
 
-    def _reduce(self, vec: Row) -> Row:
+    def _lanes(self, x: int) -> Sequence[int]:
+        """The lanes of a packed row, lowest column first."""
+        width = self.lane_bytes
+        raw = x.to_bytes(-(-x.bit_length() // self.lane_bits) * width, "little")
+        if self._code is None:
+            return [int.from_bytes(raw[i:i + width], "little")
+                    for i in range(0, len(raw), width)]
+        lanes = array(self._code, raw)
+        if _BIG_ENDIAN:
+            lanes.byteswap()
+        return lanes
+
+    def _pack(self, lanes: List[int]) -> int:
+        if self._code is None:
+            width = self.lane_bytes
+            return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in lanes),
+                                  "little")
+        packed = array(self._code, lanes)
+        if _BIG_ENDIAN:
+            packed.byteswap()
+        return int.from_bytes(packed, "little")
+
+    def _normalised(self, x: int, scale: int = 1) -> int:
+        """x with every lane multiplied by ``scale`` and reduced into [0, p)."""
         p = self.p
-        vec = {c: v % p for c, v in vec.items() if v % p}
-        while vec:
-            c = min(vec)
-            piv = self.pivots.get(c)
-            if piv is None:
-                return vec
-            f = vec[c]
-            for cc, vv in piv.items():
-                nv = (vec.get(cc, 0) - f * vv) % p
-                if nv:
-                    vec[cc] = nv
-                else:
-                    vec.pop(cc, None)
-        return vec
+        return self._pack([v * scale % p for v in self._lanes(x)])
+
+    def _packed(self, vec: Row) -> int:
+        if not vec:
+            return 0
+        p = self.p
+        lanes = [0] * (max(vec) + 1)
+        for c, v in vec.items():
+            lanes[c] = v % p
+        return self._pack(lanes)
+
+    def _reduce(self, x: int) -> int:
+        """0 if x lies in the span, else x reduced to a lowest lane that is
+        nonzero mod p and has no pivot."""
+        p, bits, pivots = self.p, self.lane_bits, self.pivots
+        mask = (1 << bits) - 1
+        left = self.budget
+        while x:
+            c = ((x & -x).bit_length() - 1) // bits
+            shift = c * bits
+            v = (x >> shift) & mask
+            f = v % p
+            if f:
+                piv = pivots.get(c)
+                if piv is None:
+                    return x
+                x += (p - f) * piv - ((v + p - f) << shift)
+                left -= 1
+                if not left:
+                    x = self._normalised(x)
+                    left = self.budget
+            else:
+                x -= v << shift
+        return 0
 
     def insert(self, vec: Row) -> bool:
         """Add a vector; True if it enlarged the space."""
-        red = self._reduce(dict(vec))
-        if not red:
+        x = self._reduce(self._packed(vec))
+        if not x:
             return False
-        c = min(red)
-        inv = pow(red[c], -1, self.p)
-        self.pivots[c] = {cc: (vv * inv) % self.p for cc, vv in red.items()}
+        bits = self.lane_bits
+        c = ((x & -x).bit_length() - 1) // bits
+        lead = ((x >> (c * bits)) & ((1 << bits) - 1)) % self.p
+        self.pivots[c] = self._normalised(x, pow(lead, -1, self.p))
         return True
 
     def contains(self, vec: Row) -> bool:
-        return not self._reduce(dict(vec))
+        return not self._reduce(self._packed(vec))
 
     @property
     def rank(self) -> int:

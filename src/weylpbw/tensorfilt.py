@@ -10,8 +10,15 @@ the tensor module, beyond which every monomial acts as zero). Spanning sets
 use lowering monomials only — the cyclic vector is highest-weight — and the
 raising/lowering stability of the levels is then *checked*, not presupposed.
 
+The coproduct orbit Delta(F^t).(v (x) w) is computed once per filtration.
+F^t applies its last root's factor first, so the monomials t form a trie by
+suffix: one depth-first walk from the last root takes one single-factor
+coproduct step per edge, clipped to the weight group in a restricted run,
+and the orbit is then listed by degree and lexicographically in t.
+
 Every spanning vector is a weight vector, so ranks are swept one total
-weight at a time with exact elimination (no probabilistic shortcuts). A
+weight at a time with exact elimination (no probabilistic shortcuts); over
+GF(p) each row is packed into one int (``linalg.RowSpaceGF``). A
 vector the sweep keeps adds one pivot to its weight's row space, and pivots
 keep their insertion order, so every level VV_n is spanned, weight by
 weight, by a prefix of those pivots: membership in any level is one
@@ -192,17 +199,41 @@ class InducedFiltration:
         self._sweep(min(self.requested, self.s_max))
 
     def _delta_orbit(self) -> List[Tuple[Weight, TensorVector]]:
-        out: List[Tuple[Weight, TensorVector]] = []
-        w = self.weight_group
-        for d in range(sum(self.t_box) + 1):
-            for t in monomials_of_degree(self.system, self.t_box, d):
-                dt = self.system.monomial_depth(t)
-                if w is not None and any(x > y for x, y in zip(dt, w)):
-                    continue
-                vec = tensor_act(self.mods, HyperMonomial("F", t), self.start)
-                if vec:
-                    out.append((dt, vec))
-        return out
+        """The nonzero Delta(F^t).(v (x) w), with their depths, for every t
+        whose depth fits the box (and the weight group, in a restricted run),
+        by degree and then lexicographically in t.
+
+        F^t applies its last root's factor first, so the t sharing a suffix
+        share a prefix of the computation: the walk goes depth first from
+        the last root, and each edge of that trie is one coproduct step of a
+        single factor. A vector that dies stays dead, so its subtree is cut.
+        """
+        system, mods = self.system, self.mods
+        roots = system.positive_roots
+        room = self.t_box if self.weight_group is None else tuple(
+            min(b, w) for b, w in zip(self.t_box, self.weight_group))
+        if min(room) < 0:
+            return []
+        found: List[Tuple[Tuple[int, ...], TensorVector]] = []
+        # (position to fill next, room left, exponents from it on, vector)
+        stack = [(len(roots) - 1, room, (), self.start)]
+        while stack:
+            pos, room, suffix, vec = stack.pop()
+            if pos < 0:
+                found.append((suffix, vec))
+                continue
+            beta = roots[pos]
+            cap = min(r // b for r, b in zip(room, beta) if b)
+            stack.append((pos - 1, room, (0,) + suffix, vec))
+            unit = [0] * len(roots)
+            for k in range(1, cap + 1):
+                unit[pos] = k
+                here = tensor_act(mods, HyperMonomial("F", tuple(unit)), vec)
+                if here:
+                    stack.append((pos - 1, tuple(r - k * b for r, b in zip(room, beta)),
+                                  (k,) + suffix, here))
+        found.sort(key=lambda item: (sum(item[0]), item[0]))
+        return [(system.monomial_depth(t), vec) for t, vec in found]
 
     def _spanning(self, n: int) -> Iterator[TensorVector]:
         """The spanning vectors (F^s (x) 1) . Delta(F^t) . (v (x) w) with

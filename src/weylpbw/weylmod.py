@@ -16,7 +16,10 @@ step for tensors. A leg of a tensor is anything offering ``system``, ``p``,
 ``reduce``, ``dims`` and ``leg_matrix``; both module classes do.
 ``leg_matrix(side, pos, k, t)`` gives the target block and the matrix of one
 factor on block t: the module's divided power itself, or for the dual its
-signed transpose (-1)^k M^T on the block that feeds t. Everything else is
+signed transpose (-1)^k M^T on the block that feeds t. Each class builds one
+table per factor (side, pos, k), source block -> (target, matrix), the first
+time the factor is used, and every later lookup is one dict access; the
+dual's table is read off the module's. Everything else is
 matrix products: ``leg_apply``, the one kernel both classes share with their
 ``act``, is M.coords, and a tensor leg is M.X on leg 0 and X.M^T on leg 1.
 
@@ -133,7 +136,7 @@ class WeylModuleP:
         self.weights: Dict[Coords, Weight] = dict(lattice.weights)
         self.dim: int = lattice.dim
         self._div_int: Dict[Tuple[str, int, int], Dict[Coords, List[List[int]]]] = {}
-        self._div_red: Dict[Tuple[str, int, int], Dict[Coords, List[List[int]]]] = {}
+        self._legs: Dict[Tuple[str, int, int], Dict[Coords, Tuple[Coords, Matrix]]] = {}
 
     @classmethod
     def build(cls, system, highest_weight: Weight, p: Optional[int],
@@ -191,28 +194,33 @@ class WeylModuleP:
         """Matrices of X_beta^(k) with entries reduced into the module's ring."""
         if self.p is None:
             return self._divided_int(side, pos, k)
-        key = (side, pos, k)
-        hit = self._div_red.get(key)
-        if hit is None:
-            hit = {
-                t: [[v % self.p for v in row] for row in mat]
-                for t, mat in self._divided_int(side, pos, k).items()
-            }
-            self._div_red[key] = hit
-        return hit
+        return {t: [[v % self.p for v in row] for row in mat]
+                for t, mat in self._divided_int(side, pos, k).items()}
 
     # -- vector plumbing ---------------------------------------------------------
+
+    def leg_table(self, side: str, pos: int,
+                  k: int) -> Dict[Coords, Tuple[Coords, Matrix]]:
+        """X_beta^(k) block by block: source block -> (target block, matrix),
+        built once per factor."""
+        key = (side, pos, k)
+        table = self._legs.get(key)
+        if table is None:
+            beta = self.system.positive_roots[pos]
+            sign = -1 if side == "E" else 1
+            table = self._legs[key] = {
+                src: (tuple(v + sign * k * c for v, c in zip(src, beta)), mat)
+                for src, mat in self.divided(side, pos, k).items()}
+        return table
 
     def leg_matrix(self, side: str, pos: int, k: int,
                    t: Coords) -> Optional[Tuple[Coords, Matrix]]:
         """X_beta^(k) on block t: its target block and matrix, None when the
         block has no image."""
-        mat = self.divided(side, pos, k).get(t)
-        if mat is None:
-            return None
-        beta = self.system.positive_roots[pos]
-        sign = -1 if side == "E" else 1
-        return tuple(v + sign * k * c for v, c in zip(t, beta)), mat
+        table = self._legs.get((side, pos, k))
+        if table is None:
+            table = self.leg_table(side, pos, k)
+        return table.get(t)
 
     def leg_apply(self, side: str, pos: int, k: int,
                   t: Coords, coords: Sequence[int]) -> Optional[Tuple[Coords, List[int]]]:
@@ -285,13 +293,10 @@ class DualModuleP:
         key = (side, pos, k)
         table = self._legs.get(key)
         if table is None:
-            beta = self.system.positive_roots[pos]
-            sign = -1 if side == "E" else 1
             par = -1 if k % 2 else 1
             table = self._legs[key] = {
-                tuple(v + sign * k * c for v, c in zip(tgt, beta)):
-                    (tgt, [[self.reduce(par * v) for v in col] for col in zip(*mat)])
-                for tgt, mat in self.module.divided(side, pos, k).items()}
+                tgt: (src, [[self.reduce(par * v) for v in col] for col in zip(*mat)])
+                for src, (tgt, mat) in self.module.leg_table(side, pos, k).items()}
         return table.get(t)
 
     # the module's own kernel (M.coords) and action: leg_matrix is the difference

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weylpbw import (AdmissibleLattice, DualModuleP, HWModuleQ, WeylModuleP,  # noqa: E402
                      build_root_system, essential_set, pbw_filtration)
-from weylpbw.linalg import (RowSpaceGF, inverse_pair, rank_dense, row_space,  # noqa: E402
-                            solve_dense)
+from weylpbw.linalg import (RowSpaceGF, inverse_pair, pivot_prefix, rank_dense,  # noqa: E402
+                            row_space, solve_dense)
 from weylpbw.pbw import monomials_of_degree, monomials_with_depth, sweep_key  # noqa: E402
 from weylpbw.weylmod import HyperMonomial, tensor_act, tensor_leg_act, tensor_of  # noqa: E402
 
@@ -133,24 +133,54 @@ def test_solve_dense_matches_sympy_over_gf_p(system, p):
                 for row, b in zip(mat, col)] == [0] * len(mat)
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([2, 3, 5, 7]), st.data())
-def test_row_space_gf_matches_sympy(nrows, ncols, p, data):
-    """RowSpaceGF rank and leading columns against sympy's rref over GF(p)."""
-    pytest.importorskip("sympy")
+# 251 < 2**8 gets 16-bit lanes, room for one (p - 1)**2 step between
+# normalisations; 2**61 - 1 gets 128-bit lanes, past the machine word widths.
+GF_PRIMES = [2, 3, 5, 7, 251, 2**61 - 1]
+
+
+def _gf_rank(rows, p):
     from sympy import GF
     from sympy.polys.matrices import DomainMatrix
 
-    rows = data.draw(st.lists(st.lists(small_ints, min_size=ncols, max_size=ncols),
-                              min_size=nrows, max_size=nrows))
-    space = RowSpaceGF(p)
-    for row in rows:
-        space.insert({c: v for c, v in enumerate(row) if v})
+    if not rows:
+        return 0, ()
     field = GF(p)
     _, pivots = DomainMatrix([[field(v) for v in row] for row in rows],
-                             (nrows, ncols), field).rref()
-    assert space.rank == len(pivots)
+                             (len(rows), len(rows[0])), field).rref()
+    return len(pivots), tuple(pivots)
+
+
+@settings(deadline=None, max_examples=300)
+@given(rectangular_matrices(), st.sampled_from(GF_PRIMES), st.data())
+def test_row_space_gf_matches_sympy(rows, p, data):
+    """RowSpaceGF rank, leading columns, membership and pivot prefixes
+    against sympy's rref over GF(p)."""
+    pytest.importorskip("sympy")
+    ncols = len(rows[0])
+    space = RowSpaceGF(p)
+    raising = [row for row in rows if space.insert({c: v for c, v in enumerate(row) if v})]
+    rank, pivots = _gf_rank(rows, p)
+    assert space.rank == rank
     assert sorted(space.pivots) == list(pivots)
+    assert all(0 <= v < p for piv in space.pivots.values() for v in space._lanes(piv))
+    coeffs = data.draw(st.lists(st.integers(-300, 300), min_size=len(rows),
+                                max_size=len(rows)))
+    probes = [[sum(f * row[c] for f, row in zip(coeffs, rows)) for c in range(ncols)],
+              *data.draw(st.lists(st.lists(small_ints, min_size=ncols, max_size=ncols),
+                                  min_size=1, max_size=3))]
+    for k in range(rank + 1):
+        sub = pivot_prefix(space, k)
+        base = _gf_rank(raising[:k], p)[0]
+        assert sub.rank == base == k
+        for probe in probes:
+            member = _gf_rank(raising[:k] + [probe], p)[0] == base
+            assert sub.contains({c: v for c, v in enumerate(probe) if v}) == member
+
+
+def test_large_primes_normalise_every_step():
+    """The lane budget: the steps a lane absorbs between normalisations."""
+    assert [RowSpaceGF(p).budget for p in (2, 3, 251, 257)] == [65534, 16383, 1, 65535]
+    assert RowSpaceGF(2**61 - 1).lane_bits == 128
 
 
 # -- the action kernel: module, dual and tensor actions ------------------------

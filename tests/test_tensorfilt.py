@@ -1,6 +1,8 @@
 """The induced filtration on tensor products and its structural properties."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from builders import g2_fundamentals, legs, v_gamma
@@ -21,7 +23,8 @@ from weylpbw import (
     vv_level_contains,
 )
 from weylpbw import linalg, tensorfilt
-from weylpbw.weylmod import f_zero
+from weylpbw.pbw import monomials_of_degree
+from weylpbw.weylmod import HyperMonomial, f_zero, tensor_act
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +170,67 @@ MEMBERSHIP_CASES = {
     "condition2-B2-p2": lambda: condition2_filtration("B2", 2),
     "condition2-A2-p3": lambda: condition2_filtration("A2", 3),
 }
+
+
+def per_monomial_delta_orbit(filt):
+    """Delta(F^t).(v (x) w) one whole monomial t at a time, over the unclipped
+    box by degree, dropping the t outside the weight group afterwards."""
+    out = []
+    w = filt.weight_group
+    for d in range(sum(filt.t_box) + 1):
+        for t in monomials_of_degree(filt.system, filt.t_box, d):
+            dt = filt.system.monomial_depth(t)
+            if w is not None and any(x > y for x, y in zip(dt, w)):
+                continue
+            vec = tensor_act(filt.mods, HyperMonomial("F", t), filt.start)
+            if vec:
+                out.append((dt, vec))
+    return out
+
+
+ORBIT_CASES = {
+    **MEMBERSHIP_CASES,
+    "A1-square-gf2-restricted": lambda: InducedFiltration(
+        legs(build_root_system("A1"), (2,), (2,), 2), weight_group=(2,)),
+    "A2-gf3-restricted": lambda: InducedFiltration(
+        legs(build_root_system("A2"), (1, 1), (1, 0), 3), weight_group=(2, 1)),
+    "B2-gf3-restricted": lambda: InducedFiltration(
+        legs(build_root_system("B2"), (1, 1), (1, 0), 3), weight_group=(2, 3)),
+    "A2-outside-every-weight": lambda: InducedFiltration(
+        legs(build_root_system("A2"), (1, 0), (1, 0), 2), weight_group=(-1, 0)),
+}
+
+
+@pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
+def test_delta_orbit_matches_the_per_monomial_action(make):
+    """The suffix-shared walk gives the same depths, vectors and order as
+    acting with each whole monomial."""
+    filt = make()
+    orbit = filt._delta_orbit()
+    assert orbit == per_monomial_delta_orbit(filt)
+    assert orbit == filt._tpairs
+    assert orbit or filt.weight_group == (-1, 0)
+
+
+def test_check_condition2_frees_its_filtration_by_refcount(monkeypatch):
+    """No reference cycle keeps the filtration alive: with the cyclic
+    collector off, it dies as soon as check_condition2 returns."""
+    refs = []
+    init = InducedFiltration.__init__
+
+    def tracked(self, *args, **kwargs):
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(InducedFiltration, "__init__", tracked)
+    m = v_gamma(build_root_system("A1"), 3)
+    gc.collect()
+    gc.disable()
+    try:
+        report = check_condition2(m)
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
+    assert report.witness["group_level_dims"]
 
 
 def combine(terms, p):

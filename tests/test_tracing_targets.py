@@ -65,6 +65,38 @@ def test_traced_lattice_builds_keep_their_counts():
     assert {name: counts.get(name, 0) for name in PINNED_BUILD_COUNTS} == PINNED_BUILD_COUNTS
 
 
+# Traced counts of ``verify --condition2`` at A2 p=3 and B2 p=2. The sweep
+# inserts the spanning vectors in a fixed order and keeps the ones that raise
+# a rank, so a change to the order of the coproduct orbit, the spanning loop
+# or the row space moves these counts.
+PINNED_CONDITION2_COUNTS = {
+    ("A2", 3): {"linalg.gf_insert.calls": 424, "linalg.gf_insert.useful": 276,
+                "tensorfilt.kept_vectors": 276},
+    ("B2", 2): {"linalg.gf_insert.calls": 620, "linalg.gf_insert.useful": 218,
+                "tensorfilt.kept_vectors": 218},
+}
+
+
+def test_traced_condition2_keeps_its_counts():
+    result = _traced_python(
+        "import contextlib, io, json, tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "from weylpbw import cli\n"
+        "out = {}\n"
+        f"for typ, p in {list(PINNED_CONDITION2_COUNTS)!r}:\n"
+        "    tracer.counts.clear()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(['verify', '--condition2', '--type', typ, '--p', str(p), '--quiet'])\n"
+        "    out[f'{typ} {p}'] = dict(tracer.counts)\n"
+        "print(json.dumps(out))\n")
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    for (typ, p), pinned in PINNED_CONDITION2_COUNTS.items():
+        got = counts[f"{typ} {p}"]
+        assert {name: got.get(name, 0) for name in pinned} == pinned, (typ, p)
+
+
 def test_every_active_span_fires(tmp_path):
     """Tiny items of each benchmark workload reach every span the workload
     declares ``active``; ``perfbench/run.py --trace 1`` fails on a silent one."""
