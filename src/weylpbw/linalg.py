@@ -12,8 +12,7 @@ lists.
 from __future__ import annotations
 
 import copy
-import sys
-from array import array
+import struct
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -22,9 +21,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 Row = Dict[int, int]
 
-# array type codes by item size, for the lanes of packed GF(p) rows
-_LANE_CODES = {array(code).itemsize: code for code in "QLIHB"}
-_BIG_ENDIAN = sys.byteorder == "big"
+# struct codes of the lane widths, in bytes, that struct packs whole; wider
+# lanes (p >= 2**32) go through int.to_bytes one lane at a time
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -72,24 +71,19 @@ class RowSpaceGF:
     def _lanes(self, x: int) -> Sequence[int]:
         """The lanes of a packed row, lowest column first."""
         width = self.lane_bytes
-        raw = x.to_bytes(-(-x.bit_length() // self.lane_bits) * width, "little")
+        n = -(-x.bit_length() // self.lane_bits)
+        raw = x.to_bytes(n * width, "little")
         if self._code is None:
             return [int.from_bytes(raw[i:i + width], "little")
                     for i in range(0, len(raw), width)]
-        lanes = array(self._code, raw)
-        if _BIG_ENDIAN:
-            lanes.byteswap()
-        return lanes
+        return struct.unpack(f"<{n}{self._code}", raw)
 
     def _pack(self, lanes: List[int]) -> int:
         if self._code is None:
             width = self.lane_bytes
             return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in lanes),
                                   "little")
-        packed = array(self._code, lanes)
-        if _BIG_ENDIAN:
-            packed.byteswap()
-        return int.from_bytes(packed, "little")
+        return int.from_bytes(struct.pack(f"<{len(lanes)}{self._code}", *lanes), "little")
 
     def _normalised(self, x: int, scale: int = 1) -> int:
         """x with every lane multiplied by ``scale`` and reduced into [0, p)."""
