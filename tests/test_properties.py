@@ -177,7 +177,7 @@ def test_row_space_gf_matches_sympy(rows, p, data):
             assert sub.contains({c: v for c, v in enumerate(probe) if v}) == member
 
 
-def test_large_primes_normalise_every_step():
+def test_row_space_gf_lane_budget():
     """The lane budget: the steps a lane absorbs between normalisations."""
     assert [RowSpaceGF(p).budget for p in (2, 3, 251, 257)] == [65534, 16383, 1, 65535]
     assert RowSpaceGF(2**61 - 1).lane_bits == 128
