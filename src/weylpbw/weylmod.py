@@ -191,10 +191,16 @@ class WeylModuleP:
         return out
 
     def divided(self, side: str, pos: int, k: int) -> Dict[Coords, List[List[int]]]:
-        """Matrices of X_beta^(k) with entries reduced into the module's ring."""
+        """Matrices of X_beta^(k) with entries reduced into the module's ring.
+
+        A row already reduced is the integer matrix's own row, not a copy, so
+        neither may be written to.
+        """
         if self.p is None:
             return self._divided_int(side, pos, k)
-        return {t: [[v % self.p for v in row] for row in mat]
+        p = self.p
+        return {t: [row if min(row) >= 0 and max(row) < p else [v % p for v in row]
+                    for row in mat]
                 for t, mat in self._divided_int(side, pos, k).items()}
 
     # -- vector plumbing ---------------------------------------------------------
@@ -208,8 +214,9 @@ class WeylModuleP:
         if table is None:
             beta = self.system.positive_roots[pos]
             sign = -1 if side == "E" else 1
+            blocks = {t: t for t in self.dims}   # one tuple per block, shared
             table = self._legs[key] = {
-                src: (tuple(v + sign * k * c for v, c in zip(src, beta)), mat)
+                src: (blocks[tuple(v + sign * k * c for v, c in zip(src, beta))], mat)
                 for src, mat in self.divided(side, pos, k).items()}
         return table
 
