@@ -152,9 +152,8 @@ def check_v0(m: WeylModuleP) -> CriterionReport:
                 coords = m.monomial_coords(t)
                 if coords is not None:
                     considered += 1
-                    space.insert({i: v for i, v in enumerate(coords) if v})
-        target = {i: v for i, v in enumerate(f0v[block]) if v}
-        verdict = not space.contains(target)
+                    space.insert(coords)
+        verdict = not space.contains(f0v[block])
         witness["weight_block"] = list(block)
         witness["block_dim"] = m.dims[block]
         witness["lower_span_rank"] = space.rank

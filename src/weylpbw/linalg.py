@@ -4,22 +4,21 @@ Everything in here is exact: arbitrary-precision integer rows, or ints
 reduced mod a prime. No floating point. Every matrix eliminated here is
 integral; a solve inverts it once as an integer pair (d, X) with
 mat @ X = d * I, so a Fraction appears only as the solution over Q.
-Row spaces take sparse vectors as dicts keyed by column index; over Q they
-keep the rows as such dicts, and over GF(p) they pack each row into one int
-of fixed-width lanes, one lane per column. Dense matrices are lists of row
-lists.
+There is one rank engine per field, ``RowSpaceQQ`` over Q and
+``RowSpaceGF`` over GF(p), and both take a row as a dense sequence of ints,
+entry c in column c and zero past its end. Over Q they keep primitive
+integer lists; over GF(p) they pack each row into one int of fixed-width
+lanes, one lane per column. Dense matrices are lists of row lists.
 """
 from __future__ import annotations
 
 import copy
 import struct
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-Row = Dict[int, int]
 
 # struct codes of the lane widths, in bytes, that struct packs whole; wider
 # lanes (p >= 2**32) go through int.to_bytes one lane at a time
@@ -90,14 +89,9 @@ class RowSpaceGF:
         p = self.p
         return self._pack([v * scale % p for v in self._lanes(x)])
 
-    def _packed(self, vec: Row) -> int:
-        if not vec:
-            return 0
+    def _packed(self, row: Sequence[int]) -> int:
         p = self.p
-        lanes = [0] * (max(vec) + 1)
-        for c, v in vec.items():
-            lanes[c] = v % p
-        return self._pack(lanes)
+        return self._pack([v % p for v in row])
 
     def _reduce(self, x: int) -> int:
         """0 if x lies in the span, else x reduced to a lowest lane that is
@@ -123,9 +117,9 @@ class RowSpaceGF:
                 x -= v << shift
         return 0
 
-    def insert(self, vec: Row) -> bool:
-        """Add a vector; True if it enlarged the space."""
-        x = self._reduce(self._packed(vec))
+    def insert(self, row: Sequence[int]) -> bool:
+        """Add a row; True if it enlarged the space."""
+        x = self._reduce(self._packed(row))
         if not x:
             return False
         bits = self.lane_bits
@@ -134,8 +128,8 @@ class RowSpaceGF:
         self.pivots[c] = self._normalised(x, pow(lead, -1, self.p))
         return True
 
-    def contains(self, vec: Row) -> bool:
-        return not self._reduce(self._packed(vec))
+    def contains(self, row: Sequence[int]) -> bool:
+        return not self._reduce(self._packed(row))
 
     @property
     def rank(self) -> int:
@@ -145,52 +139,44 @@ class RowSpaceGF:
 class RowSpaceQQ:
     """Incremental row space over Q, kept fraction-free.
 
-    Rows are stored as primitive integer vectors; a rational vector spans the
-    same line as its cleared-denominator integer vector, so rank and
-    membership agree with the Q-span. Reduction is by cross-multiplication
-    (a*vec - b*piv), with a gcd strip after each step to control growth.
+    Rows are stored as primitive integer lists; ``pivots`` maps each leading
+    column to its row, in insertion order, with a positive leading entry.
+    Reduction is by cross-multiplication (a*vec - b*piv), with a gcd strip
+    before each step to control growth.
     """
 
     def __init__(self) -> None:
-        self.pivots: Dict[int, Row] = {}
+        self.pivots: Dict[int, List[int]] = {}
 
-    @staticmethod
-    def _primitive(vec: Row) -> Row:
-        g = 0
-        for v in vec.values():
-            g = gcd(g, v)
-        if g > 1:
-            return {c: v // g for c, v in vec.items()}
-        return vec
-
-    def _reduce(self, vec: Row) -> Row:
-        vec = {c: v for c, v in vec.items() if v}
-        while vec:
-            c = min(vec)
+    def _reduce(self, row: Sequence[int]) -> List[int]:
+        """[] if row lies in the span, else row reduced to a primitive list
+        whose leading column has no pivot."""
+        vec, c = list(row), 0
+        while True:
+            while c < len(vec) and not vec[c]:
+                c += 1
+            if c == len(vec):
+                return []
+            g = gcd(*vec)
+            if g > 1:
+                vec = [v // g for v in vec]
             piv = self.pivots.get(c)
             if piv is None:
-                return self._primitive(vec)
+                return vec
             a, b = piv[c], vec[c]
-            new: Row = {}
-            for cc in set(vec) | set(piv):
-                v = a * vec.get(cc, 0) - b * piv.get(cc, 0)
-                if v:
-                    new[cc] = v
-            vec = self._primitive(new)
-        return vec
+            vec = [a * x - b * y for x, y in zip_longest(vec, piv, fillvalue=0)]
 
-    def insert(self, vec: Row) -> bool:
-        red = self._reduce(dict(vec))
+    def insert(self, row: Sequence[int]) -> bool:
+        """Add a row; True if it enlarged the space."""
+        red = self._reduce(row)
         if not red:
             return False
-        c = min(red)
-        if red[c] < 0:
-            red = {cc: -vv for cc, vv in red.items()}
-        self.pivots[c] = red
+        c = next(i for i, v in enumerate(red) if v)
+        self.pivots[c] = red if red[c] > 0 else [-v for v in red]
         return True
 
-    def contains(self, vec: Row) -> bool:
-        return not self._reduce(dict(vec))
+    def contains(self, row: Sequence[int]) -> bool:
+        return not self._reduce(row)
 
     @property
     def rank(self) -> int:
@@ -276,35 +262,14 @@ def inverse_pair(mat: Sequence[Sequence[int]]) -> Tuple[int, List[List[int]]]:
 def rank_dense(mat: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
     """Exact rank and pivot-column list of a rectangular integer matrix.
 
-    The rows are reduced to echelon form by fraction-free Bareiss steps;
-    every division by the previous pivot is exact.
+    One ``RowSpaceQQ`` insert per row. The pivot columns of any echelon form
+    of the matrix are the leading columns of every echelon basis of its row
+    space, so they are the space's pivot columns, in ascending order.
     """
-    if not mat:
-        return 0, []
-    rows = [list(r) for r in mat]
-    nrows, ncols = len(rows), len(rows[0])
-    pivots: List[int] = []
-    prev = 1
-    r0 = 0
-    for col in range(ncols):
-        piv = next((r for r in range(r0, nrows) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[r0], rows[piv] = rows[piv], rows[r0]
-        top = rows[r0]
-        pv = top[col]
-        for r in range(r0 + 1, nrows):
-            row = rows[r]
-            f = row[col]
-            for c in range(col + 1, ncols):
-                row[c] = (pv * row[c] - f * top[c]) // prev
-            row[col] = 0
-        prev = pv
-        pivots.append(col)
-        r0 += 1
-        if r0 == nrows:
-            break
-    return len(pivots), pivots
+    space = RowSpaceQQ()
+    for row in mat:
+        space.insert(row)
+    return space.rank, sorted(space.pivots)
 
 
 def hnf_rows(rows: Iterable[Sequence[int]], width: int) -> List[Tuple[int, ...]]:

@@ -192,7 +192,7 @@ def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...]) -> BlockSweep:
         coords = m.monomial_coords(s)
         if coords is None:
             continue
-        if space.insert({i: v for i, v in enumerate(coords) if v}):
+        if space.insert(coords):
             essential.append(s)
             vectors[s] = coords
     if space.rank != full:
@@ -245,8 +245,7 @@ def pbw_filtration(m: WeylModuleP, n: int) -> FiltrationTable:
             if deg > n or space.rank == full:
                 break
             coords = m.monomial_coords(s)
-            if coords is not None and space.insert(
-                    {i: v for i, v in enumerate(coords) if v}):
+            if coords is not None and space.insert(coords):
                 gains[deg] += 1
     return FiltrationTable(m.highest_weight, m.p, list(itertools.accumulate(gains)),
                            gains)

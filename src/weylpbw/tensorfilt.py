@@ -78,7 +78,7 @@ def _common_field(legs: Tuple[WeylModuleP, WeylModuleP]):
 class _WeightSpan:
     """Row spaces of weight-homogeneous tensor vectors, one per total weight.
 
-    A vector becomes one sparse row of its weight's space: each block pair
+    A vector becomes one dense row of its weight's space: each block pair
     gets a column offset the first time it is seen, and its dim_a x dim_b
     block is laid out row-major from there. Ranks and memberships do not
     depend on the order in which block pairs arrive.
@@ -90,16 +90,16 @@ class _WeightSpan:
         self._offsets: Dict[Weight, Dict[tuple, int]] = {}
         self._widths: Dict[Weight, int] = {}
 
-    def _flatten(self, group: Weight, tvec: TensorVector) -> Dict[int, int]:
+    def _flatten(self, group: Weight, tvec: TensorVector) -> List[int]:
         offsets = self._offsets.setdefault(group, {})
-        row: Dict[int, int] = {}
         for key, block in tvec.items():
-            base = offsets.get(key)
-            if base is None:
-                base = offsets[key] = self._widths.get(group, 0)
-                self._widths[group] = base + len(block) * len(block[0])
+            if key not in offsets:
+                offsets[key] = self._widths.get(group, 0)
+                self._widths[group] = offsets[key] + len(block) * len(block[0])
+        row = [0] * self._widths[group]
+        for key, block in tvec.items():
             flat = [v for vals in block for v in vals]
-            row.update((base + c, v) for c, v in enumerate(flat) if v)
+            row[offsets[key]:offsets[key] + len(flat)] = flat
         return row
 
     def insert(self, tvec: TensorVector) -> bool:
@@ -293,8 +293,7 @@ class InducedFiltration:
 
     def table(self) -> InducedFiltrationTable:
         levels = [self.level(n) for n in range(self.requested + 1)]
-        graded = [levels[0]] + [levels[i] - levels[i - 1]
-                                for i in range(1, len(levels))]
+        graded = [b - a for a, b in zip([0] + levels, levels)]
         return InducedFiltrationTable(
             self.lam, self.mu, self.p, levels, graded, self.tensor_dim,
             self.weight_group,

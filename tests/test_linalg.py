@@ -27,29 +27,51 @@ def test_xgcd():
 
 def test_row_space_gf_rank_and_membership():
     sp = RowSpaceGF(5)
-    assert sp.insert({0: 1, 1: 2})
-    assert sp.insert({1: 1, 2: 1})
-    assert not sp.insert({0: 1, 1: 3, 2: 1})   # sum of the first two
+    assert sp.insert([1, 2])
+    assert sp.insert([0, 1, 1])
+    assert not sp.insert([1, 3, 1])   # sum of the first two
     assert sp.rank == 2
-    assert sp.contains({0: 2, 1: 4})
-    assert sp.contains({})
-    assert not sp.contains({2: 1})
+    assert sp.contains([2, 4])
+    assert sp.contains([])
+    assert not sp.contains([0, 0, 1])
 
 
 def test_row_space_gf_reduces_mod_p():
     sp = RowSpaceGF(3)
-    assert sp.insert({0: 3, 1: 1})   # == (0, 1) mod 3
-    assert sp.contains({1: 2})
-    assert not sp.contains({0: 1})
+    assert sp.insert([3, 1])   # == (0, 1) mod 3
+    assert sp.contains([0, 2])
+    assert not sp.contains([1])
 
 
 def test_row_space_qq():
     sp = RowSpaceQQ()
-    assert sp.insert({0: 3, 1: 2})
-    assert not sp.insert({0: 9, 1: 6})         # scalar multiple
-    assert sp.insert({0: 1})
+    assert sp.insert([3, 2])
+    assert not sp.insert([9, 6])         # scalar multiple
+    assert sp.insert([1])
     assert sp.rank == 2
-    assert sp.contains({0: 7, 1: 10})
+    assert sp.contains([7, 10])
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 251])
+def test_row_space_rows_are_zero_past_their_end(p):
+    """A row is zero past its end: trailing zeros name the same vector, rows
+    of different widths share one space, and zero rows add nothing."""
+    sp = row_space(p)
+    assert sp.contains([]) and sp.contains([0, 0, 0])
+    assert not sp.insert([]) and not sp.insert([0, 0, 0, 0])
+    assert sp.rank == 0
+    assert sp.insert([1, 2])
+    assert not sp.insert([1, 2, 0, 0])
+    assert sp.contains([1, 2, 0, 0, 0])
+    assert sp.insert([0, 1, 0, 0, 1])          # wider than the first row
+    assert sp.contains([1, 3, 0, 0, 1])
+    assert not sp.contains([0, 0, 0, 0, 0, 1])
+    assert sp.insert([0, 0, 1])                # narrower than the last
+    assert sp.contains([1, 3, 1, 0, 1, 0, 0])
+    assert not sp.contains([1, 2, 1, 0, 1])
+    assert not sp.insert([]) and not sp.insert([0] * 9)
+    assert sp.rank == 3
+    assert sp.contains([]) and sp.contains([0] * 9)
 
 
 def test_row_space_factory():
@@ -65,17 +87,18 @@ def test_pivot_prefix_spans_the_first_rank_raising_vectors(p):
     space = row_space(p)
     raising = []
     for _ in range(40):
-        vec = {c: rng.randint(-2, 2) for c in rng.sample(range(8), rng.randint(1, 4))}
+        vec = [0] * 8
+        for c in rng.sample(range(8), rng.randint(1, 4)):
+            vec[c] = rng.randint(-2, 2)
         if space.insert(vec):
             raising.append(vec)
     assert space.rank == len(raising) >= 4
-    probes = [{c: rng.randint(-2, 2) for c in range(8)} for _ in range(30)]
+    probes = [[rng.randint(-2, 2) for c in range(8)] for _ in range(30)]
     for j in range(1, len(raising) + 1):        # a combination that needs raising[j - 1]
-        combo = {}
+        combo = [0] * 8
         for i, vec in enumerate(raising[:j]):
             f = 1 if i == j - 1 else rng.randint(-2, 2)
-            for c, v in vec.items():
-                combo[c] = combo.get(c, 0) + f * v
+            combo = [x + f * v for x, v in zip(combo, vec)]
         probes.append(combo)
     for k in range(len(raising) + 2):
         fresh = row_space(p)
@@ -109,6 +132,9 @@ def test_rank_dense_pivots():
     rank, pivots = rank_dense([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank == 2
     assert pivots == [0, 1]
+    assert rank_dense([[0, 2, 1], [0, 4, 3], [0, 0, 0]]) == (2, [1, 2])
+    assert rank_dense([]) == (0, [])
+    assert rank_dense([[0, 0], [0, 0]]) == (0, [])
 
 
 def test_hnf_rows():

@@ -1,6 +1,7 @@
 """The induced filtration on tensor products and its structural properties."""
 
 import gc
+import hashlib
 import random
 import weakref
 
@@ -17,8 +18,10 @@ from weylpbw import (
     delta_stability_check,
     dual_filtration_dims,
     g2_verify,
+    gamma_weight,
     norm_form_identity_check,
     product_order_equality,
+    stable_dumps,
     tensor_of,
     vv_level_contains,
 )
@@ -75,6 +78,17 @@ def test_filtration_object_padding(a1):
     assert filt.level(0) == 3
     assert filt.level(25) == 4            # beyond stabilization: full dim
     assert filt.level(-1) == 0
+
+
+def test_levels_below_zero_are_empty(a1):
+    square = legs(a1, (2,), (2,), 2)
+    table = InducedFiltration(square, up_to=-1).table()
+    assert table.level_dims == [] and table.graded_dims == []
+    assert table.top_dim == 0
+    m = square[0]
+    tvec = tensor_of((m.highest_vector(), m.highest_vector()), reduce=m.reduce)
+    assert not vv_level_contains(square, tvec, -1)
+    assert vv_level_contains(square, tvec, 0)
 
 
 def test_trivial_tensor_concentrates_in_degree_zero(a1):
@@ -210,6 +224,30 @@ def test_delta_orbit_matches_the_per_monomial_action(make):
     assert orbit == per_monomial_delta_orbit(filt)
     assert orbit == filt._tpairs
     assert orbit or filt.weight_group == (-1, 0)
+
+
+# sha256 of the kept vectors of the condition-2 filtration, in sweep order:
+# each as [degree, [[[depth_a, depth_b], block], ...]] with its blocks sorted
+# by key, through stable_dumps. The pinned traced counts are ranks, blind to
+# which vectors are kept; this digest moves with the order of the coproduct
+# orbit, the spanning loop or the row space.
+CONDITION2_KEPT_DIGESTS = {
+    ("A2", 3): (276, "194ed54d2dd7ef54f59b77a1fd84ca27729dd010505f6ed079d8dd4050a2ec39"),
+    ("B2", 2): (218, "caef40919d7d3299bb7ecc76f982fea2dddd8d2bd0e211cd742f62634425dad0"),
+}
+
+
+@pytest.mark.parametrize("label,p", CONDITION2_KEPT_DIGESTS.keys())
+def test_condition2_filtration_keeps_its_vectors(label, p):
+    system = build_root_system(label)
+    m = WeylModuleP.build(system, gamma_weight(system, p), p)
+    f0 = f_zero(system.n_pos, p)
+    group = tuple(2 * v for v in system.monomial_depth(f0.exponents))
+    filt = InducedFiltration((m, m), up_to=(p - 1) * system.n_pos, weight_group=group)
+    payload = [[n, [[[list(ta), list(tb)], block] for (ta, tb), block in sorted(vec.items())]]
+               for n, vec in filt.kept]
+    digest = hashlib.sha256(stable_dumps(payload).encode("ascii")).hexdigest()
+    assert (len(filt.kept), digest) == CONDITION2_KEPT_DIGESTS[label, p]
 
 
 def test_check_condition2_frees_its_filtration_by_refcount(monkeypatch):

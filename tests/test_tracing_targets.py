@@ -97,6 +97,38 @@ def test_traced_condition2_keeps_its_counts():
         assert {name: got.get(name, 0) for name in pinned} == pinned, (typ, p)
 
 
+# Traced counts of ``essential --oracle`` and ``filtration`` on G2 (1,2) at
+# p=3: the module sweeps of ``pbw`` insert each monomial vector's coordinates
+# as one row, in a fixed order, and stop once a block is spanned.
+PINNED_SWEEP_COUNTS = {
+    "essential": {"linalg.gf_insert.calls": 310, "linalg.gf_insert.useful": 286,
+                  "pbw.monomials_swept": 5_782, "weylmod.act.calls": 349},
+    "filtration": {"linalg.gf_insert.calls": 322, "linalg.gf_insert.useful": 286,
+                   "weylmod.act.calls": 327},
+}
+
+
+def test_traced_module_sweeps_keep_their_counts():
+    result = _traced_python(
+        "import contextlib, io, json, tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "from weylpbw import cli\n"
+        "out = {}\n"
+        "for command, extra in [('essential', ['--oracle']), ('filtration', [])]:\n"
+        "    tracer.counts.clear()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main([command, '--type', 'G2', '--weight', '1,2', '--p', '3',\n"
+        "                  *extra, '--no-cache', '--quiet'])\n"
+        "    out[command] = dict(tracer.counts)\n"
+        "print(json.dumps(out))\n")
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    for command, pinned in PINNED_SWEEP_COUNTS.items():
+        got = counts[command]
+        assert {name: got.get(name, 0) for name in pinned} == pinned, command
+
+
 def test_every_active_span_fires(tmp_path):
     """Tiny items of each benchmark workload reach every span the workload
     declares ``active``; ``perfbench/run.py --trace 1`` fails on a silent one."""
