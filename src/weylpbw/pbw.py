@@ -10,6 +10,11 @@ independent of the ones already kept. Everything here is exact rank
 arithmetic over Q or GF(p); the kept vectors of degree <= n are always a
 basis of filtration level n.
 
+Both module sweeps, the essential one and the filtration, enumerate a block
+one degree at a time (``monomials_with_depth(..., degree=d)``, which enters
+only branches that can reach degree d) and stop after the degree in which
+the block is spanned, so they never list the monomials of higher degree.
+
 Functionals on a Weyl module (sections of the induced module) get polynomial
 symbols: the degree-n symbol of xi reads off its values on the degree-n
 monomial vectors. Products of sections are computed through the coproduct
@@ -63,29 +68,45 @@ def monomials_with_depth(system: RootSystem, depth: Sequence[int],
     The last ``rank`` positive roots are the simple roots (the root order is
     by descending height), so once the recursion reaches them the remainder
     forces their exponents: one candidate per prefix, not a subtree.
+
+    With ``degree`` given, a branch is entered only if it can still reach
+    that degree. From a position and a remainder the reachable degrees form
+    the interval [``system.least_degree``, height of the remainder]: a
+    non-simple root is a lower positive root (later in the order) plus a
+    simple root, so splitting one factor raises the degree by exactly one,
+    until only simple roots are left. Every branch entered yields at least
+    one multi-index.
     """
+    if min(depth) < 0:
+        return []
     roots = system.positive_roots
     tail = len(roots) - system.rank
     simple_at = [beta.index(1) for beta in roots[tail:]]
+    support = [[(i, b) for i, b in enumerate(beta) if b] for beta in roots[:tail]]
+    least = system.least_degree
     out: List[MultiIndex] = []
     cur = [0] * tail
 
     def rec(pos: int, rem: Tuple[int, ...], deg_left: Optional[int]) -> None:
         if pos == tail:
-            if min(rem) >= 0 and (deg_left is None or deg_left == sum(rem)):
-                out.append(tuple(cur) + tuple(rem[i] for i in simple_at))
+            out.append(tuple(cur) + tuple(rem[i] for i in simple_at))
             return
         beta = roots[pos]
-        cap = min(rem[i] // beta[i] for i in range(len(rem)) if beta[i])
+        cap = min(rem[i] // b for i, b in support[pos])
         if deg_left is not None:
-            cap = min(cap, deg_left)
+            # k more of beta leaves height sum(rem) - k * height(beta) to fill
+            # with degree deg_left - k, which must not exceed it
+            cap = min(cap, deg_left, (sum(rem) - deg_left) // (sum(beta) - 1))
         for k in range(cap + 1):
-            cur[pos] = k
-            rec(pos + 1, tuple(r - k * b for r, b in zip(rem, beta)),
-                None if deg_left is None else deg_left - k)
+            nxt = tuple(r - k * b for r, b in zip(rem, beta))
+            if deg_left is None or least(nxt, pos + 1) <= deg_left - k:
+                cur[pos] = k
+                rec(pos + 1, nxt, None if deg_left is None else deg_left - k)
         cur[pos] = 0
 
-    rec(0, tuple(depth), degree)
+    depth = tuple(depth)
+    if degree is None or least(depth) <= degree <= sum(depth):
+        rec(0, depth, degree)
     return out
 
 
@@ -127,10 +148,14 @@ def sweep_key(s: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
 
 @dataclass
 class BlockSweep:
-    """The greedy sweep of one weight block: all multi-indices of the block's
-    depth in sweep order, which of them are essential, and their vectors."""
+    """The greedy sweep of one weight block: the multi-indices it enumerated,
+    which of them are essential, and their vectors.
+
+    ``all_indices`` is a prefix of the block's multi-indices in sweep order:
+    every one of degree at most the degree in which the kept vectors span the
+    block (the largest essential degree). No later one can be kept."""
     depth: Tuple[int, ...]
-    all_indices: List[MultiIndex]          # sweep order
+    all_indices: List[MultiIndex]          # sweep order, up to the spanning degree
     essential: List[MultiIndex]            # ascending total order
     vectors: Dict[MultiIndex, List[int]]   # essential index -> block coords
 
@@ -181,20 +206,25 @@ class EssentialSet:
 
 
 def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...]) -> BlockSweep:
-    indices = sorted(monomials_with_depth(m.system, depth), key=sweep_key)
     space = row_space(m.p)
+    indices: List[MultiIndex] = []
     essential: List[MultiIndex] = []
     vectors: Dict[MultiIndex, List[int]] = {}
     full = m.dims.get(depth, 0)
-    for s in indices:
+    for d in range(m.system.least_degree(depth), sum(depth) + 1):
         if space.rank == full:
-            break   # no later monomial can be independent
-        coords = m.monomial_coords(s)
-        if coords is None:
-            continue
-        if space.insert(coords):
-            essential.append(s)
-            vectors[s] = coords
+            break   # no monomial of a higher degree can be independent
+        batch = sorted(monomials_with_depth(m.system, depth, degree=d), key=sweep_key)
+        indices += batch
+        for s in batch:
+            if space.rank == full:
+                break   # no later monomial can be independent
+            coords = m.monomial_coords(s)
+            if coords is None:
+                continue
+            if space.insert(coords):
+                essential.append(s)
+                vectors[s] = coords
     if space.rank != full:
         raise InvariantError(
             f"monomial vectors fail to span the block at depth {depth}")
@@ -240,13 +270,15 @@ def pbw_filtration(m: WeylModuleP, n: int) -> FiltrationTable:
     for depth in m.block_order:
         full = m.dims[depth]
         space = row_space(m.p)
-        for s in sorted(monomials_with_depth(m.system, depth), key=sum):
-            deg = sum(s)
-            if deg > n or space.rank == full:
+        for deg in range(m.system.least_degree(depth), min(n, sum(depth)) + 1):
+            if space.rank == full:
                 break
-            coords = m.monomial_coords(s)
-            if coords is not None and space.insert(coords):
-                gains[deg] += 1
+            for s in monomials_with_depth(m.system, depth, degree=deg):
+                if space.rank == full:
+                    break
+                coords = m.monomial_coords(s)
+                if coords is not None and space.insert(coords):
+                    gains[deg] += 1
     return FiltrationTable(m.highest_weight, m.p, list(itertools.accumulate(gains)),
                            gains)
 

@@ -1,12 +1,12 @@
 """Weyl modules and induced modules in positive characteristic.
 
 ``WeylModuleP`` reduces an admissible lattice mod a prime (or keeps it over Z
-when ``p is None``), with divided-power generator matrices built lazily by
-exact integer division and only then reduced. ``DualModuleP`` carries the
-functionals on such a module under the antipode-twisted action, which is how
-induced modules enter: H0(lam) is the dual of the Weyl module with highest
-weight lam*. Tensor actions go through the divided-power coproduct
-Delta X^(n) = sum X^(i) (x) X^(j), leg by leg.
+when ``p is None``), with divided-power generator matrices built lazily, block
+by block, by exact integer division and only then reduced. ``DualModuleP``
+carries the functionals on such a module under the antipode-twisted action,
+which is how induced modules enter: H0(lam) is the dual of the Weyl module
+with highest weight lam*. Tensor actions go through the divided-power
+coproduct Delta X^(n) = sum X^(i) (x) X^(j), leg by leg.
 
 Every action, on a module, a dual or a tensor, is one composition loop,
 ``_compose``: it walks the root positions from last to first and hands each
@@ -16,10 +16,14 @@ step for tensors. A leg of a tensor is anything offering ``system``, ``p``,
 ``reduce``, ``dims`` and ``leg_matrix``; both module classes do.
 ``leg_matrix(side, pos, k, t)`` gives the target block and the matrix of one
 factor on block t: the module's divided power itself, or for the dual its
-signed transpose (-1)^k M^T on the block that feeds t. Each class builds one
-table per factor (side, pos, k), source block -> (target, matrix), the first
-time the factor is used, and every later lookup is one dict access; the
-dual's table is read off the module's. Everything else is
+signed transpose (-1)^k M^T on the block that feeds t. Each class keeps one
+table per factor (side, pos, k), source block -> (target, matrix) or None,
+filled block by block: a block is built by the class's ``divided(side, pos,
+k, t)`` the first time it is read, and every later read is one dict access.
+The module builds X^(k) on t as X^(k-1) on t times the lattice's first power
+on the block that lands in, divided exactly by k and only then reduced, so
+only the blocks an action reaches (and the chains below them) are built; the
+dual transposes the module block that feeds t. Everything else is
 matrix products: ``leg_apply``, the one kernel both classes share with their
 ``act``, is M.coords, and a tensor leg is M.X on leg 0 and X.M^T on leg 1.
 
@@ -44,6 +48,9 @@ Weight = Tuple[int, ...]
 Matrix = List[List[int]]
 Vector = Dict[Coords, List[int]]
 TensorVector = Dict[Tuple[Coords, Coords], Matrix]
+LegTable = Dict[Coords, Optional[Tuple[Coords, Matrix]]]   # source block -> (target, matrix)
+
+_UNBUILT = object()   # a table slot not built yet (None is a built zero block)
 
 
 def is_prime(n: int) -> bool:
@@ -135,8 +142,9 @@ class WeylModuleP:
         self.dims: Dict[Coords, int] = dict(lattice.dims)
         self.weights: Dict[Coords, Weight] = dict(lattice.weights)
         self.dim: int = lattice.dim
-        self._div_int: Dict[Tuple[str, int, int], Dict[Coords, List[List[int]]]] = {}
-        self._legs: Dict[Tuple[str, int, int], Dict[Coords, Tuple[Coords, Matrix]]] = {}
+        self._blocks: Dict[Coords, Coords] = {t: t for t in self.dims}   # one tuple each
+        self._div_int: Dict[Tuple[str, int, int, Coords], Optional[Matrix]] = {}
+        self._legs: Dict[Tuple[str, int, int], LegTable] = {}
 
     @classmethod
     def build(cls, system, highest_weight: Weight, p: Optional[int],
@@ -153,81 +161,70 @@ class WeylModuleP:
 
     # -- divided powers --------------------------------------------------------
 
-    def _first_power(self, side: str, pos: int) -> Dict[Coords, List[List[int]]]:
-        table = self.lattice.e_gen if side == "E" else self.lattice.f_gen
-        return {t: mat for (p_, t), mat in table.items() if p_ == pos}
-
-    def _divided_int(self, side: str, pos: int, k: int) -> Dict[Coords, List[List[int]]]:
-        """Integer matrices of X_beta^(k), block by block (before reduction)."""
-        key = (side, pos, k)
-        hit = self._div_int.get(key)
-        if hit is not None:
+    def _divided_int(self, side: str, pos: int, k: int, t: Coords) -> Optional[Matrix]:
+        """The integer matrix of X_beta^(k) on block t (before reduction), None
+        when it is zero: X^(k-1) on t, then the generator on the block it
+        lands in, divided exactly by k."""
+        gen = self.lattice.e_gen if side == "E" else self.lattice.f_gen
+        if k == 1:
+            return gen.get((pos, t))
+        key = (side, pos, k, t)
+        hit = self._div_int.get(key, _UNBUILT)
+        if hit is not _UNBUILT:
             return hit
-        if k == 0:
-            out = {t: [[int(r == c) for c in range(d)] for r in range(d)]
-                   for t, d in self.dims.items() if d}
-        elif k == 1:
-            out = self._first_power(side, pos)
-        else:
+        out = None
+        prev = self._divided_int(side, pos, k - 1, t)
+        if prev is not None:
             beta = self.system.positive_roots[pos]
-            sign = -1 if side == "E" else 1
-            step = self._first_power(side, pos)
-            prev = self._divided_int(side, pos, k - 1)
-            out = {}
-            for t, mat in prev.items():
-                mid = tuple(v + sign * (k - 1) * c for v, c in zip(t, beta))
-                top = step.get(mid)
-                if top is None:
-                    continue
-                prod = mat_mul(top, mat)
+            step = (1 - k) if side == "E" else (k - 1)
+            top = gen.get((pos, tuple(v + step * c for v, c in zip(t, beta))))
+            if top is not None:
+                prod = mat_mul(top, prev)
                 if any(v % k for row in prod for v in row):
                     raise InvariantError(
                         f"divided power {side}^({k}) of root #{pos} is not"
                         f" integral on block {t}")
                 ok = [[v // k for v in row] for row in prod]
-                if any(any(row) for row in ok):
-                    out[t] = ok
+                if any(map(any, ok)):
+                    out = ok
         self._div_int[key] = out
         return out
 
-    def divided(self, side: str, pos: int, k: int) -> Dict[Coords, List[List[int]]]:
-        """Matrices of X_beta^(k) with entries reduced into the module's ring.
+    def divided(self, side: str, pos: int, k: int,
+                t: Coords) -> Optional[Tuple[Coords, Matrix]]:
+        """X_beta^(k) on block t, k >= 1: its target block and its matrix with
+        entries reduced into the module's ring; None when it is zero.
 
         A row already reduced is the integer matrix's own row, not a copy, so
         neither may be written to.
         """
-        if self.p is None:
-            return self._divided_int(side, pos, k)
+        if k < 1:
+            raise ValueError(f"divided power {k} < 1; X^(0) is the identity")
+        mat = self._divided_int(side, pos, k, t)
+        if mat is None:
+            return None
         p = self.p
-        return {t: [row if min(row) >= 0 and max(row) < p else [v % p for v in row]
-                    for row in mat]
-                for t, mat in self._divided_int(side, pos, k).items()}
+        if p is not None:
+            mat = [row if min(row) >= 0 and max(row) < p else [v % p for v in row]
+                   for row in mat]
+        beta = self.system.positive_roots[pos]
+        step = -k if side == "E" else k
+        return self._blocks[tuple(v + step * c for v, c in zip(t, beta))], mat
 
     # -- vector plumbing ---------------------------------------------------------
-
-    def leg_table(self, side: str, pos: int,
-                  k: int) -> Dict[Coords, Tuple[Coords, Matrix]]:
-        """X_beta^(k) block by block: source block -> (target block, matrix),
-        built once per factor."""
-        key = (side, pos, k)
-        table = self._legs.get(key)
-        if table is None:
-            beta = self.system.positive_roots[pos]
-            sign = -1 if side == "E" else 1
-            blocks = {t: t for t in self.dims}   # one tuple per block, shared
-            table = self._legs[key] = {
-                src: (blocks[tuple(v + sign * k * c for v, c in zip(src, beta))], mat)
-                for src, mat in self.divided(side, pos, k).items()}
-        return table
 
     def leg_matrix(self, side: str, pos: int, k: int,
                    t: Coords) -> Optional[Tuple[Coords, Matrix]]:
         """X_beta^(k) on block t: its target block and matrix, None when the
-        block has no image."""
+        block has no image. Built by ``divided`` on first use and kept in one
+        table per factor (side, pos, k)."""
         table = self._legs.get((side, pos, k))
         if table is None:
-            table = self.leg_table(side, pos, k)
-        return table.get(t)
+            table = self._legs[(side, pos, k)] = {}
+        hit = table.get(t, _UNBUILT)
+        if hit is _UNBUILT:
+            hit = table[t] = self.divided(side, pos, k, t)
+        return hit
 
     def leg_apply(self, side: str, pos: int, k: int,
                   t: Coords, coords: Sequence[int]) -> Optional[Tuple[Coords, List[int]]]:
@@ -286,27 +283,29 @@ class DualModuleP:
         self.p = module.p
         self.reduce = module.reduce
         self.dims: Dict[Coords, int] = module.dims
-        self._legs: Dict[Tuple[str, int, int], Dict[Coords, Tuple[Coords, Matrix]]] = {}
+        self._legs: Dict[Tuple[str, int, int], LegTable] = {}
 
     def functional_weight(self, xi: Vector) -> Optional[Weight]:
         """Minus the weight of a homogeneous functional's blocks (None for 0 or mixed)."""
         w = self.module.vector_weight(xi)
         return None if w is None else tuple(-v for v in w)
 
-    def leg_matrix(self, side: str, pos: int, k: int,
-                   t: Coords) -> Optional[Tuple[Coords, Matrix]]:
+    def divided(self, side: str, pos: int, k: int,
+                t: Coords) -> Optional[Tuple[Coords, Matrix]]:
         """sigma(X_beta^(k)) on functionals of block t: the block "upstream"
-        of t, whose module matrix M lands in t, and (-1)^k M^T."""
-        key = (side, pos, k)
-        table = self._legs.get(key)
-        if table is None:
-            par = -1 if k % 2 else 1
-            table = self._legs[key] = {
-                tgt: (src, [[self.reduce(par * v) for v in col] for col in zip(*mat)])
-                for src, (tgt, mat) in self.module.leg_table(side, pos, k).items()}
-        return table.get(t)
+        of t, whose module matrix M lands in t, and (-1)^k M^T; None when no
+        block feeds t."""
+        beta = self.system.positive_roots[pos]
+        step = k if side == "E" else -k
+        src = self.module._blocks.get(tuple(v + step * c for v, c in zip(t, beta)))
+        hit = None if src is None else self.module.leg_matrix(side, pos, k, src)
+        if hit is None:
+            return None
+        par = -1 if k % 2 else 1
+        return src, [[self.reduce(par * v) for v in col] for col in zip(*hit[1])]
 
-    # the module's own kernel (M.coords) and action: leg_matrix is the difference
+    # the module's own table, kernel (M.coords) and action: divided is the difference
+    leg_matrix = WeylModuleP.leg_matrix
     leg_apply = WeylModuleP.leg_apply
     act = WeylModuleP.act
 

@@ -376,6 +376,26 @@ def test_monomials_with_depth_edge_depths(label):
     assert monomials_with_depth(system, too_large) == _brute_monomials(system, too_large)
 
 
+# The modules the sweep benchmark draws from. Their blocks lie deeper than the
+# brute-force test above reaches (coordinates up to 18), so the degree pruning
+# is checked there against the unpruned enumeration instead.
+SWEEP_MODULES = [("G2", (0, 3)), ("G2", (1, 2)), ("G2", (2, 1)), ("C3", (0, 1, 1)),
+                 ("A3", (2, 1, 2))]
+
+
+@pytest.mark.parametrize("label,weight", SWEEP_MODULES)
+def test_degree_lists_concatenate_to_the_full_list(label, weight):
+    """For every depth in the weight box of V(weight), the lists for degree
+    0, 1, ..., height, concatenated, are the full list stably sorted by
+    degree: pruning drops no multi-index and keeps the lexicographic order."""
+    system = build_root_system(label)
+    box = system.depth_vector(weight)
+    for depth in itertools.product(*(range(b + 1) for b in box)):
+        by_degree = [s for d in range(sum(depth) + 1)
+                     for s in monomials_with_depth(system, depth, degree=d)]
+        assert by_degree == sorted(monomials_with_depth(system, depth), key=sum), depth
+
+
 def test_monomials_with_depth_a1_negative():
     a1 = build_root_system("A1")
     assert monomials_with_depth(a1, (-1,)) == []
@@ -400,7 +420,9 @@ def test_sweeps_equal_their_no_stop_references(label, weight, p):
             if _insert(space, coords):
                 kept[s] = coords
         sweep = es.by_block[depth]
-        assert sweep.all_indices == indices
+        # the sweep enumerates only up to the degree in which it spans
+        top = max(map(sum, sweep.essential))
+        assert sweep.all_indices == [s for s in indices if sum(s) <= top]
         assert sweep.vectors == kept
         assert set(sweep.essential) == set(kept)
 

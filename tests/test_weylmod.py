@@ -1,17 +1,20 @@
 """Mod-p Weyl modules, duals, and the coproduct action on tensors."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from tensor3 import iterated_coproduct, triple_of
+from test_charzero import GOLDEN_PAYLOAD_DIGESTS
 
 import weylpbw
 from weylpbw import (AdmissibleLattice, InvariantError, WeylModuleP, build_root_system,
-                     tensor_act, tensor_of)
+                     essential_set, pbw_filtration, tensor_act, tensor_of)
 from weylpbw.weylmod import (
     DualModuleP,
     HyperMonomial,
@@ -67,8 +70,10 @@ def corrupt_a1_module() -> WeylModuleP:
 
 
 def test_non_integral_divided_power_raises_invariant_error():
+    """The check runs on each block as it is built: F^(2) on the top block
+    passes through the corrupted middle one."""
     with pytest.raises(InvariantError, match="not integral"):
-        corrupt_a1_module().divided("F", 0, 2)
+        corrupt_a1_module().divided("F", 0, 2, (0,))
 
 
 def test_divided_power_check_survives_optimize_flag():
@@ -80,13 +85,88 @@ def test_divided_power_check_survives_optimize_flag():
         [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import test_weylmod\n"
             "try:\n"
-            "    test_weylmod.corrupt_a1_module().divided('F', 0, 2)\n"
+            "    test_weylmod.corrupt_a1_module().divided('F', 0, 2, (0,))\n"
             "except test_weylmod.InvariantError as exc:\n"
             "    print('InvariantError:', exc)\n")
     result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "InvariantError: divided power F^(2)" in result.stdout
+
+
+def _product_of_first_powers(lattice, side, pos, k, t):
+    """X_beta^(k) on block t straight from the definition: k first powers
+    along the beta-string from t, multiplied, then divided by k! exactly.
+    (target block, integer matrix), None when the string leaves the module
+    or the product is zero."""
+    gen = lattice.e_gen if side == "E" else lattice.f_gen
+    beta = lattice.system.positive_roots[pos]
+    sign = -1 if side == "E" else 1
+    prod, cur = None, t
+    for _ in range(k):
+        step = gen.get((pos, cur))
+        if step is None:
+            return None
+        prod = step if prod is None else [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*prod)] for row in step]
+        cur = tuple(v + sign * c for v, c in zip(cur, beta))
+    assert all(v % math.factorial(k) == 0 for row in prod for v in row)
+    prod = [[v // math.factorial(k) for v in row] for row in prod]
+    return (cur, prod) if any(map(any, prod)) else None
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+@pytest.mark.parametrize("typ,weight", [(typ, weight) for typ, weight, _ in GOLDEN_PAYLOAD_DIGESTS])
+def test_leg_matrices_are_divided_products_of_first_powers(typ, weight, p):
+    """Each block built on first use equals the product of first powers
+    divided exactly and reduced, for E and F and every k with a nonzero block;
+    the dual's block is the signed transpose of the module block feeding it."""
+    lattice = AdmissibleLattice.build(typ, weight)
+    m = WeylModuleP(lattice, p)
+    d = DualModuleP(m)
+    for side in ("E", "F"):
+        for pos in range(lattice.system.n_pos):
+            k = 1
+            while True:
+                refs = {t: _product_of_first_powers(lattice, side, pos, k, t)
+                        for t in m.block_order}
+                if not any(refs.values()):
+                    break
+                upstream = {}
+                for t, ref in refs.items():
+                    got = m.leg_matrix(side, pos, k, t)
+                    if ref is None:
+                        assert got is None, (side, pos, k, t)
+                        continue
+                    tgt, mat = ref
+                    assert got == (tgt, [[m.reduce(v) for v in row] for row in mat]), \
+                        (side, pos, k, t)
+                    upstream[tgt] = (t, [[m.reduce((-1) ** k * v) for v in col]
+                                         for col in zip(*mat)])
+                for t in m.block_order:
+                    assert d.leg_matrix(side, pos, k, t) == upstream.get(t), (side, k, t)
+                k += 1
+
+
+def test_module_is_freed_by_refcount():
+    """Nothing a module builds on first use points back at it, so with the
+    cycle collector off it is freed as soon as its last user lets go."""
+    gc.disable()
+    try:
+        a2 = build_root_system("A2")
+        m = WeylModuleP.build(a2, (1, 1), 3)
+        ref = weakref.ref(m)
+        es = essential_set(m)
+        assert pbw_filtration(m, 4).top_dim == m.dim
+        d = DualModuleP(m)
+        xi = {(2, 2): [1]}
+        f_all = HyperMonomial("F", (1, 1, 1))
+        assert d.act(f_all, xi)
+        assert tensor_act((m, d), f_all, tensor_of((m.highest_vector(), xi)))
+        del m, es, d
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_monomial_coords_highest():
