@@ -83,6 +83,7 @@ def monomials_with_depth(system: RootSystem, depth: Sequence[int],
     tail = len(roots) - system.rank
     simple_at = [beta.index(1) for beta in roots[tail:]]
     support = [[(i, b) for i, b in enumerate(beta) if b] for beta in roots[:tail]]
+    heights = [sum(beta) for beta in roots]
     least = system.least_degree
     out: List[MultiIndex] = []
     cur = [0] * tail
@@ -93,11 +94,16 @@ def monomials_with_depth(system: RootSystem, depth: Sequence[int],
             return
         beta = roots[pos]
         cap = min(rem[i] // b for i, b in support[pos])
+        low = 0
         if deg_left is not None:
-            # k more of beta leaves height sum(rem) - k * height(beta) to fill
-            # with degree deg_left - k, which must not exceed it
-            cap = min(cap, deg_left, (sum(rem) - deg_left) // (sum(beta) - 1))
-        for k in range(cap + 1):
+            # k of beta leave height sum(rem) - k*h to fill with degree
+            # deg_left - k from the roots after beta, each of height 1 to h1:
+            # deg_left - k <= sum(rem) - k*h <= (deg_left - k) * h1
+            height, h, h1 = sum(rem), heights[pos], heights[pos + 1]
+            cap = min(cap, deg_left, (height - deg_left) // (h - 1))
+            if h > h1:
+                low = -((deg_left * h1 - height) // (h - h1))
+        for k in range(max(low, 0), cap + 1):
             nxt = tuple(r - k * b for r, b in zip(rem, beta))
             if deg_left is None or least(nxt, pos + 1) <= deg_left - k:
                 cur[pos] = k
