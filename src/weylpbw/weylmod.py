@@ -96,6 +96,13 @@ def f_zero(n_pos: int, p: int) -> HyperMonomial:
     return HyperMonomial("F", tuple(p - 1 for _ in range(n_pos)))
 
 
+def _shift(system: RootSystem, side: str, pos: int, t: Coords, k: int) -> Coords:
+    """The block k factors X_beta away from block t: F adds k*beta to the
+    depth, E subtracts it (a negative k goes back)."""
+    step = -k if side == "E" else k
+    return tuple(v + step * c for v, c in zip(t, system.positive_roots[pos]))
+
+
 def _compose(leg, mono: HyperMonomial, vec, step: Callable):
     """Apply ``mono`` to ``vec`` one root factor at a time, last root first.
 
@@ -175,9 +182,7 @@ class WeylModuleP:
         out = None
         prev = self._divided_int(side, pos, k - 1, t)
         if prev is not None:
-            beta = self.system.positive_roots[pos]
-            step = (1 - k) if side == "E" else (k - 1)
-            top = gen.get((pos, tuple(v + step * c for v, c in zip(t, beta))))
+            top = gen.get((pos, _shift(self.system, side, pos, t, k - 1)))
             if top is not None:
                 prod = mat_mul(top, prev)
                 if any(v % k for row in prod for v in row):
@@ -207,9 +212,7 @@ class WeylModuleP:
         if p is not None:
             mat = [row if min(row) >= 0 and max(row) < p else [v % p for v in row]
                    for row in mat]
-        beta = self.system.positive_roots[pos]
-        step = -k if side == "E" else k
-        return self._blocks[tuple(v + step * c for v, c in zip(t, beta))], mat
+        return self._blocks[_shift(self.system, side, pos, t, k)], mat
 
     # -- vector plumbing ---------------------------------------------------------
 
@@ -295,9 +298,7 @@ class DualModuleP:
         """sigma(X_beta^(k)) on functionals of block t: the block "upstream"
         of t, whose module matrix M lands in t, and (-1)^k M^T; None when no
         block feeds t."""
-        beta = self.system.positive_roots[pos]
-        step = k if side == "E" else -k
-        src = self.module._blocks.get(tuple(v + step * c for v, c in zip(t, beta)))
+        src = self.module._blocks.get(_shift(self.system, side, pos, t, -k))
         hit = None if src is None else self.module.leg_matrix(side, pos, k, src)
         if hit is None:
             return None
