@@ -127,11 +127,10 @@ def load_or_build_lattice(system: RootSystem, weight: Sequence[int],
     hit = store.load(key)
     if hit is not None:
         try:
-            lattice = AdmissibleLattice.from_payload(hit["payload"])
+            lattice = AdmissibleLattice.from_payload(hit["payload"], system)
         except (KeyError, TypeError, ValueError, IndexError):
             lattice = None
         if (lattice is not None
-                and lattice.system.cartan.matrix == system.cartan.matrix
                 and lattice.highest_weight == weight
                 and lattice.dim == system.weyl_dimension(weight)):
             return lattice

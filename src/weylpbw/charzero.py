@@ -407,8 +407,16 @@ class AdmissibleLattice:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "AdmissibleLattice":
-        system = build_root_system([tuple(r) for r in payload["cartan"]])
+    def from_payload(cls, payload: dict,
+                     system: Optional[RootSystem] = None) -> "AdmissibleLattice":
+        """The lattice a payload records. ``system`` is a root system the
+        caller already holds for it: it is used when its Cartan matrix is
+        the payload's (ValueError otherwise), and no root system is built."""
+        cartan = tuple(tuple(r) for r in payload["cartan"])
+        if system is None:
+            system = build_root_system(cartan)
+        elif system.cartan.matrix != cartan:
+            raise ValueError("the payload is for another Cartan matrix")
 
         def parse(label: str) -> Tuple[int, Coords]:
             pos_s, t_s = label.split("|")

@@ -25,8 +25,8 @@ from .cache import input_hash
 from .charzero import DIM_CAP_DEFAULT
 from .linalg import row_space
 from .pbw import (InducedSections, Polynomial, g2_essential_member,
-                  g2_essential_solutions, j_map, monomials_with_depth,
-                  order_key, sn_divided_action)
+                  g2_essential_rows, j_map, monomials_with_depth, order_key,
+                  sn_divided_action)
 from .rootsys import RootSystem, build_root_system
 from .tensorfilt import InducedFiltration
 from .weylmod import (HyperMonomial, WeylModuleP, f_zero, is_prime,
@@ -147,8 +147,8 @@ def check_v0(m: WeylModuleP) -> CriterionReport:
         block = m.system.monomial_depth(f0.exponents)
         space = row_space(m.p)
         considered = 0
-        for t in monomials_with_depth(m.system, block):
-            if sum(t) <= level - 1:
+        for degree in range(level):
+            for t in monomials_with_depth(m.system, block, degree=degree):
                 coords = m.monomial_coords(t)
                 if coords is not None:
                     considered += 1
@@ -259,12 +259,13 @@ def g2_highest_section_check(s1: InducedSections) -> StepVerdict:
     x1 x6; multiplicativity of the dual basis then gives the (p-1)-st power
     statement without ever building V((p-1)w1)."""
     k = s1.p - 1
-    # the table is only counted; just its few top entries are kept and sorted
+    # the table is only counted, row by row; just its few entries of degree
+    # >= 2k are listed and sorted
     size, top = 0, []
-    for s in g2_essential_solutions(k, 0):
-        size += 1
-        if sum(s) >= 2 * k:
-            top.append(s)
+    for prefix, s6_max in g2_essential_rows(k, 0):
+        size += s6_max + 1
+        top.extend(prefix + (s6,)
+                   for s6 in range(max(0, 2 * k - sum(prefix)), s6_max + 1))
     top.sort(key=order_key)
     expected_top = (k, 0, 0, 0, 0, k)
     unique = top == [expected_top]

@@ -8,7 +8,10 @@ There is one rank engine per field, ``RowSpaceQQ`` over Q and
 ``RowSpaceGF`` over GF(p), and both take a row as a dense sequence of ints,
 entry c in column c and zero past its end. Over Q they keep primitive
 integer lists; over GF(p) they pack each row into one int of fixed-width
-lanes, one lane per column. Dense matrices are lists of row lists.
+lanes, one lane per column, and store each pivot shifted so that its
+leading lane sits at bit 0: a reduction step is one multiply-add and one
+shift on a row that shrinks as its low lanes clear. Dense matrices are
+lists of row lists.
 """
 from __future__ import annotations
 
@@ -43,16 +46,19 @@ class RowSpaceGF:
     Entry c of a row sits in lane c, bits [c*B, (c+1)*B) of a nonnegative
     int. A lane is twice as wide as the narrowest of 1, 2, 4, 8, 16, ...
     bytes that holds p - 1, so it holds a reduced entry plus at least one
-    product (p - 1)**2 below 2**B. A stored pivot has every lane reduced
-    into [0, p) and a 1 in its leading lane; ``pivots`` maps each leading
-    column to its packed row, in insertion order.
+    product (p - 1)**2 below 2**B. ``pivots`` maps each leading column c to
+    its packed row, in insertion order, stored from its leading lane: lane
+    c sits at bit 0 and holds 1, and every lane is reduced into [0, p).
 
-    Reduction eliminates the lowest nonzero lane first: with f its value
-    mod p and piv the pivot there, x += (p - f) * piv, after which that lane
-    is cleared. Only the lane read is reduced; every other lane grows by at
-    most (p - 1)**2 per step, and never falls. After ``budget`` steps, the
-    most that can pass with every lane below 2**B, the whole row is
-    normalised mod p, so no lane ever carries into the next.
+    Reduction eliminates the lowest nonzero lane first, with the row shifted
+    so that this lane sits at bit 0: with f its value mod p and piv the
+    pivot of its column, lane 0 of x + (p - f) * piv is a multiple of p, so
+    that sum shifted one lane right is the reduced row, one lane shorter.
+    Only the lane read is reduced; every other lane grows by at most
+    (p - 1)**2 per step, and never falls. After ``budget`` steps, the most
+    that can pass with every lane below 2**B, the whole row is normalised
+    mod p, so no lane ever carries into the next, the one being dropped
+    included.
     """
 
     def __init__(self, p: int):
@@ -93,43 +99,47 @@ class RowSpaceGF:
         p = self.p
         return self._pack([v % p for v in row])
 
-    def _reduce(self, x: int) -> int:
-        """0 if x lies in the span, else x reduced to a lowest lane that is
-        nonzero mod p and has no pivot."""
+    def _reduce(self, x: int) -> Tuple[int, int]:
+        """(c, y): y is 0 if x lies in the span; else x reduced until its
+        lowest lane nonzero mod p, column c, has no pivot, and shifted so
+        that lane c sits at bit 0."""
         p, bits, pivots = self.p, self.lane_bits, self.pivots
         mask = (1 << bits) - 1
         left = self.budget
+        c = 0
         while x:
-            c = ((x & -x).bit_length() - 1) // bits
-            shift = c * bits
-            v = (x >> shift) & mask
+            v = x & mask
+            if not v:
+                low = ((x & -x).bit_length() - 1) // bits
+                x >>= low * bits
+                c += low
+                v = x & mask
             f = v % p
             if f:
                 piv = pivots.get(c)
                 if piv is None:
-                    return x
-                x += (p - f) * piv - ((v + p - f) << shift)
+                    return c, x
+                x = (x + (p - f) * piv) >> bits
                 left -= 1
                 if not left:
                     x = self._normalised(x)
                     left = self.budget
             else:
-                x -= v << shift
-        return 0
+                x >>= bits
+            c += 1
+        return c, 0
 
     def insert(self, row: Sequence[int]) -> bool:
         """Add a row; True if it enlarged the space."""
-        x = self._reduce(self._packed(row))
+        c, x = self._reduce(self._packed(row))
         if not x:
             return False
-        bits = self.lane_bits
-        c = ((x & -x).bit_length() - 1) // bits
-        lead = ((x >> (c * bits)) & ((1 << bits) - 1)) % self.p
+        lead = (x & ((1 << self.lane_bits) - 1)) % self.p
         self.pivots[c] = self._normalised(x, pow(lead, -1, self.p))
         return True
 
     def contains(self, row: Sequence[int]) -> bool:
-        return not self._reduce(self._packed(row))
+        return not self._reduce(self._packed(row))[1]
 
     @property
     def rank(self) -> int:

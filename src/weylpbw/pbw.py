@@ -307,9 +307,11 @@ def g2_essential_member(k: int, l: int, s: Sequence[int]) -> bool:
             and s2 + s3 + s4 + s5 + s6 <= k + 2 * l)
 
 
-def g2_essential_solutions(k: int, l: int) -> Iterator[MultiIndex]:
-    """All solutions of the G2 essential-set inequalities for k*w1 + l*w2,
-    in enumeration order (pruned nested bounds, no box filter)."""
+def g2_essential_rows(k: int, l: int) -> Iterator[Tuple[MultiIndex, int]]:
+    """The solutions of the G2 essential-set inequalities for k*w1 + l*w2,
+    one row per (s1, ..., s5): that prefix and the largest s6 it allows,
+    every s6 from 0 to it being a solution (pruned nested bounds, no box
+    filter). Every row has at least one solution."""
     if k < 0 or l < 0:
         raise ValueError("the weight coordinates must be dominant (nonnegative)")
     kl, k2l = k + l, k + 2 * l
@@ -318,10 +320,17 @@ def g2_essential_solutions(k: int, l: int) -> Iterator[MultiIndex]:
             for s3 in range(min(kl - s2, k2l - s1 - s2) + 1):
                 for s4 in range(min(kl - s3, k2l - s1 - s2 - s3) + 1):
                     for s5 in range(min(l, k2l - s1 - s2 - s3 - s4, kl - s4) + 1):
-                        for s6 in range(min(k, kl - s2 - s3, kl - s3 - s4,
-                                            kl - s4 - s5,
-                                            k2l - s2 - s3 - s4 - s5) + 1):
-                            yield (s1, s2, s3, s4, s5, s6)
+                        yield (s1, s2, s3, s4, s5), min(k, kl - s2 - s3, kl - s3 - s4,
+                                                        kl - s4 - s5,
+                                                        k2l - s2 - s3 - s4 - s5)
+
+
+def g2_essential_solutions(k: int, l: int) -> Iterator[MultiIndex]:
+    """All solutions of the G2 essential-set inequalities for k*w1 + l*w2,
+    in enumeration order: the rows of ``g2_essential_rows``, s6 ascending."""
+    for prefix, top in g2_essential_rows(k, l):
+        for s6 in range(top + 1):
+            yield prefix + (s6,)
 
 
 def g2_essential_table(k: int, l: int) -> List[MultiIndex]:

@@ -10,11 +10,16 @@ the tensor module, beyond which every monomial acts as zero). Spanning sets
 use lowering monomials only — the cyclic vector is highest-weight — and the
 raising/lowering stability of the levels is then *checked*, not presupposed.
 
-The coproduct orbit Delta(F^t).(v (x) w) is computed once per filtration.
-F^t applies its last root's factor first, so the monomials t form a trie by
-suffix: one depth-first walk from the last root takes one single-factor
-coproduct step per edge, clipped to the weight group in a restricted run,
-and the orbit is then listed by degree and lexicographically in t.
+The coproduct orbit Delta(F^t).(v (x) w) is computed once per filtration,
+from module vectors: the divided-power coproduct is an algebra map, so
+Delta(F^t).(v (x) w) is the sum of the outer products F^a.v (x) F^b.w over
+a + b = t. Each leg lists its nonzero F^a.v once, by one depth-first walk
+from the last root (one ``leg_apply`` per edge, clipped to the weight group
+in a restricted run), and the orbit is formed one total depth at a time
+and listed by degree and lexicographically in t. A leg monomial F^s acts
+on a spanning vector as one composed matrix per block
+(``weylmod.tensor_leg_act``). The orbit and the kept vectors store each
+block as a tuple of row tuples, and each equal key, row and block once.
 
 Every spanning vector is a weight vector, so ranks are swept one total
 weight at a time with exact elimination (no probabilistic shortcuts); over
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import add, le, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cache import input_hash
@@ -73,6 +79,38 @@ def _common_field(legs: Tuple[WeylModuleP, WeylModuleP]):
     if a.system.cartan.matrix != b.system.cartan.matrix or a.p != b.p:
         raise ValueError("the two legs differ in root system or characteristic")
     return a.system, a.p
+
+
+def _leg_orbit(m: WeylModuleP,
+               room: Weight) -> Dict[Weight, List[Tuple[Tuple[int, ...], List[int]]]]:
+    """The nonzero F^a.v, v the highest vector of ``m``, for every a whose
+    depth fits ``room``: block -> [(a, coordinates)], a F^a.v lying in the
+    block at the depth of a.
+
+    F^a applies its last root's factor first, so the a sharing a suffix
+    share a prefix of the computation: the walk goes depth first from the
+    last root, and each edge is one ``leg_apply`` of a single factor. A
+    vector that dies stays dead, so its subtree is cut.
+    """
+    roots = m.system.positive_roots
+    (top, coords), = m.highest_vector().items()
+    out: Dict[Weight, List[Tuple[Tuple[int, ...], List[int]]]] = {}
+    # (position to fill next, room left, exponents from it on, block, coordinates)
+    stack = [(len(roots) - 1, room, (), top, coords)]
+    while stack:
+        pos, room, suffix, t, coords = stack.pop()
+        if pos < 0:
+            out.setdefault(t, []).append((suffix, coords))
+            continue
+        beta = roots[pos]
+        cap = min(r // b for r, b in zip(room, beta) if b)
+        stack.append((pos - 1, room, (0,) + suffix, t, coords))
+        for k in range(1, cap + 1):
+            hit = m.leg_apply("F", pos, k, t, coords)
+            if hit is not None:
+                stack.append((pos - 1, tuple(r - k * b for r, b in zip(room, beta)),
+                              (k,) + suffix, *hit))
+    return out
 
 
 class _WeightSpan:
@@ -190,6 +228,8 @@ class InducedFiltration:
         self.t_box = system.depth_vector(total)
         self.s_max = sum(self.s_box)
         self.requested = self.s_max if up_to is None else up_to
+        # one object per distinct key, row and block the filtration stores
+        self._shared: Dict[tuple, tuple] = {}
         self._tpairs = self._delta_orbit()
         self.span = _WeightSpan(p)
         self.kept: List[Tuple[int, TensorVector]] = []
@@ -203,37 +243,69 @@ class InducedFiltration:
         whose depth fits the box (and the weight group, in a restricted run),
         by degree and then lexicographically in t.
 
-        F^t applies its last root's factor first, so the t sharing a suffix
-        share a prefix of the computation: the walk goes depth first from
-        the last root, and each edge of that trie is one coproduct step of a
-        single factor. A vector that dies stays dead, so its subtree is cut.
+        The coproduct is an algebra map, so Delta(F^t).(v (x) w) is the sum
+        of F^a.v (x) F^b.w over a + b = t: one outer product of module
+        vectors per split. The F^a.v and F^b.w inside the box are listed once
+        per leg (a square shares one list), grouped by block, and the orbit
+        is formed one depth at a time: each pair of blocks (da, db) whose
+        depths sum to it adds its outer products to the t they sum to, and
+        block (da, db) of t is X^T Y, with the rows of X the F^a.v and the
+        rows of Y the F^b.w of its splits.
         """
-        system, mods = self.system, self.mods
-        roots = system.positive_roots
         room = self.t_box if self.weight_group is None else tuple(
             min(b, w) for b, w in zip(self.t_box, self.weight_group))
         if min(room) < 0:
             return []
-        found: List[Tuple[Tuple[int, ...], TensorVector]] = []
-        # (position to fill next, room left, exponents from it on, vector)
-        stack = [(len(roots) - 1, room, (), self.start)]
-        while stack:
-            pos, room, suffix, vec = stack.pop()
-            if pos < 0:
-                found.append((suffix, vec))
-                continue
-            beta = roots[pos]
-            cap = min(r // b for r, b in zip(room, beta) if b)
-            stack.append((pos - 1, room, (0,) + suffix, vec))
-            unit = [0] * len(roots)
-            for k in range(1, cap + 1):
-                unit[pos] = k
-                here = tensor_act(mods, HyperMonomial("F", tuple(unit)), vec)
-                if here:
-                    stack.append((pos - 1, tuple(r - k * b for r, b in zip(room, beta)),
-                                  (k,) + suffix, here))
+        a, b = self.mods
+        left = _leg_orbit(a, room)
+        right = left if b is a else _leg_orbit(b, room)
+        # the pairs of blocks (da, db) of each depth da + db that fits the box
+        pairs: Dict[Weight, List[Tuple[Weight, Weight]]] = {}
+        for da in left:
+            for db in right:
+                dt = tuple(map(add, da, db))
+                if all(map(le, dt, room)):
+                    pairs.setdefault(dt, []).append((da, db))
+        p = self.p
+        found = []
+        for dt, keys in pairs.items():
+            # one depth at a time: t -> (da, db) -> the F^a.v and the F^b.w
+            # of the splits of t there
+            splits: Dict[Tuple[int, ...], Dict[tuple, Tuple[list, list]]] = {}
+            for key in keys:
+                ys = right[key[1]]
+                for ea, x in left[key[0]]:
+                    for eb, y in ys:
+                        by_block = splits.setdefault(tuple(map(add, ea, eb)), {})
+                        pair = by_block.get(key)
+                        if pair is None:
+                            pair = by_block[key] = ([], [])
+                        pair[0].append(x)
+                        pair[1].append(y)
+            for t, by_block in splits.items():
+                vec = {}
+                for key, (xs, ys) in by_block.items():
+                    cols = list(zip(*ys))
+                    block = [[sum(map(mul, xc, yc)) for yc in cols] for xc in zip(*xs)]
+                    if p is not None:
+                        block = [[v % p for v in row] for row in block]
+                    if any(map(any, block)):
+                        vec[key] = block
+                if vec:
+                    found.append((t, dt, self._stored(vec)))
         found.sort(key=lambda item: (sum(item[0]), item[0]))
-        return [(system.monomial_depth(t), vec) for t, vec in found]
+        return [(dt, vec) for _, dt, vec in found]
+
+    def _stored(self, tvec: TensorVector) -> TensorVector:
+        """``tvec`` as the filtration stores it: each block a tuple of row
+        tuples, with every key, row and block equal to one stored before
+        replaced by that one, so that repeats cost no memory."""
+        share = self._shared.setdefault
+        out = {}
+        for key, block in tvec.items():
+            block = tuple([share(row, row) for row in map(tuple, block)])
+            out[share(key, key)] = share(block, block)
+        return out
 
     def _spanning(self, n: int) -> Iterator[TensorVector]:
         """The spanning vectors (F^s (x) 1) . Delta(F^t) . (v (x) w) with
@@ -254,7 +326,7 @@ class InducedFiltration:
             if len(self.kept) < self.cap:
                 for vec in self._spanning(n):
                     if self.span.insert(vec):
-                        self.kept.append((n, vec))
+                        self.kept.append((n, self._stored(vec)))
                         self._kept_degrees.setdefault(_total_depth(vec), []).append(n)
                         if len(self.kept) == self.cap:
                             break

@@ -26,11 +26,18 @@ only the blocks an action reaches (and the chains below them) are built; the
 dual transposes the module block that feeds t. Everything else is
 matrix products: ``leg_apply``, the one kernel both classes share with their
 ``act``, is M.coords, and a tensor leg is M.X on leg 0 and X.M^T on leg 1.
+A whole monomial on one tensor leg (``tensor_leg_act``) composes its
+factors' matrices on each source block, last root first, reduces the
+product once and applies it in one product; the leg keeps the composed
+matrices of the monomial last asked for, since a sweep applies one
+monomial to many vectors in a row.
 
 Module vectors are sparse maps {block key -> dense coordinate list}; tensor
-vectors are sparse maps {(block, block) -> dense dim_a x dim_b list of rows},
-with all-zero blocks dropped. Scalars are ints, reduced to [0, p) whenever
-the module carries a prime.
+vectors are sparse maps {(block, block) -> dense dim_a x dim_b block}, a
+sequence of row sequences, with all-zero blocks dropped. The actions return
+list rows; a vector a filtration stores has tuple rows and is never
+written to. Scalars are ints, reduced to [0, p) whenever the module carries
+a prime.
 """
 from __future__ import annotations
 
@@ -47,7 +54,8 @@ Coords = Tuple[int, ...]
 Weight = Tuple[int, ...]
 Matrix = List[List[int]]
 Vector = Dict[Coords, List[int]]
-TensorVector = Dict[Tuple[Coords, Coords], Matrix]
+# rows are sequences: list rows from the actions, tuple rows in stored vectors
+TensorVector = Dict[Tuple[Coords, Coords], Sequence[Sequence[int]]]
 LegTable = Dict[Coords, Optional[Tuple[Coords, Matrix]]]   # source block -> (target, matrix)
 
 _UNBUILT = object()   # a table slot not built yet (None is a built zero block)
@@ -152,6 +160,7 @@ class WeylModuleP:
         self._blocks: Dict[Coords, Coords] = {t: t for t in self.dims}   # one tuple each
         self._div_int: Dict[Tuple[str, int, int, Coords], Optional[Matrix]] = {}
         self._legs: Dict[Tuple[str, int, int], LegTable] = {}
+        self._last_monomial: Tuple[Optional[HyperMonomial], LegTable] = (None, {})
 
     @classmethod
     def build(cls, system, highest_weight: Weight, p: Optional[int],
@@ -287,6 +296,7 @@ class DualModuleP:
         self.reduce = module.reduce
         self.dims: Dict[Coords, int] = module.dims
         self._legs: Dict[Tuple[str, int, int], LegTable] = {}
+        self._last_monomial: Tuple[Optional[HyperMonomial], LegTable] = (None, {})
 
     def functional_weight(self, xi: Vector) -> Optional[Weight]:
         """Minus the weight of a homogeneous functional's blocks (None for 0 or mixed)."""
@@ -328,16 +338,14 @@ def _tidy(acc: TensorVector, p: Optional[int]) -> TensorVector:
     return {key: block for key, block in acc.items() if any(map(any, block))}
 
 
-def _tensor_leg_apply(legs, idx: int, side: str, pos: int, k: int,
-                      tvec: TensorVector) -> TensorVector:
-    """Apply X^(k) on one tensor leg: M.X on leg 0, X.M^T on leg 1. A factor
-    shifts every block of its leg by the same amount, so no two blocks land
-    on one target."""
-    if k == 0:
-        return tvec
+def _on_leg(legs, idx: int, tvec: TensorVector, matrix: Callable) -> TensorVector:
+    """Apply one matrix per block of leg ``idx``, M.X on leg 0 and X.M^T on
+    leg 1; ``matrix(t)`` gives the target block and the matrix on block t,
+    or None when the block dies. Every block of a leg moves by the same
+    shift, so no two blocks land on one target."""
     out: TensorVector = {}
     for (ta, tb), block in tvec.items():
-        hit = legs[idx].leg_matrix(side, pos, k, tb if idx else ta)
+        hit = matrix(tb if idx else ta)
         if hit is None:
             continue
         tgt, mat = hit
@@ -346,6 +354,14 @@ def _tensor_leg_apply(legs, idx: int, side: str, pos: int, k: int,
         else:
             out[(tgt, tb)] = mat_mul(mat, block)
     return _tidy(out, legs[0].p)
+
+
+def _tensor_leg_apply(legs, idx: int, side: str, pos: int, k: int,
+                      tvec: TensorVector) -> TensorVector:
+    """Apply the single factor X^(k) on one tensor leg."""
+    if k == 0:
+        return tvec
+    return _on_leg(legs, idx, tvec, partial(legs[idx].leg_matrix, side, pos, k))
 
 
 def _coproduct_step(legs, side: str, pos: int, k: int,
@@ -372,13 +388,53 @@ def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVe
     return _compose(mods[0], mono, tvec, partial(_coproduct_step, mods))
 
 
+def _matrix_step(leg, side: str, pos: int, k: int, acc):
+    """One factor on a (block, matrix) pair: the factor's ``leg_matrix`` on
+    that block times the matrix so far (None: the identity)."""
+    hit = leg.leg_matrix(side, pos, k, acc[0])
+    if hit is None:
+        return None
+    return hit[0], hit[1] if acc[1] is None else mat_mul(hit[1], acc[1])
+
+
+def _monomial_matrix(leg, mono: HyperMonomial, table: LegTable,
+                     t: Coords) -> Optional[Tuple[Coords, Matrix]]:
+    """The whole monomial on block t of ``leg``: its target block and one
+    matrix, the factors' ``leg_matrix`` composed last root first and reduced
+    once; None when the block dies. Kept in ``table``, the monomial's."""
+    hit = table.get(t, _UNBUILT)
+    if hit is _UNBUILT:
+        hit = _compose(leg, mono, (t, None), partial(_matrix_step, leg))
+        if hit is not None:
+            tgt, mat = hit
+            if leg.p is not None:
+                mat = [[v % leg.p for v in row] for row in mat]
+            hit = (tgt, mat) if any(map(any, mat)) else None
+        table[t] = hit
+    return hit
+
+
 def tensor_leg_act(mods: Tuple, idx: int, mono: HyperMonomial,
                    tvec: TensorVector) -> TensorVector:
     """Act with a monomial on one tensor leg only: X^s (x) 1 for ``idx`` 0,
-    1 (x) X^s for ``idx`` 1 (no coproduct)."""
+    1 (x) X^s for ``idx`` 1 (no coproduct). Each block of the leg takes one
+    product with the monomial's composed matrix on it.
+
+    Only the monomial last asked for keeps its composed matrices, on the
+    leg itself: a sweep asks for one monomial across many vectors in a row.
+    """
     if idx not in (0, 1):
         raise ValueError("a tensor has legs 0 and 1")
-    return _compose(mods[0], mono, tvec, partial(_tensor_leg_apply, mods, idx))
+    leg = mods[idx]
+    if len(mono.exponents) != leg.system.n_pos:
+        raise ValueError("monomial length does not match the root count")
+    if not any(mono.exponents):
+        return tvec
+    last, table = leg._last_monomial
+    if last != mono:
+        table = {}
+        leg._last_monomial = (mono, table)
+    return _on_leg(mods, idx, tvec, partial(_monomial_matrix, leg, mono, table))
 
 
 def tensor_of(vecs: Tuple[Vector, Vector], reduce=None) -> TensorVector:

@@ -1,6 +1,10 @@
 """Content-addressed payload storage."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from weylpbw import (
     SIGN_CONVENTION_TAG,
@@ -171,3 +175,32 @@ def test_load_or_build_rebuilds_an_entry_that_does_not_check(tmp_path):
         rebuilt = load_or_build_lattice(a2, (1, 0), None, store)
         assert stable_dumps(rebuilt.to_payload()) == want
         assert stable_dumps(store.load(key)["payload"]) == want
+
+
+def test_a_cached_lattice_builds_no_second_root_system(tmp_path):
+    """A run that reads its lattice from the store gives it the root system
+    the run built from ``--type``: after two cached ``essential`` runs in one
+    interpreter, the first filling the store, gc finds one RootSystem per
+    Cartan matrix."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import collections, contextlib, gc, io, json\n"
+        "from weylpbw import AdmissibleLattice, cli\n"
+        "from weylpbw.rootsys import RootSystem\n"
+        "builds = []\n"
+        "build = AdmissibleLattice.build.__func__\n"
+        "AdmissibleLattice.build = classmethod(\n"
+        "    lambda cls, *args: builds.append(args[1]) or build(cls, *args))\n"
+        "for label in ('B2', 'B2', 'G2', 'G2'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(['essential', '--type', label, '--weight', '1,0', '--p', '3',\n"
+        f"                  '--cache-dir', {str(tmp_path)!r}, '--quiet'])\n"
+        "gc.collect()\n"
+        "systems = [o for o in gc.get_objects() if isinstance(o, RootSystem)]\n"
+        "print(json.dumps([len(builds), collections.Counter(o.cartan.label for o in systems)]))\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    # one build per type; the second run of each reads the stored entry
+    assert json.loads(result.stdout) == [2, {"B2": 1, "G2": 1}]

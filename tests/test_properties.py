@@ -163,6 +163,7 @@ def test_row_space_gf_matches_sympy(rows, p, data):
     assert space.rank == rank
     assert sorted(space.pivots) == list(pivots)
     assert all(0 <= v < p for piv in space.pivots.values() for v in space._lanes(piv))
+    assert all(space._lanes(piv)[0] == 1 for piv in space.pivots.values())
     coeffs = data.draw(st.lists(st.integers(-300, 300), min_size=len(rows),
                                 max_size=len(rows)))
     probes = [[sum(f * row[c] for f, row in zip(coeffs, rows)) for c in range(ncols)],

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -221,7 +222,10 @@ def test_delta_orbit_matches_the_per_monomial_action(make):
     acting with each whole monomial."""
     filt = make()
     orbit = filt._delta_orbit()
-    assert orbit == per_monomial_delta_orbit(filt)
+    # the orbit stores tuple rows, the action returns list rows
+    as_lists = [(dt, {key: [list(row) for row in block] for key, block in vec.items()})
+                for dt, vec in orbit]
+    assert as_lists == per_monomial_delta_orbit(filt)
     assert orbit == filt._tpairs
     assert orbit or filt.weight_group == (-1, 0)
 
@@ -269,6 +273,23 @@ def test_check_condition2_frees_its_filtration_by_refcount(monkeypatch):
     finally:
         gc.enable()
     assert report.witness["group_level_dims"]
+
+
+def test_condition2_sweep_stays_under_its_memory_bound():
+    """check_condition2 on V(gamma) of A2 at p = 3 keeps the traced peak of
+    everything it allocates under 3 MB: the coproduct orbit is formed one
+    depth at a time, and the orbit and the kept vectors store each equal
+    key, row and block once."""
+    m = v_gamma(build_root_system("A2"), 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = check_condition2(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict
+    assert peak < 3_000_000, peak
 
 
 def combine(terms, p):

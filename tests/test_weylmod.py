@@ -3,9 +3,11 @@
 import gc
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ from weylpbw import (AdmissibleLattice, InvariantError, WeylModuleP, build_root_
 from weylpbw.weylmod import (
     DualModuleP,
     HyperMonomial,
+    _compose,
+    _tensor_leg_apply,
     f_zero,
     is_prime,
     tensor_leg_act,
@@ -270,6 +274,35 @@ def test_tensor_coproduct_a1():
     assert tensor_act((m, m), F2, t) == {((1,), (1,)): [[1]]}
     assert tensor_leg_act((m, m), 0, F1, t) == {((1,), (0,)): [[1]]}
     assert tensor_leg_act((m, m), 1, F1, t) == {((0,), (1,)): [[1]]}
+
+
+@pytest.mark.parametrize("label,weight", [("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 0))])
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_tensor_leg_act_matches_the_factor_by_factor_action(label, weight, p):
+    """One composed matrix per block gives what the monomial's root factors
+    give one at a time, on either leg, for module and dual legs. Monomials
+    of two or three factors are asked for in turn, some twice in a row, so
+    the matrices kept for the last one are read as well as built."""
+    rng = random.Random(f"{label}{weight}{p}")
+    m = WeylModuleP.build(build_root_system(label), weight, p)
+    n_pos = m.system.n_pos
+    entry = (lambda: rng.randint(-3, 3)) if p is None else (lambda: rng.randrange(p))
+    nonzero = 0
+    for legs in [(m, m), (m, DualModuleP(m)), (DualModuleP(m), m),
+                 (DualModuleP(m), DualModuleP(m))]:
+        vecs = [{t: [entry() for _ in range(m.dims[t])] for t in rng.sample(m.block_order, 3)}
+                for _ in range(2)]
+        tvec = tensor_of(tuple(vecs), reduce=m.reduce)
+        for _ in range(12):
+            expo = [0] * n_pos
+            for pos in rng.sample(range(n_pos), rng.choice([2, 3])):
+                expo[pos] = rng.randint(1, 2)
+            mono = HyperMonomial(rng.choice("EF"), tuple(expo))
+            for idx in (0, 1, 1):
+                want = _compose(legs[0], mono, tvec, partial(_tensor_leg_apply, legs, idx))
+                assert tensor_leg_act(legs, idx, mono, tvec) == want, (legs, idx, mono)
+                nonzero += bool(want)
+    assert nonzero
 
 
 # --- coassociativity of the divided-power coproduct -------------------------
