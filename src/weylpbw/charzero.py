@@ -418,17 +418,25 @@ class AdmissibleLattice:
         elif system.cartan.matrix != cartan:
             raise ValueError("the payload is for another Cartan matrix")
 
-        def parse(label: str) -> Tuple[int, Coords]:
-            pos_s, t_s = label.split("|")
-            return int(pos_s), tuple(int(v) for v in t_s.split(","))
-
         block_order = [tuple(b["t"]) for b in payload["blocks"]]
-        weights = {tuple(b["t"]): tuple(b["weight"]) for b in payload["blocks"]}
-        dims = {tuple(b["t"]): int(b["dim"]) for b in payload["blocks"]}
-        e_gen = {parse(k): [[int(v) for v in row] for row in m]
-                 for k, m in payload["e"].items()}
-        f_gen = {parse(k): [[int(v) for v in row] for row in m]
-                 for k, m in payload["f"].items()}
+        weights = {t: tuple(b["weight"]) for t, b in zip(block_order, payload["blocks"])}
+        dims = {t: int(b["dim"]) for t, b in zip(block_order, payload["blocks"])}
+        # a label's block part -> the block's own key (KeyError: no such block)
+        by_label = {",".join(map(str, t)): t for t in block_order}
+
+        def generators(table: dict) -> Dict[Tuple[int, Coords], List[List[int]]]:
+            """The decoded matrices themselves, keyed by (position, block)."""
+            out = {}
+            for label, mat in table.items():
+                pos, _, t = label.partition("|")
+                out[(int(pos), by_label[t])] = mat
+            return out
+
+        e_gen = generators(payload["e"])
+        f_gen = generators(payload["f"])
+        rows = itertools.chain.from_iterable(itertools.chain(e_gen.values(), f_gen.values()))
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+            raise ValueError("a stored matrix entry is not an integer")
         return cls(system, tuple(payload["highest_weight"]),
                    block_order=block_order, weights=weights, dims=dims,
                    e_gen=e_gen, f_gen=f_gen)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -405,7 +406,9 @@ def _add_common(sub, cap: bool = True, cache: bool = True) -> None:
                      help="print the JSON report schema and exit")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="weylpbw",
         description="Exact-arithmetic filtrations on Weyl modules and"

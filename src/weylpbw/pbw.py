@@ -14,6 +14,10 @@ Both module sweeps, the essential one and the filtration, enumerate a block
 one degree at a time (``monomials_with_depth(..., degree=d)``, which enters
 only branches that can reach degree d) and stop after the degree in which
 the block is spanned, so they never list the monomials of higher degree.
+The enumeration keeps the lists of suffixes below its first two root
+positions on the root system, so the degrees and blocks of one module, and
+the modules of one type, walk each shared subtree once; the monomial vectors
+F^s v come from ``WeylModuleP.monomial_coords``, which shares their tails.
 
 Functionals on a Weyl module (sections of the induced module) get polynomial
 symbols: the degree-n symbol of xi reads off its values on the degree-n
@@ -59,6 +63,13 @@ def order_compare(s: Sequence[int], t: Sequence[int]) -> int:
 # multi-index enumeration
 # --------------------------------------------------------------------------
 
+# Suffix lists from this root position on are kept on the root system and
+# shared by every later call; the first positions are walked anew each time,
+# which keeps the memo small. Past the cap the memo starts over.
+_MEMO_FROM = 2
+_MEMO_CAP = 1 << 14
+
+
 def monomials_with_depth(system: RootSystem, depth: Sequence[int],
                          degree: Optional[int] = None) -> List[MultiIndex]:
     """All s with sum_beta s_beta * beta equal to ``depth`` (root coordinates),
@@ -76,24 +87,32 @@ def monomials_with_depth(system: RootSystem, depth: Sequence[int],
     simple root, so splitting one factor raises the degree by exactly one,
     until only simple roots are left. Every branch entered yields at least
     one multi-index.
+
+    The subtree below (position, remainder, degree left) is the same
+    wherever it is reached, in this call or a later one for another block or
+    degree. From position ``_MEMO_FROM`` on its list of suffixes s[pos:] is
+    built once and kept on the root system (at most ``_MEMO_CAP`` lists).
     """
     if min(depth) < 0:
+        return []
+    depth = tuple(depth)
+    least = system.least_degree
+    if degree is not None and not least(depth) <= degree <= sum(depth):
         return []
     roots = system.positive_roots
     tail = len(roots) - system.rank
     simple_at = [beta.index(1) for beta in roots[tail:]]
     support = [[(i, b) for i, b in enumerate(beta) if b] for beta in roots[:tail]]
     heights = [sum(beta) for beta in roots]
-    least = system.least_degree
-    out: List[MultiIndex] = []
-    cur = [0] * tail
+    memo = system._suffix_memo
+    if len(memo) > _MEMO_CAP:
+        memo.clear()
 
-    def rec(pos: int, rem: Tuple[int, ...], deg_left: Optional[int]) -> None:
-        if pos == tail:
-            out.append(tuple(cur) + tuple(rem[i] for i in simple_at))
-            return
+    def branches(pos: int, rem: Tuple[int, ...], deg_left: Optional[int]):
+        """(k, remainder, degree left) for each exponent k of roots[pos]
+        whose branch is entered."""
         beta = roots[pos]
-        cap = min(rem[i] // b for i, b in support[pos])
+        cap = min([rem[i] // b for i, b in support[pos]])
         low = 0
         if deg_left is not None:
             # k of beta leave height sum(rem) - k*h to fill with degree
@@ -104,15 +123,34 @@ def monomials_with_depth(system: RootSystem, depth: Sequence[int],
             if h > h1:
                 low = -((deg_left * h1 - height) // (h - h1))
         for k in range(max(low, 0), cap + 1):
-            nxt = tuple(r - k * b for r, b in zip(rem, beta))
-            if deg_left is None or least(nxt, pos + 1) <= deg_left - k:
-                cur[pos] = k
-                rec(pos + 1, nxt, None if deg_left is None else deg_left - k)
-        cur[pos] = 0
+            nxt = tuple([r - k * b for r, b in zip(rem, beta)])
+            if deg_left is None:
+                yield k, nxt, None
+            elif least(nxt, pos + 1) <= deg_left - k:
+                yield k, nxt, deg_left - k
 
-    depth = tuple(depth)
-    if degree is None or least(depth) <= degree <= sum(depth):
-        rec(0, depth, degree)
+    def suffixes(pos: int, rem: Tuple[int, ...],
+                 deg_left: Optional[int]) -> List[MultiIndex]:
+        if pos == tail:
+            return [tuple([rem[i] for i in simple_at])]
+        key = (pos, rem, deg_left)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = [(k,) + rest for k, nxt, left in branches(pos, rem, deg_left)
+                               for rest in suffixes(pos + 1, nxt, left)]
+        return hit
+
+    out: List[MultiIndex] = []
+
+    def rec(pos: int, prefix: MultiIndex, rem: Tuple[int, ...],
+            deg_left: Optional[int]) -> None:
+        if pos >= _MEMO_FROM or pos == tail:
+            out.extend([prefix + rest for rest in suffixes(pos, rem, deg_left)])
+            return
+        for k, nxt, left in branches(pos, rem, deg_left):
+            rec(pos + 1, prefix + (k,), nxt, left)
+
+    rec(0, (), depth, degree)
     return out
 
 

@@ -212,6 +212,8 @@ class RootSystem:
         self._build_structure_constants()
         self._nfull_cache: Dict[Tuple[Coords, Coords], int] = {}
         self._least_degree_cache: Dict[Tuple[int, Coords], int] = {}
+        # (position, remainder, degree left) -> suffix list; see pbw.monomials_with_depth
+        self._suffix_memo: Dict[Tuple[int, Coords, Optional[int]], List[Coords]] = {}
 
     # -- root enumeration ---------------------------------------------------
 

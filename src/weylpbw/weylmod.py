@@ -32,6 +32,12 @@ product once and applies it in one product; the leg keeps the composed
 matrices of the monomial last asked for, since a sweep applies one
 monomial to many vectors in a row.
 
+The monomial vectors F^s v of a sweep share their tails: with j the first
+nonzero position of s, F^s v is F_j^(s_j) applied to F^r v, r being s with
+that exponent set to 0. ``monomial_coords`` keeps a table s -> F^s v (None
+once it dies) on the module, so each miss is one single-factor ``act`` on a
+tail already in the table, and the table lives as long as the module.
+
 Module vectors are sparse maps {block key -> dense coordinate list}; tensor
 vectors are sparse maps {(block, block) -> dense dim_a x dim_b block}, a
 sequence of row sequences, with all-zero blocks dropped. The actions return
@@ -42,7 +48,7 @@ a prime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -131,16 +137,10 @@ def _compose(leg, mono: HyperMonomial, vec, step: Callable):
     return vec
 
 
-def _block_step(leg, side: str, pos: int, k: int, vec: Vector) -> Vector:
-    """One factor on a blockwise vector, block by block through ``leg_apply``.
-    A factor shifts every block by the same amount, so no two blocks land on
-    one target."""
-    out: Vector = {}
-    for t, coords in vec.items():
-        res = leg.leg_apply(side, pos, k, t, coords)
-        if res is not None:
-            out[res[0]] = res[1]
-    return out
+@lru_cache(maxsize=256)
+def _lowering(n_pos: int, pos: int, k: int) -> HyperMonomial:
+    """The single factor F_beta^(k) of root position ``pos``, built once."""
+    return HyperMonomial("F", tuple(k if i == pos else 0 for i in range(n_pos)))
 
 
 class WeylModuleP:
@@ -161,6 +161,9 @@ class WeylModuleP:
         self._div_int: Dict[Tuple[str, int, int, Coords], Optional[Matrix]] = {}
         self._legs: Dict[Tuple[str, int, int], LegTable] = {}
         self._last_monomial: Tuple[Optional[HyperMonomial], LegTable] = (None, {})
+        # s -> F^s v as (block, coords), None when it dies; see _tail
+        self._tails: Dict[Coords, Optional[Tuple[Coords, Coords]]] = {
+            (0,) * self.system.n_pos: ((0,) * self.system.rank, (1,))}
 
     @classmethod
     def build(cls, system, highest_weight: Weight, p: Optional[int],
@@ -250,18 +253,54 @@ class WeylModuleP:
         out = [self.reduce(sum(map(mul, row, coords))) for row in mat]
         return (tgt, out) if any(out) else None
 
+    def _step(self, side: str, pos: int, k: int, vec: Vector) -> Vector:
+        """One factor on a blockwise vector, block by block through
+        ``leg_apply``. A factor shifts every block by the same amount, so no
+        two blocks land on one target."""
+        out: Vector = {}
+        for t, coords in vec.items():
+            res = self.leg_apply(side, pos, k, t, coords)
+            if res is not None:
+                out[res[0]] = res[1]
+        return out
+
     def act(self, mono: HyperMonomial, vec: Vector) -> Vector:
-        return _compose(self, mono, {t: list(c) for t, c in vec.items()},
-                        partial(_block_step, self))
+        """``mono`` applied to ``vec``: a new vector, ``vec`` is not written to."""
+        out = _compose(self, mono, vec, self._step)
+        return {t: list(c) for t, c in vec.items()} if out is vec else out
 
     def monomial_coords(self, s: Sequence[int]) -> Optional[List[int]]:
-        """The coordinates of F^s v in its block, None when F^s kills v.
+        """The coordinates of F^s v in its block, None when F^s kills v: a new
+        list each call.
 
         F^s v is a weight vector, so it lies in the single block at the
         depth of s.
         """
-        vec = self.act(HyperMonomial("F", s), self.highest_vector())
-        return next(iter(vec.values()), None)
+        s = tuple(s)
+        if len(s) != self.system.n_pos:
+            raise ValueError("monomial length does not match the root count")
+        if min(s) < 0:
+            raise ValueError("exponents must be natural numbers")
+        hit = self._tail(s)
+        return None if hit is None else list(hit[1])
+
+    def _tail(self, s: Coords) -> Optional[Tuple[Coords, Coords]]:
+        """F^s v as (block, coords), None when it dies, kept in ``_tails``.
+
+        With j the first nonzero position of s and r the rest of s, F^s v is
+        F_j^(s_j) F^r v (the last root acts first), so a miss is one
+        single-factor ``act`` on the tail F^r v, itself looked up here: the
+        monomials of a sweep share their tails.
+        """
+        hit = self._tails.get(s, _UNBUILT)
+        if hit is _UNBUILT:
+            j = next(i for i, v in enumerate(s) if v)
+            hit = self._tail((0,) * (j + 1) + s[j + 1:])
+            if hit is not None:
+                vec = self.act(_lowering(len(s), j, s[j]), {hit[0]: hit[1]})
+                hit = next(((t, tuple(c)) for t, c in vec.items()), None)
+            self._tails[s] = hit
+        return hit
 
     def is_zero(self, vec: Vector) -> bool:
         return all(not any(c) for c in vec.values())
@@ -318,6 +357,7 @@ class DualModuleP:
     # the module's own table, kernel (M.coords) and action: divided is the difference
     leg_matrix = WeylModuleP.leg_matrix
     leg_apply = WeylModuleP.leg_apply
+    _step = WeylModuleP._step
     act = WeylModuleP.act
 
     def pair(self, xi: Vector, vec: Vector) -> int:

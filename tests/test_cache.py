@@ -177,6 +177,43 @@ def test_load_or_build_rebuilds_an_entry_that_does_not_check(tmp_path):
         assert stable_dumps(store.load(key)["payload"]) == want
 
 
+def test_load_or_build_rebuilds_an_entry_with_a_loose_matrix(tmp_path, lattice_builds):
+    """Stored matrices are taken as decoded, so each entry must be a JSON
+    integer and each e/f label must name one of the payload's blocks: a
+    float or string entry, or an unknown block, is a miss, rebuilt and
+    overwritten."""
+    g2 = build_root_system("G2")
+    store = PayloadStore(tmp_path)
+    key = content_key(g2.cartan.matrix, (1, 0))
+    want = stable_dumps(AdmissibleLattice.build(g2, (1, 0)).to_payload())
+
+    def loose(side, value=None, label=None):
+        payload = json.loads(want)
+        first = sorted(payload[side])[0]
+        assert payload[side][first] == [[1]]
+        if label is None:
+            payload[side][first] = [[value]]
+        else:
+            payload[side][label] = payload[side].pop(first)
+        return payload
+
+    for payload in (loose("e", 1.0), loose("f", "1"), loose("e", True),
+                    loose("f", label="0|9,9"), loose("e", label="0|3,2,0")):
+        try:
+            AdmissibleLattice.from_payload(payload, g2)
+        except (KeyError, ValueError):
+            pass
+        else:
+            raise AssertionError(f"{payload} decoded")
+        store.store(key, {"key_fields": key_fields(g2.cartan.matrix, (1, 0)),
+                          "payload": payload})
+        lattice_builds.clear()
+        rebuilt = load_or_build_lattice(g2, (1, 0), None, store)
+        assert lattice_builds == [(1, 0)]
+        assert stable_dumps(rebuilt.to_payload()) == want
+        assert stable_dumps(store.load(key)["payload"]) == want
+
+
 def test_a_cached_lattice_builds_no_second_root_system(tmp_path):
     """A run that reads its lattice from the store gives it the root system
     the run built from ``--type``: after two cached ``essential`` runs in one

@@ -1,5 +1,6 @@
 """Essential monomial bases, filtration tables, and graded symbols."""
 
+import itertools
 import math
 
 import pytest
@@ -21,6 +22,7 @@ from weylpbw import (
     section_product,
     sn_divided_action,
 )
+from weylpbw import pbw
 from weylpbw.pbw import monomials_with_depth
 from weylpbw.weylmod import HyperMonomial
 
@@ -115,6 +117,52 @@ def test_essential_matches_inequality_table(g2):
         assert set(es.indices) == set(g2_essential_table(k, l)), (k, l)
 
 
+def _reference_monomials(system, depth):
+    """Every s of the given depth in lexicographic order: the plain recursion
+    over the root positions, with no degree pruning and no memo."""
+    roots = system.positive_roots
+
+    def rec(pos, rem):
+        if pos == len(roots):
+            if not any(rem):
+                yield ()
+            return
+        k = 0
+        while min(rem) >= 0:
+            for rest in rec(pos + 1, rem):
+                yield (k,) + rest
+            rem, k = tuple(r - b for r, b in zip(rem, roots[pos])), k + 1
+
+    return list(rec(0, tuple(depth)))
+
+
+# the modules of the sweep benchmark, and B3 (1,0,1)
+ENUMERATED_MODULES = [("G2", (0, 3)), ("G2", (1, 2)), ("G2", (2, 1)), ("C3", (0, 1, 1)),
+                      ("A3", (2, 1, 2)), ("B3", (1, 0, 1))]
+
+
+@pytest.mark.parametrize("label,weight", ENUMERATED_MODULES)
+def test_memoised_enumeration_matches_the_plain_recursion(label, weight, monkeypatch):
+    """For every depth in the weight box of V(weight) (so every block), the
+    memoised enumeration gives the plain recursion's list for degree=None
+    and, filtered, for each degree: built into an empty memo, read back
+    from a full one, and with a cap small enough that the memo starts over
+    many times."""
+    system = build_root_system(label)
+    box = system.depth_vector(weight)
+    depths = list(itertools.product(*(range(b + 1) for b in box)))
+    want = {t: _reference_monomials(system, t) for t in depths}
+    system._suffix_memo.clear()
+    for cap, rounds in ((pbw._MEMO_CAP, 2), (8, 1)):
+        monkeypatch.setattr(pbw, "_MEMO_CAP", cap)
+        for _ in range(rounds):
+            for t in depths:
+                assert monomials_with_depth(system, t) == want[t], t
+                for d in range(sum(t) + 2):
+                    assert monomials_with_depth(system, t, degree=d) == [
+                        s for s in want[t] if sum(s) == d], (t, d)
+
+
 @pytest.fixture
 def coords_calls(monkeypatch):
     """The multi-indices passed to ``WeylModuleP.monomial_coords``, in call order."""
@@ -137,6 +185,31 @@ def test_essential_sweep_stops_at_full_rank(g2, coords_calls):
                    for sweep in es.by_block.values())
     assert len(coords_calls) == expected
     assert expected < sum(len(sweep.all_indices) for sweep in es.by_block.values())
+
+
+def test_monomial_coords_are_the_composed_action(g2):
+    """Every F^s v an essential sweep of G2 (1,2) at p=3 reaches, read through
+    the shared tails, is F^s applied to v factor by factor; each call hands
+    out a new list, so writing to one changes no later answer."""
+    m = WeylModuleP.build(g2, (1, 2), 3)
+    fresh = WeylModuleP(m.lattice, 3)
+    es = essential_set(m)
+    indices = [s for sweep in es.by_block.values() for s in sweep.all_indices]
+    assert len(indices) == 520
+    for s in indices:
+        want = fresh.act(HyperMonomial("F", s), fresh.highest_vector())
+        assert m.monomial_coords(s) == next(iter(want.values()), None), s
+        got = m.monomial_coords(s)
+        if got is not None:
+            got[0] += 1
+            assert m.monomial_coords(s) == next(iter(want.values())), s
+    zero = (0,) * g2.n_pos
+    m.monomial_coords(zero).append(5)
+    assert m.monomial_coords(zero) == [1]
+    with pytest.raises(ValueError):
+        m.monomial_coords((0, 0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        m.monomial_coords((0, 0, 0, 0, -1, 0))
 
 
 def test_filtration_sweep_stops_at_full_rank(g2, coords_calls):
