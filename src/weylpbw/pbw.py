@@ -156,26 +156,12 @@ def monomials_with_depth(system: RootSystem, depth: Sequence[int],
 
 def monomials_of_degree(system: RootSystem, box: Sequence[int],
                         degree: int) -> Iterator[MultiIndex]:
-    """All s of total degree ``degree`` whose depth fits inside ``box``."""
-    roots = system.positive_roots
-    n = len(roots)
-    cur = [0] * n
-
-    def rec(pos: int, room: Tuple[int, ...], deg_left: int) -> Iterator[MultiIndex]:
-        if pos == n:
-            if deg_left == 0:
-                yield tuple(cur)
-            return
-        beta = roots[pos]
-        cap = min(room[i] // beta[i] for i in range(len(room)) if beta[i])
-        cap = min(cap, deg_left)
-        for k in range(cap + 1):
-            cur[pos] = k
-            yield from rec(pos + 1, tuple(r - k * b for r, b in zip(room, beta)),
-                           deg_left - k)
-        cur[pos] = 0
-
-    yield from rec(0, tuple(box), degree)
+    """All s of total degree ``degree`` whose depth fits inside ``box``, in
+    lexicographic order: the lists of ``monomials_with_depth`` for the
+    depths in the box, merged."""
+    depths = itertools.product(*(range(b + 1) for b in box))
+    yield from sorted(s for depth in depths
+                      for s in monomials_with_depth(system, depth, degree))
 
 
 # --------------------------------------------------------------------------

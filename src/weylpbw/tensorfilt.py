@@ -13,12 +13,13 @@ raising/lowering stability of the levels is then *checked*, not presupposed.
 The coproduct orbit Delta(F^t).(v (x) w) is computed once per filtration,
 from module vectors: the divided-power coproduct is an algebra map, so
 Delta(F^t).(v (x) w) is the sum of the outer products F^a.v (x) F^b.w over
-a + b = t. Each leg lists its nonzero F^a.v once, by one depth-first walk
-from the last root (one ``leg_apply`` per edge, clipped to the weight group
-in a restricted run), and the orbit is formed one total depth at a time
-and listed by degree and lexicographically in t. A leg monomial F^s acts
-on a spanning vector as one composed matrix per block
-(``weylmod.tensor_leg_act``). The orbit and the kept vectors store each
+a + b = t. Each leg lists its nonzero F^a.v once, block by block inside
+the box (clipped to the weight group in a restricted run): the a of a block
+come from ``pbw.monomials_with_depth`` and their vectors from
+``WeylModuleP.monomial_coords``, which shares their tails. The orbit is
+formed one total depth at a time and listed by degree and lexicographically
+in t. A leg monomial F^s acts on a spanning vector as one composed matrix
+per block (``weylmod.tensor_leg_act``). The orbit and the kept vectors store each
 block as a tuple of row tuples, and each equal key, row and block once.
 
 Every spanning vector is a weight vector, so ranks are swept one total
@@ -50,7 +51,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .cache import input_hash
 from .charzero import DIM_CAP_DEFAULT
 from .linalg import pivot_prefix, row_space
-from .pbw import monomials_of_degree, pbw_filtration
+from .pbw import monomials_of_degree, monomials_with_depth, pbw_filtration
 from .rootsys import ResourceCapError
 from .weylmod import (HyperMonomial, TensorVector, WeylModuleP, f_zero,
                       tensor_act, tensor_leg_act, tensor_of)
@@ -84,32 +85,17 @@ def _common_field(legs: Tuple[WeylModuleP, WeylModuleP]):
 def _leg_orbit(m: WeylModuleP,
                room: Weight) -> Dict[Weight, List[Tuple[Tuple[int, ...], List[int]]]]:
     """The nonzero F^a.v, v the highest vector of ``m``, for every a whose
-    depth fits ``room``: block -> [(a, coordinates)], a F^a.v lying in the
-    block at the depth of a.
-
-    F^a applies its last root's factor first, so the a sharing a suffix
-    share a prefix of the computation: the walk goes depth first from the
-    last root, and each edge is one ``leg_apply`` of a single factor. A
-    vector that dies stays dead, so its subtree is cut.
+    depth fits ``room``: block -> [(a, coordinates)], F^a.v lying in the
+    block at the depth of a. Each block lists its a by
+    ``monomials_with_depth`` and takes each F^a.v from ``monomial_coords``.
     """
-    roots = m.system.positive_roots
-    (top, coords), = m.highest_vector().items()
     out: Dict[Weight, List[Tuple[Tuple[int, ...], List[int]]]] = {}
-    # (position to fill next, room left, exponents from it on, block, coordinates)
-    stack = [(len(roots) - 1, room, (), top, coords)]
-    while stack:
-        pos, room, suffix, t, coords = stack.pop()
-        if pos < 0:
-            out.setdefault(t, []).append((suffix, coords))
-            continue
-        beta = roots[pos]
-        cap = min(r // b for r, b in zip(room, beta) if b)
-        stack.append((pos - 1, room, (0,) + suffix, t, coords))
-        for k in range(1, cap + 1):
-            hit = m.leg_apply("F", pos, k, t, coords)
-            if hit is not None:
-                stack.append((pos - 1, tuple(r - k * b for r, b in zip(room, beta)),
-                              (k,) + suffix, *hit))
+    for block in m.dims:
+        if all(map(le, block, room)):
+            for a in monomials_with_depth(m.system, block):
+                coords = m.monomial_coords(a)
+                if coords is not None:
+                    out.setdefault(block, []).append((a, coords))
     return out
 
 
@@ -210,6 +196,9 @@ class InducedFiltration:
         self.lam: Weight = a.highest_weight
         self.mu: Weight = b.highest_weight
         self.weight_group = None if weight_group is None else tuple(weight_group)
+        if self.weight_group is not None and len(self.weight_group) != system.rank:
+            raise ValueError(f"weight group {self.weight_group} has "
+                             f"{len(self.weight_group)} coordinates, not the rank {system.rank}")
         dim_a = sum(a.dims.values())
         dim_b = sum(b.dims.values())
         if dim_a * dim_b > dim_cap:
@@ -340,12 +329,21 @@ class InducedFiltration:
             levels[n].append(vec)
         return levels
 
+    def _check_swept(self, n: int) -> None:
+        """ValueError for a level above the swept ones, unless the sweep
+        stopped at s_max or filled its space, so that no later level grows."""
+        if (n >= len(self.level_dims) and self.requested < self.s_max
+                and len(self.kept) < self.cap):
+            raise ValueError(f"level {n} lies above the levels swept "
+                             f"(up to {len(self.level_dims) - 1})")
+
     def level(self, n: int) -> int:
+        self._check_swept(n)
         if n < 0:
             return 0
         if n < len(self.level_dims):
             return self.level_dims[n]
-        return self.level_dims[-1]
+        return self.span.rank
 
     def contains_at(self, tvec: TensorVector, n: int) -> bool:
         """Membership of a weight-homogeneous vector in VV_n, for any n.
@@ -355,8 +353,10 @@ class InducedFiltration:
         by the first k pivots of g's space, k the number of kept vectors of
         weight g and degree <= n. One reduction against that prefix decides
         membership; below level 0 the prefix is empty, and above the swept
-        levels it is the whole space.
+        levels it is the whole space, which is VV_n only if the sweep
+        stopped at s_max or filled its space (ValueError otherwise).
         """
+        self._check_swept(n)
         group = _total_depth(tvec)
         if group is None:
             return True

@@ -36,7 +36,9 @@ The monomial vectors F^s v of a sweep share their tails: with j the first
 nonzero position of s, F^s v is F_j^(s_j) applied to F^r v, r being s with
 that exponent set to 0. ``monomial_coords`` keeps a table s -> F^s v (None
 once it dies) on the module, so each miss is one single-factor ``act`` on a
-tail already in the table, and the table lives as long as the module.
+tail already in the table, and the table lives as long as the module. The
+module sweeps and each leg of the coproduct orbit of a tensor filtration
+read their F^s v from it.
 
 Module vectors are sparse maps {block key -> dense coordinate list}; tensor
 vectors are sparse maps {(block, block) -> dense dim_a x dim_b block}, a

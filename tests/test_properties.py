@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from weylpbw import (AdmissibleLattice, DualModuleP, HWModuleQ, WeylModuleP,  # noqa: E402
                      build_root_system, essential_set, pbw_filtration)
@@ -395,6 +395,29 @@ def test_degree_lists_concatenate_to_the_full_list(label, weight):
         by_degree = [s for d in range(sum(depth) + 1)
                      for s in monomials_with_depth(system, depth, degree=d)]
         assert by_degree == sorted(monomials_with_depth(system, depth), key=sum), depth
+
+
+def _brute_box_monomials(system, box, degree):
+    """Every s of total degree ``degree`` in the box of per-root exponent
+    caps, in lexicographic order, kept when its depth fits inside ``box``."""
+    caps = [min(b // c for b, c in zip(box, beta) if c) for beta in system.positive_roots]
+    return [s for s in itertools.product(*(range(c + 1) for c in caps))
+            if sum(s) == degree
+            and all(d <= b for d, b in zip(system.monomial_depth(s), box))]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(ENUMERATION_TYPES), st.lists(st.integers(0, 4), min_size=3, max_size=3),
+       st.integers(-1, 6))
+@example("A2", [0, 0, 0], 0)
+@example("G2", [0, 0, 0], -1)
+@example("B3", [2, 1, 2], 0)
+@example("C3", [2, 2, 2], 4)
+def test_monomials_of_degree_matches_brute_force(label, box, degree):
+    system = build_root_system(label)
+    box = tuple(min(b, 4 if system.rank <= 2 else 2) for b in box[:system.rank])
+    assert list(monomials_of_degree(system, box, degree)) == _brute_box_monomials(
+        system, box, degree)
 
 
 def test_monomials_with_depth_a1_negative():

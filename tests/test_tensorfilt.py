@@ -92,6 +92,32 @@ def test_levels_below_zero_are_empty(a1):
     assert vv_level_contains(square, tvec, 0)
 
 
+def test_levels_above_a_partial_sweep_raise(a2):
+    """A sweep cut at up_to below s_max answers no level above up_to: VV_3
+    of V(1,1) (x) V(1,1) at p = 3 is 64, not the 55 of the last level
+    swept, and a kept vector of degree 2 lies in VV_2."""
+    square = legs(a2, (1, 1), (1, 1), 3)
+    full = InducedFiltration(square)
+    assert full.level_dims == [27, 55, 64, 64, 64]
+    cut = InducedFiltration(square, up_to=1)
+    assert cut.level(1) == 55
+    with pytest.raises(ValueError, match="above the levels swept"):
+        cut.level(3)
+    vec = next(vec for n, vec in full.kept if n == 2)
+    assert full.contains_at(vec, 2) and not full.contains_at(vec, 1)
+    assert not cut.contains_at(vec, 1)
+    with pytest.raises(ValueError, match="above the levels swept"):
+        cut.contains_at(vec, 2)
+    with pytest.raises(ValueError, match="above the levels swept"):
+        InducedFiltration(square, up_to=-1).level(0)
+    assert InducedFiltration(square, up_to=-1).level(-1) == 0
+
+
+def test_weight_group_must_have_one_coordinate_per_simple_root(a2):
+    with pytest.raises(ValueError, match="not the rank 2"):
+        InducedFiltration(legs(a2, (1, 1), (1, 0), 3), weight_group=(2,))
+
+
 def test_trivial_tensor_concentrates_in_degree_zero(a1):
     table = level_table(a1, (2,), (0,), 3)
     assert table.level_dims[0] == 3
@@ -213,13 +239,17 @@ ORBIT_CASES = {
         legs(build_root_system("B2"), (1, 1), (1, 0), 3), weight_group=(2, 3)),
     "A2-outside-every-weight": lambda: InducedFiltration(
         legs(build_root_system("A2"), (1, 0), (1, 0), 2), weight_group=(-1, 0)),
+    "G2-gf2": lambda: InducedFiltration(g2_fundamentals(2)),
+    "C3-gf3-restricted": lambda: InducedFiltration(
+        legs(build_root_system("C3"), (1, 1, 0), (1, 0, 0), 3), weight_group=(2, 2, 1)),
 }
 
 
 @pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
 def test_delta_orbit_matches_the_per_monomial_action(make):
-    """The suffix-shared walk gives the same depths, vectors and order as
-    acting with each whole monomial."""
+    """The orbit formed from the module vectors F^a.v and F^b.w of each leg
+    gives the same depths, vectors and order as acting with each whole
+    monomial t on v (x) w."""
     filt = make()
     orbit = filt._delta_orbit()
     # the orbit stores tuple rows, the action returns list rows
@@ -330,12 +360,20 @@ def membership_probes(filt, rng):
 @pytest.mark.parametrize("make", MEMBERSHIP_CASES.values(), ids=MEMBERSHIP_CASES.keys())
 def test_contains_at_matches_a_fresh_sweep_at_every_level(make):
     """contains_at(v, n) agrees with a fresh span of the kept vectors of
-    degree <= n, from below level 0 to above the swept levels."""
+    degree <= n, from below level 0 to above the swept levels; above them a
+    partial sweep raises, since its kept vectors need not span VV_n there."""
     filt = make()
     probes = membership_probes(filt, random.Random(11))
     top = len(filt.level_dims) - 1
+    # a sweep that reached s_max or filled its space answers every level
+    partial = filt.requested < filt.s_max and len(filt.kept) < filt.cap
     outcomes = set()
     for n in range(-1, top + 2):
+        if n > top and partial:
+            for vec in probes:
+                with pytest.raises(ValueError, match="above the levels swept"):
+                    filt.contains_at(vec, n)
+            continue
         fresh = tensorfilt._WeightSpan(filt.p)
         for d, vec in filt.kept:
             if d <= n:
