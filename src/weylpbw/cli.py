@@ -173,7 +173,7 @@ def cmd_essential(args):
 
     code = EXIT_OK
     if args.oracle:
-        if args.type != "G2":
+        if system.cartan.label != "G2":
             raise UsageError("--oracle cross-checks the type-G2 inequality table;"
                              " it needs --type G2")
         table = g2_essential_table(weight[0], weight[1])

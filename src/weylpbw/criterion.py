@@ -96,9 +96,10 @@ def _gamma_start(m: WeylModuleP):
         raise ValueError(f"V({m.highest_weight}) is not V(gamma), gamma = {gamma}")
     level = (p - 1) * system.n_pos
     f0 = f_zero(system.n_pos, p)
-    f0v = m.act(f0, m.highest_vector())
+    coords = m.monomial_coords(f0.exponents)
+    f0v = {} if coords is None else {system.monomial_depth(f0.exponents): coords}
     witness = {"dim_v_gamma": sum(m.dims.values()), "top_level": level,
-               "f0_annihilates": m.is_zero(f0v)}
+               "f0_annihilates": coords is None}
     return level, f0, f0v, witness
 
 

@@ -349,18 +349,12 @@ def g2_essential_rows(k: int, l: int) -> Iterator[Tuple[MultiIndex, int]]:
                                                         k2l - s2 - s3 - s4 - s5)
 
 
-def g2_essential_solutions(k: int, l: int) -> Iterator[MultiIndex]:
-    """All solutions of the G2 essential-set inequalities for k*w1 + l*w2,
-    in enumeration order: the rows of ``g2_essential_rows``, s6 ascending."""
-    for prefix, top in g2_essential_rows(k, l):
-        for s6 in range(top + 1):
-            yield prefix + (s6,)
-
-
 def g2_essential_table(k: int, l: int) -> List[MultiIndex]:
     """All solutions of the G2 essential-set inequalities for k*w1 + l*w2,
-    sorted in the monomial total order."""
-    return sorted(g2_essential_solutions(k, l), key=order_key)
+    the rows of ``g2_essential_rows`` spelled out, sorted in the monomial
+    total order."""
+    return sorted((prefix + (s6,) for prefix, top in g2_essential_rows(k, l)
+                   for s6 in range(top + 1)), key=order_key)
 
 
 # --------------------------------------------------------------------------

@@ -232,7 +232,7 @@ class RootSystem:
                     p = 0
                     while _sub(beta, tuple(v * (p + 1) for v in alpha)) in found:
                         p += 1
-                    if p - self.root_pairing(beta, alpha) > 0:
+                    if p - self.pairing(self.root_weight_coords(beta), alpha) > 0:
                         cand = _add(beta, alpha)
                         if cand not in found:
                             found.add(cand)
@@ -240,12 +240,6 @@ class RootSystem:
             frontier = nxt
         self._pos_set = found
         self._all_roots = found | {_neg(b) for b in found}
-
-    def root_pairing(self, beta: Coords, alpha_or_root: Coords) -> int:
-        """<beta, gamma^vee> for roots beta, gamma (both in root coordinates)."""
-        cor = self.coroot_coords(alpha_or_root)
-        wt = self.root_weight_coords(beta)
-        return sum(c * w for c, w in zip(cor, wt))
 
     def _descending_height_order(self) -> Tuple[Coords, ...]:
         def key(b: Coords):
@@ -301,6 +295,7 @@ class RootSystem:
         ckey = {b: i for i, b in enumerate(carter)}
         table: Dict[Tuple[Coords, Coords], int] = {}
         self._npos = table
+        self._extraspecial: Dict[Coords, Tuple[Coords, Coords]] = {}
 
         def nfull(a: Coords, b: Coords) -> int:
             return self._resolve_constant(a, b)
@@ -314,7 +309,7 @@ class RootSystem:
                 if b in self._pos_set and ckey[a] < ckey[b]:
                     pairs.append((a, b))
             pairs.sort(key=lambda ab: ckey[ab[0]])
-            a0, b0 = pairs[0]
+            a0, b0 = self._extraspecial[zeta] = pairs[0]
             n0 = self._p_value(a0, b0) + 1
             table[(a0, b0)] = n0
             table[(b0, a0)] = -n0
@@ -365,18 +360,12 @@ class RootSystem:
         return hit
 
     def extraspecial_pair(self, gamma: Coords) -> Tuple[Coords, Coords]:
-        """The sign-defining decomposition of a non-simple positive root."""
-        if gamma not in self._pos_set or _height(gamma) < 2:
+        """The sign-defining decomposition of a non-simple positive root: the
+        pair the structure constants were built from."""
+        pair = self._extraspecial.get(gamma)
+        if pair is None:
             raise InvariantError(f"{gamma} is not a non-simple positive root")
-        best = None
-        for a in self._pos_set:
-            b = _sub(gamma, a)
-            if b in self._pos_set and (_height(a), a) < (_height(b), b):
-                if best is None or (_height(a), a) < (_height(best[0]), best[0]):
-                    best = (a, b)
-        if best is None:
-            raise InvariantError(f"no extraspecial pair for {gamma}")
-        return best
+        return pair
 
     # -- adjoint representation ----------------------------------------------
 

@@ -6,14 +6,14 @@ by block, by exact integer division and only then reduced. ``DualModuleP``
 carries the functionals on such a module under the antipode-twisted action,
 which is how induced modules enter: H0(lam) is the dual of the Weyl module
 with highest weight lam*. Tensor actions go through the divided-power
-coproduct Delta X^(n) = sum X^(i) (x) X^(j), leg by leg.
+coproduct, an algebra map: Delta(X^t) = sum_{a+b=t} X^a (x) X^b.
 
-Every action, on a module, a dual or a tensor, is one composition loop,
-``_compose``: it walks the root positions from last to first and hands each
-nonzero factor X_beta^(k) to a step. The steps differ only in what one factor
-does: a blockwise step for modules and duals, a one-leg step and a coproduct
-step for tensors. A leg of a tensor is anything offering ``system``, ``p``,
-``reduce``, ``dims`` and ``leg_matrix``; both module classes do.
+Every action, on a module, a dual or a tensor, rests on one composition
+loop, ``_compose``: it walks the root positions from last to first and hands
+each nonzero factor X_beta^(k) to a step, blockwise on a module or dual
+vector and into a composed matrix on one block for a tensor leg. A leg of a
+tensor is anything offering ``system``, ``p``, ``reduce``, ``dims`` and
+``leg_matrix``; both module classes do.
 ``leg_matrix(side, pos, k, t)`` gives the target block and the matrix of one
 factor on block t: the module's divided power itself, or for the dual its
 signed transpose (-1)^k M^T on the block that feeds t. Each class keeps one
@@ -25,12 +25,13 @@ on the block that lands in, divided exactly by k and only then reduced, so
 only the blocks an action reaches (and the chains below them) are built; the
 dual transposes the module block that feeds t. Everything else is
 matrix products: ``leg_apply``, the one kernel both classes share with their
-``act``, is M.coords, and a tensor leg is M.X on leg 0 and X.M^T on leg 1.
-A whole monomial on one tensor leg (``tensor_leg_act``) composes its
-factors' matrices on each source block, last root first, reduces the
-product once and applies it in one product; the leg keeps the composed
-matrices of the monomial last asked for, since a sweep applies one
-monomial to many vectors in a row.
+``act``, is M.coords. A monomial on one tensor leg (``tensor_leg_act``)
+composes its factors' matrices on each source block, last root first,
+reduces the product once and applies it, M.X on leg 0 and X.M^T on leg 1;
+the leg keeps the composed matrices of the monomial last asked for, since a
+sweep applies one monomial to many vectors in a row. ``tensor_act`` sums
+``tensor_leg_act`` over the splits a + b = t, X^b on leg 1 then X^a on leg 0,
+skipping a split once some k*beta of it leaves a leg's box of block depths.
 
 The monomial vectors F^s v of a sweep share their tails: with j the first
 nonzero position of s, F^s v is F_j^(s_j) applied to F^r v, r being s with
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import product
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -304,9 +306,6 @@ class WeylModuleP:
             self._tails[s] = hit
         return hit
 
-    def is_zero(self, vec: Vector) -> bool:
-        return all(not any(c) for c in vec.values())
-
     def vector_weight(self, vec: Vector) -> Optional[Weight]:
         """The common weight of a homogeneous vector, None for 0 or mixed."""
         seen: Optional[Weight] = None
@@ -380,56 +379,6 @@ def _tidy(acc: TensorVector, p: Optional[int]) -> TensorVector:
     return {key: block for key, block in acc.items() if any(map(any, block))}
 
 
-def _on_leg(legs, idx: int, tvec: TensorVector, matrix: Callable) -> TensorVector:
-    """Apply one matrix per block of leg ``idx``, M.X on leg 0 and X.M^T on
-    leg 1; ``matrix(t)`` gives the target block and the matrix on block t,
-    or None when the block dies. Every block of a leg moves by the same
-    shift, so no two blocks land on one target."""
-    out: TensorVector = {}
-    for (ta, tb), block in tvec.items():
-        hit = matrix(tb if idx else ta)
-        if hit is None:
-            continue
-        tgt, mat = hit
-        if idx:
-            out[(ta, tgt)] = [[sum(map(mul, row, m)) for m in mat] for row in block]
-        else:
-            out[(tgt, tb)] = mat_mul(mat, block)
-    return _tidy(out, legs[0].p)
-
-
-def _tensor_leg_apply(legs, idx: int, side: str, pos: int, k: int,
-                      tvec: TensorVector) -> TensorVector:
-    """Apply the single factor X^(k) on one tensor leg."""
-    if k == 0:
-        return tvec
-    return _on_leg(legs, idx, tvec, partial(legs[idx].leg_matrix, side, pos, k))
-
-
-def _coproduct_step(legs, side: str, pos: int, k: int,
-                    tvec: TensorVector) -> TensorVector:
-    """One factor through the coproduct: sum_{i+j=k} X^(i) (x) X^(j)."""
-    acc: TensorVector = {}
-    for i in range(k + 1):
-        term = _tensor_leg_apply(legs, 1, side, pos, k - i, tvec)
-        term = _tensor_leg_apply(legs, 0, side, pos, i, term)
-        for key, block in term.items():
-            prev = acc.get(key)
-            acc[key] = block if prev is None else [
-                [x + y for x, y in zip(r, s)] for r, s in zip(prev, block)]
-    return _tidy(acc, legs[0].p)
-
-
-def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVector:
-    """Act on a tensor vector through the divided-power coproduct.
-
-    ``mods`` is a pair whose legs are WeylModuleP or DualModuleP instances
-    (mixed pairs allowed); the coproduct of each root factor splits as
-    sum_{i+j=k} X^(i) (x) X^(j) and the root factors compose right to left.
-    """
-    return _compose(mods[0], mono, tvec, partial(_coproduct_step, mods))
-
-
 def _matrix_step(leg, side: str, pos: int, k: int, acc):
     """One factor on a (block, matrix) pair: the factor's ``leg_matrix`` on
     that block times the matrix so far (None: the identity)."""
@@ -460,7 +409,8 @@ def tensor_leg_act(mods: Tuple, idx: int, mono: HyperMonomial,
                    tvec: TensorVector) -> TensorVector:
     """Act with a monomial on one tensor leg only: X^s (x) 1 for ``idx`` 0,
     1 (x) X^s for ``idx`` 1 (no coproduct). Each block of the leg takes one
-    product with the monomial's composed matrix on it.
+    product with the monomial's composed matrix on it; every block moves by
+    the same shift, so no two land on one target.
 
     Only the monomial last asked for keeps its composed matrices, on the
     leg itself: a sweep asks for one monomial across many vectors in a row.
@@ -476,7 +426,48 @@ def tensor_leg_act(mods: Tuple, idx: int, mono: HyperMonomial,
     if last != mono:
         table = {}
         leg._last_monomial = (mono, table)
-    return _on_leg(mods, idx, tvec, partial(_monomial_matrix, leg, mono, table))
+    out: TensorVector = {}
+    for (ta, tb), block in tvec.items():
+        hit = _monomial_matrix(leg, mono, table, tb if idx else ta)
+        if hit is None:
+            continue
+        tgt, mat = hit
+        if idx:
+            out[(ta, tgt)] = [[sum(map(mul, row, m)) for m in mat] for row in block]
+        else:
+            out[(tgt, tb)] = mat_mul(mat, block)
+    return _tidy(out, leg.p)
+
+
+def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVector:
+    """Act on a tensor vector through the divided-power coproduct.
+
+    ``mods`` is a pair of WeylModuleP or DualModuleP legs (mixed pairs
+    allowed). Delta is an algebra map, so Delta(X^t) = sum_{a+b=t} X^a (x) X^b
+    over the componentwise splits of t: X^b on leg 1, then X^a on leg 0, each
+    through ``tensor_leg_act``, and the sum reduced once.
+    """
+    side, t = mono.side, mono.exponents
+    if len(t) != mods[0].system.n_pos:
+        raise ValueError("monomial length does not match the root count")
+    # X_beta^(k) moves a block by k*beta, so it is zero on a leg once k*beta
+    # leaves the box of the leg's block depths: those splits are skipped
+    caps = []
+    for leg in mods:
+        box = [max(col) for col in zip(*leg.dims)]
+        caps.append([min(d // c for d, c in zip(box, beta) if c)
+                     for beta in leg.system.positive_roots])
+    acc: TensorVector = {}
+    for b in product(*(range(max(0, k - cap_a), min(k, cap_b) + 1)
+                       for k, cap_a, cap_b in zip(t, *caps))):
+        a = tuple(k - j for k, j in zip(t, b))
+        term = tensor_leg_act(mods, 0, HyperMonomial(side, a),
+                              tensor_leg_act(mods, 1, HyperMonomial(side, b), tvec))
+        for key, block in term.items():
+            prev = acc.get(key)
+            acc[key] = block if prev is None else [
+                [x + y for x, y in zip(r, s)] for r, s in zip(prev, block)]
+    return _tidy(acc, mods[0].p)
 
 
 def tensor_of(vecs: Tuple[Vector, Vector], reduce=None) -> TensorVector:

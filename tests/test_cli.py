@@ -103,6 +103,13 @@ def test_essential_g2_oracle_agreement(capsys):
     assert payload["oracle"]["table_size"] == 7
 
 
+def test_essential_oracle_takes_a_lowercase_g2_label(capsys):
+    code, payload = run_json(capsys, "essential", "--type", "g2",
+                             "--weight", "1,0", "--oracle")
+    assert code == 0
+    assert payload["oracle"]["agrees"] is True
+
+
 def test_essential_oracle_needs_g2(capsys):
     code, _, err = run(capsys, "essential", "--type", "A1", "--weight", "2",
                        "--oracle")

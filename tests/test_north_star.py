@@ -1,0 +1,55 @@
+"""The package stays exact and stdlib-only: every absolute import names a
+standard-library module, and no source holds a float literal or calls
+``float``. The one float is the CLI's stderr timing note (milliseconds),
+which never reaches a report."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylpbw"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+ALLOWED_FLOATS = {("cli.py", 1000.0)}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_the_package_has_sources():
+    assert len(SOURCES) >= 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_stdlib(path):
+    names = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    outside = [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports {outside}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            if (path.name, node.value) not in ALLOWED_FLOATS:
+                found.append(f"literal {node.value!r} at line {node.lineno}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append(f"float( at line {node.lineno}")
+    assert not found, f"{path.name}: {found}"
+
+
+def test_the_timing_constant_is_still_there():
+    """The allowance above names a float that exists, so it cannot go stale
+    and hide another one."""
+    values = [node.value for node in ast.walk(_tree(PACKAGE / "cli.py"))
+              if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert values == [1000.0]

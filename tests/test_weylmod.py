@@ -1,13 +1,13 @@
 """Mod-p Weyl modules, duals, and the coproduct action on tensors."""
 
 import gc
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
 import weakref
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,8 +20,6 @@ from weylpbw import (AdmissibleLattice, InvariantError, WeylModuleP, build_root_
 from weylpbw.weylmod import (
     DualModuleP,
     HyperMonomial,
-    _compose,
-    _tensor_leg_apply,
     f_zero,
     is_prime,
     tensor_leg_act,
@@ -62,7 +60,7 @@ def test_divided_powers_a1():
     assert m.act(F1, v) == {(1,): [1]}
     assert m.act(F1, m.act(F1, v)) == {(2,): [2]}   # F F v = 2 F^(2) v
     assert m.act(F2, v) == {(2,): [1]}
-    assert m.is_zero(m.act(HyperMonomial("F", (3,)), v))
+    assert not m.act(HyperMonomial("F", (3,)), v)
 
 
 def corrupt_a1_module() -> WeylModuleP:
@@ -276,32 +274,120 @@ def test_tensor_coproduct_a1():
     assert tensor_leg_act((m, m), 1, F1, t) == {((0,), (1,)): [[1]]}
 
 
+def _random_monomials(rng, n_pos, count):
+    """``count`` monomials of either side with two or three nonzero
+    exponents in 1..2."""
+    for _ in range(count):
+        expo = [0] * n_pos
+        for pos in rng.sample(range(n_pos), rng.choice([2, 3])):
+            expo[pos] = rng.randint(1, 2)
+        yield HyperMonomial(rng.choice("EF"), tuple(expo))
+
+
+def _mixed_legs(m):
+    """Module and dual legs in every combination, each dual built afresh."""
+    return [(m, m), (m, DualModuleP(m)), (DualModuleP(m), m), (DualModuleP(m), DualModuleP(m))]
+
+
 @pytest.mark.parametrize("label,weight", [("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 0))])
 @pytest.mark.parametrize("p", [None, 2, 3])
 def test_tensor_leg_act_matches_the_factor_by_factor_action(label, weight, p):
-    """One composed matrix per block gives what the monomial's root factors
-    give one at a time, on either leg, for module and dual legs. Monomials
-    of two or three factors are asked for in turn, some twice in a row, so
-    the matrices kept for the last one are read as well as built."""
+    """One composed matrix per block gives what the leg's own ``act``, one
+    root factor at a time, gives on that factor of a pure tensor, on either
+    leg, for module and dual legs. Monomials of two or three factors are
+    asked for in turn, some twice in a row, so the matrices kept for the
+    last one are read as well as built."""
     rng = random.Random(f"{label}{weight}{p}")
     m = WeylModuleP.build(build_root_system(label), weight, p)
-    n_pos = m.system.n_pos
     entry = (lambda: rng.randint(-3, 3)) if p is None else (lambda: rng.randrange(p))
     nonzero = 0
-    for legs in [(m, m), (m, DualModuleP(m)), (DualModuleP(m), m),
-                 (DualModuleP(m), DualModuleP(m))]:
+    for legs in _mixed_legs(m):
         vecs = [{t: [entry() for _ in range(m.dims[t])] for t in rng.sample(m.block_order, 3)}
                 for _ in range(2)]
         tvec = tensor_of(tuple(vecs), reduce=m.reduce)
-        for _ in range(12):
-            expo = [0] * n_pos
-            for pos in rng.sample(range(n_pos), rng.choice([2, 3])):
-                expo[pos] = rng.randint(1, 2)
-            mono = HyperMonomial(rng.choice("EF"), tuple(expo))
+        for mono in _random_monomials(rng, m.system.n_pos, 12):
             for idx in (0, 1, 1):
-                want = _compose(legs[0], mono, tvec, partial(_tensor_leg_apply, legs, idx))
+                acted = list(vecs)
+                acted[idx] = legs[idx].act(mono, vecs[idx])
+                want = tensor_of(tuple(acted), reduce=m.reduce)
                 assert tensor_leg_act(legs, idx, mono, tvec) == want, (legs, idx, mono)
                 nonzero += bool(want)
+    assert nonzero
+
+
+def _tensor_sum(x, y, reduce):
+    """x + y for two tensor vectors, all-zero blocks dropped."""
+    out = {key: [list(row) for row in block] for key, block in x.items()}
+    for key, block in y.items():
+        prev = out.get(key)
+        out[key] = [list(row) for row in block] if prev is None else [
+            [reduce(a + b) for a, b in zip(r, s)] for r, s in zip(prev, block)]
+    return {key: block for key, block in out.items() if any(map(any, block))}
+
+
+@pytest.mark.parametrize("label,weight", [("A2", (1, 1)), ("B2", (1, 1)), ("G2", (1, 0))])
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_tensor_act_is_the_coproduct_of_each_factor_in_turn(label, weight, p):
+    """Delta is an algebra map: Delta(X^t) on a tensor equals the
+    single-factor Delta(X_beta^(k)) applied one root at a time, last root
+    first. Checked on a sum of two pure tensors, for module and dual legs."""
+    rng = random.Random(f"coproduct{label}{weight}{p}")
+    m = WeylModuleP.build(build_root_system(label), weight, p)
+    n_pos = m.system.n_pos
+    entry = (lambda: rng.randint(-3, 3)) if p is None else (lambda: rng.randrange(p))
+
+    def pure():
+        vecs = [{t: [entry() for _ in range(m.dims[t])] for t in rng.sample(m.block_order, 2)}
+                for _ in range(2)]
+        return tensor_of(tuple(vecs), reduce=m.reduce)
+
+    nonzero = 0
+    for legs in _mixed_legs(m):
+        tvec = _tensor_sum(pure(), pure(), m.reduce)
+        for mono in _random_monomials(rng, n_pos, 6):
+            want = tvec
+            for pos in range(n_pos - 1, -1, -1):
+                k = mono.exponents[pos]
+                if k:
+                    factor = tuple(k if i == pos else 0 for i in range(n_pos))
+                    want = tensor_act(legs, HyperMonomial(mono.side, factor), want)
+            assert tensor_act(legs, mono, tvec) == want, (legs, mono)
+            nonzero += bool(want)
+    assert nonzero
+
+
+@pytest.mark.parametrize("label,weights", [("A2", ((1, 0), (2, 1))), ("B2", ((0, 1), (1, 1))),
+                                           ("G2", ((1, 0), (0, 1)))])
+@pytest.mark.parametrize("p", [None, 3])
+def test_tensor_act_is_the_sum_over_every_split(label, weights, p):
+    """``tensor_act`` skips the splits that cannot act on a leg (k beta
+    outside the leg's box of block depths); the sum over every split a + b
+    = t, each leg acted on by its own ``act``, agrees. The legs differ in
+    size, and the exponents run past what the smaller one can carry."""
+    rng = random.Random(f"splits{label}{weights}{p}")
+    system = build_root_system(label)
+    small, large = (WeylModuleP.build(system, w, p) for w in weights)
+    entry = (lambda: rng.randint(-3, 3)) if p is None else (lambda: rng.randrange(p))
+    n_pos = system.n_pos
+    nonzero = 0
+    for legs in [(small, large), (large, DualModuleP(small)), (DualModuleP(large), small)]:
+        vecs = [{t: [entry() for _ in range(leg.dims[t])] for t in rng.sample(list(leg.dims), 2)}
+                for leg in legs]
+        for _ in range(4):
+            expo = [0] * n_pos
+            for pos in rng.sample(range(n_pos), 2):
+                expo[pos] = rng.randint(1, 4)
+            side = rng.choice("EF")
+            want = {}
+            for b in itertools.product(*(range(k + 1) for k in expo)):
+                a = tuple(k - j for k, j in zip(expo, b))
+                acted = (legs[0].act(HyperMonomial(side, a), vecs[0]),
+                         legs[1].act(HyperMonomial(side, b), vecs[1]))
+                want = _tensor_sum(want, tensor_of(acted, reduce=small.reduce), small.reduce)
+            got = tensor_act(legs, HyperMonomial(side, tuple(expo)),
+                             tensor_of(tuple(vecs), reduce=small.reduce))
+            assert got == want, (legs, side, expo)
+            nonzero += bool(want)
     assert nonzero
 
 
