@@ -7,17 +7,17 @@ multi-indices are selected by a greedy sweep inside each weight block: the
 block's monomials are visited by degree, within a degree from the largest
 monomial downward, and a monomial is kept exactly when its vector is
 independent of the ones already kept. Everything here is exact rank
-arithmetic over Q or GF(p); the kept vectors of degree <= n are always a
-basis of filtration level n.
+arithmetic over Q or GF(p); the kept vectors of degree <= n are a basis of
+filtration level n, so the filtration table counts the sweep's degrees.
 
-Both module sweeps, the essential one and the filtration, enumerate a block
-one degree at a time (``monomials_with_depth(..., degree=d)``, which enters
-only branches that can reach degree d) and stop after the degree in which
-the block is spanned, so they never list the monomials of higher degree.
-The enumeration keeps the lists of suffixes below its first two root
-positions on the root system, so the degrees and blocks of one module, and
-the modules of one type, walk each shared subtree once; the monomial vectors
-F^s v come from ``WeylModuleP.monomial_coords``, which shares their tails.
+The sweep enumerates a block one degree at a time
+(``monomials_with_depth(..., degree=d)``, which enters only branches that
+can reach degree d) and stops after the degree in which the block is
+spanned, so it never lists the monomials of higher degree. The enumeration
+is one recursion over the root positions, with a memo of this module's own
+at every position: the degrees and blocks of one module, and the modules of
+one type, walk each shared subtree once. The monomial vectors F^s v come
+from ``WeylModuleP.monomial_coords``, which shares their tails.
 
 Functionals on a Weyl module (sections of the induced module) get polynomial
 symbols: the degree-n symbol of xi reads off its values on the degree-n
@@ -26,6 +26,7 @@ and re-expanded in the essential dual basis.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -63,104 +64,100 @@ def order_compare(s: Sequence[int], t: Sequence[int]) -> int:
 # multi-index enumeration
 # --------------------------------------------------------------------------
 
-# Suffix lists from this root position on are kept on the root system and
-# shared by every later call; the first positions are walked anew each time,
-# which keeps the memo small. Past the cap the memo starts over.
-_MEMO_FROM = 2
 _MEMO_CAP = 1 << 14
+
+
+@functools.cache
+def _least_degree(system: RootSystem, depth: Tuple[int, ...], start: int = 0) -> int:
+    """The least degree of an s of depth ``depth`` (nonnegative) on the roots
+    from position ``start`` on. The simple roots, which come last, alone
+    give the largest such degree, the height sum(depth)."""
+    if start >= system.n_pos - system.rank:
+        return sum(depth)
+    beta = system.positive_roots[start]
+    cap = min(d // b for d, b in zip(depth, beta) if b)
+    return min(k + _least_degree(system, tuple(d - k * b for d, b in zip(depth, beta)),
+                                 start + 1)
+               for k in range(cap + 1))
+
+
+@functools.lru_cache(maxsize=_MEMO_CAP)
+def _suffixes(system: RootSystem, pos: int, rem: Tuple[int, ...],
+              deg_left: Optional[int]) -> List[MultiIndex]:
+    """The suffixes s[pos:] of the multi-indices below (position, remainder,
+    degree left), in lexicographic order; see ``monomials_with_depth``. The
+    list is shared, so callers copy it before handing it out."""
+    roots = system.positive_roots
+    tail = system.n_pos - system.rank
+    if pos == tail:
+        return [tuple([rem[beta.index(1)] for beta in roots[tail:]])]
+    beta = roots[pos]
+    cap = min([r // b for r, b in zip(rem, beta) if b])
+    low = 0
+    if deg_left is not None:
+        # k of beta leave height sum(rem) - k*h to fill with degree
+        # deg_left - k from the roots after beta, each of height 1 to h1:
+        # deg_left - k <= sum(rem) - k*h <= (deg_left - k) * h1
+        height, h, h1 = sum(rem), sum(beta), sum(roots[pos + 1])
+        cap = min(cap, deg_left, (height - deg_left) // (h - 1))
+        if h > h1:
+            low = -((deg_left * h1 - height) // (h - h1))
+    out: List[MultiIndex] = []
+    for k in range(max(low, 0), cap + 1):
+        nxt = tuple([r - k * b for r, b in zip(rem, beta)])
+        left = None if deg_left is None else deg_left - k
+        if left is None or _least_degree(system, nxt, pos + 1) <= left:
+            out += [(k,) + rest for rest in _suffixes(system, pos + 1, nxt, left)]
+    return out
+
+
+def _check_rank(system: RootSystem, what: str, coords: Sequence[int]) -> None:
+    if len(coords) != system.rank:
+        raise ValueError(f"{what} {tuple(coords)} does not have the rank {system.rank}")
 
 
 def monomials_with_depth(system: RootSystem, depth: Sequence[int],
                          degree: Optional[int] = None) -> List[MultiIndex]:
     """All s with sum_beta s_beta * beta equal to ``depth`` (root coordinates),
     optionally restricted to total degree ``degree``, in lexicographic order
-    of s. A depth with a negative coordinate has none.
+    of s. A depth with a negative coordinate has none; a depth whose length
+    is not the rank is a ``ValueError``.
 
-    The last ``rank`` positive roots are the simple roots (the root order is
-    by descending height), so once the recursion reaches them the remainder
-    forces their exponents: one candidate per prefix, not a subtree.
+    The walk is one recursion over the root positions. The last ``rank``
+    positive roots are the simple roots (the root order is by descending
+    height), so once it reaches them the remainder forces their exponents:
+    one candidate per prefix, not a subtree.
 
     With ``degree`` given, a branch is entered only if it can still reach
     that degree. From a position and a remainder the reachable degrees form
-    the interval [``system.least_degree``, height of the remainder]: a
-    non-simple root is a lower positive root (later in the order) plus a
-    simple root, so splitting one factor raises the degree by exactly one,
-    until only simple roots are left. Every branch entered yields at least
-    one multi-index.
+    the interval [least degree, height of the remainder]: a non-simple root
+    is a lower positive root (later in the order) plus a simple root, so
+    splitting one factor raises the degree by exactly one, until only simple
+    roots are left. Every branch entered yields at least one multi-index.
 
     The subtree below (position, remainder, degree left) is the same
     wherever it is reached, in this call or a later one for another block or
-    degree. From position ``_MEMO_FROM`` on its list of suffixes s[pos:] is
-    built once and kept on the root system (at most ``_MEMO_CAP`` lists).
+    degree. So its list of suffixes s[pos:] is built once, at every position,
+    and kept in this module's own memo of at most ``_MEMO_CAP`` lists.
     """
+    _check_rank(system, "depth", depth)
     if min(depth) < 0:
         return []
     depth = tuple(depth)
-    least = system.least_degree
-    if degree is not None and not least(depth) <= degree <= sum(depth):
+    if degree is not None and not _least_degree(system, depth) <= degree <= sum(depth):
         return []
-    roots = system.positive_roots
-    tail = len(roots) - system.rank
-    simple_at = [beta.index(1) for beta in roots[tail:]]
-    support = [[(i, b) for i, b in enumerate(beta) if b] for beta in roots[:tail]]
-    heights = [sum(beta) for beta in roots]
-    memo = system._suffix_memo
-    if len(memo) > _MEMO_CAP:
-        memo.clear()
-
-    def branches(pos: int, rem: Tuple[int, ...], deg_left: Optional[int]):
-        """(k, remainder, degree left) for each exponent k of roots[pos]
-        whose branch is entered."""
-        beta = roots[pos]
-        cap = min([rem[i] // b for i, b in support[pos]])
-        low = 0
-        if deg_left is not None:
-            # k of beta leave height sum(rem) - k*h to fill with degree
-            # deg_left - k from the roots after beta, each of height 1 to h1:
-            # deg_left - k <= sum(rem) - k*h <= (deg_left - k) * h1
-            height, h, h1 = sum(rem), heights[pos], heights[pos + 1]
-            cap = min(cap, deg_left, (height - deg_left) // (h - 1))
-            if h > h1:
-                low = -((deg_left * h1 - height) // (h - h1))
-        for k in range(max(low, 0), cap + 1):
-            nxt = tuple([r - k * b for r, b in zip(rem, beta)])
-            if deg_left is None:
-                yield k, nxt, None
-            elif least(nxt, pos + 1) <= deg_left - k:
-                yield k, nxt, deg_left - k
-
-    def suffixes(pos: int, rem: Tuple[int, ...],
-                 deg_left: Optional[int]) -> List[MultiIndex]:
-        if pos == tail:
-            return [tuple([rem[i] for i in simple_at])]
-        key = (pos, rem, deg_left)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = [(k,) + rest for k, nxt, left in branches(pos, rem, deg_left)
-                               for rest in suffixes(pos + 1, nxt, left)]
-        return hit
-
-    out: List[MultiIndex] = []
-
-    def rec(pos: int, prefix: MultiIndex, rem: Tuple[int, ...],
-            deg_left: Optional[int]) -> None:
-        if pos >= _MEMO_FROM or pos == tail:
-            out.extend([prefix + rest for rest in suffixes(pos, rem, deg_left)])
-            return
-        for k, nxt, left in branches(pos, rem, deg_left):
-            rec(pos + 1, prefix + (k,), nxt, left)
-
-    rec(0, (), depth, degree)
-    return out
+    return list(_suffixes(system, 0, depth, degree))
 
 
 def monomials_of_degree(system: RootSystem, box: Sequence[int],
                         degree: int) -> Iterator[MultiIndex]:
     """All s of total degree ``degree`` whose depth fits inside ``box``, in
     lexicographic order: the lists of ``monomials_with_depth`` for the
-    depths in the box, merged."""
+    depths in the box, merged. Depths of height below ``degree`` have none
+    and are skipped."""
+    _check_rank(system, "box", box)
     depths = itertools.product(*(range(b + 1) for b in box))
-    yield from sorted(s for depth in depths
+    yield from sorted(s for depth in depths if sum(depth) >= degree
                       for s in monomials_with_depth(system, depth, degree))
 
 
@@ -235,13 +232,19 @@ class EssentialSet:
         return xi
 
 
-def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...]) -> BlockSweep:
+def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...],
+                 top: Optional[int] = None) -> BlockSweep:
+    """The greedy sweep of one block, stopping after degree ``top`` (if
+    given) or once the block is spanned. A sweep that reaches the block's
+    height must have spanned it."""
     space = row_space(m.p)
     indices: List[MultiIndex] = []
     essential: List[MultiIndex] = []
     vectors: Dict[MultiIndex, List[int]] = {}
     full = m.dims.get(depth, 0)
-    for d in range(m.system.least_degree(depth), sum(depth) + 1):
+    height = sum(depth)
+    last = height if top is None else min(top, height)
+    for d in range(_least_degree(m.system, depth), last + 1):
         if space.rank == full:
             break   # no monomial of a higher degree can be independent
         batch = sorted(monomials_with_depth(m.system, depth, degree=d), key=sweep_key)
@@ -255,7 +258,7 @@ def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...]) -> BlockSweep:
             if space.insert(coords):
                 essential.append(s)
                 vectors[s] = coords
-    if space.rank != full:
+    if last == height and space.rank != full:
         raise InvariantError(
             f"monomial vectors fail to span the block at depth {depth}")
     essential.sort(key=order_key)
@@ -288,27 +291,17 @@ class FiltrationTable:
 def pbw_filtration(m: WeylModuleP, n: int) -> FiltrationTable:
     """Ranks of the spans of the monomial vectors of degree <= 0, 1, ..., n.
 
-    Computed directly from rank sweeps, not from the essential-set
-    combinatorics, so the two can be cross-checked against each other.
-    Distinct weights are independent, so each block is swept on its own:
-    its monomials by degree, stopping past degree n or once the block is
-    spanned, counting the rank gained in each degree.
+    The kept vectors of degree <= d of a block's essential sweep are a basis
+    of its level d, and distinct weights are independent. So level n counts
+    the essential multi-indices of degree <= n, each block swept only up to
+    degree n.
     """
     if n < 0:
         raise ValueError(f"filtration level {n} is negative")
     gains = [0] * (n + 1)
     for depth in m.block_order:
-        full = m.dims[depth]
-        space = row_space(m.p)
-        for deg in range(m.system.least_degree(depth), min(n, sum(depth)) + 1):
-            if space.rank == full:
-                break
-            for s in monomials_with_depth(m.system, depth, degree=deg):
-                if space.rank == full:
-                    break
-                coords = m.monomial_coords(s)
-                if coords is not None and space.insert(coords):
-                    gains[deg] += 1
+        for s in _sweep_block(m, depth, n).essential:
+            gains[sum(s)] += 1
     return FiltrationTable(m.highest_weight, m.p, list(itertools.accumulate(gains)),
                            gains)
 

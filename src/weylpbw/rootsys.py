@@ -211,9 +211,6 @@ class RootSystem:
             raise InvariantError("the last rank positive roots must be the simple roots")
         self._build_structure_constants()
         self._nfull_cache: Dict[Tuple[Coords, Coords], int] = {}
-        self._least_degree_cache: Dict[Tuple[int, Coords], int] = {}
-        # (position, remainder, degree left) -> suffix list; see pbw.monomials_with_depth
-        self._suffix_memo: Dict[Tuple[int, Coords, Optional[int]], List[Coords]] = {}
 
     # -- root enumeration ---------------------------------------------------
 
@@ -473,26 +470,6 @@ class RootSystem:
             for i in range(self.rank):
                 out[i] += e * b[i]
         return tuple(out)
-
-    def least_degree(self, depth: Coords, start: int = 0) -> int:
-        """The least total degree of a multi-index s supported on the roots
-        from position ``start`` on with sum_beta s_beta * beta = ``depth`` (a
-        nonnegative tuple). The simple roots come last, so such an s always
-        exists, and the simple roots alone give the largest degree, the
-        height sum(depth)."""
-        key = (start, depth)
-        hit = self._least_degree_cache.get(key)
-        if hit is None:
-            if start >= self.n_pos - self.rank:
-                hit = sum(depth)
-            else:
-                beta = self.positive_roots[start]
-                cap = min(d // b for d, b in zip(depth, beta) if b)
-                hit = min(k + self.least_degree(
-                              tuple(d - k * b for d, b in zip(depth, beta)), start + 1)
-                          for k in range(cap + 1))
-            self._least_degree_cache[key] = hit
-        return hit
 
     def weyl_dimension(self, lam: Weight) -> int:
         if not self.is_dominant(lam):

@@ -100,9 +100,9 @@ class HyperMonomial:
     def __post_init__(self):
         if self.side not in ("E", "F"):
             raise ValueError("side must be 'E' or 'F'")
-        if any(e < 0 for e in self.exponents):
+        if not all(isinstance(e, int) and e >= 0 for e in self.exponents):
             raise ValueError("exponents must be natural numbers")
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        object.__setattr__(self, "exponents", tuple(map(int, self.exponents)))
 
     @property
     def degree(self) -> int:

@@ -1,5 +1,6 @@
 """Essential monomial bases, filtration tables, and graded symbols."""
 
+import functools
 import itertools
 import math
 
@@ -146,21 +147,35 @@ def test_memoised_enumeration_matches_the_plain_recursion(label, weight, monkeyp
     """For every depth in the weight box of V(weight) (so every block), the
     memoised enumeration gives the plain recursion's list for degree=None
     and, filtered, for each degree: built into an empty memo, read back
-    from a full one, and with a cap small enough that the memo starts over
-    many times."""
+    from a full one, and with a memo of 8 lists that evicts all the time."""
     system = build_root_system(label)
     box = system.depth_vector(weight)
     depths = list(itertools.product(*(range(b + 1) for b in box)))
     want = {t: _reference_monomials(system, t) for t in depths}
-    system._suffix_memo.clear()
-    for cap, rounds in ((pbw._MEMO_CAP, 2), (8, 1)):
-        monkeypatch.setattr(pbw, "_MEMO_CAP", cap)
+    pbw._suffixes.cache_clear()
+    tiny = functools.lru_cache(maxsize=8)(pbw._suffixes.__wrapped__)
+    for suffixes, rounds in ((pbw._suffixes, 2), (tiny, 1)):
+        monkeypatch.setattr(pbw, "_suffixes", suffixes)
         for _ in range(rounds):
             for t in depths:
                 assert monomials_with_depth(system, t) == want[t], t
                 for d in range(sum(t) + 2):
                     assert monomials_with_depth(system, t, degree=d) == [
                         s for s in want[t] if sum(s) == d], (t, d)
+    assert tiny.cache_info().currsize == 8
+
+
+@pytest.mark.parametrize("depth", [(1, 1, 1), (2, 1, 0), (1,), ()])
+def test_enumeration_rejects_a_depth_of_the_wrong_length(g2, depth):
+    """A depth or box whose length is not the rank is an error, raised
+    before any memo is read, not a list for a shorter or longer depth."""
+    with pytest.raises(ValueError, match="rank 2"):
+        monomials_with_depth(g2, depth)
+    with pytest.raises(ValueError, match="rank 2"):
+        monomials_with_depth(g2, depth, degree=1)
+    with pytest.raises(ValueError, match="rank 2"):
+        list(pbw.monomials_of_degree(g2, depth, 1))
+    assert monomials_with_depth(g2, (2, 1)) == monomials_with_depth(g2, [2, 1])
 
 
 @pytest.fixture
@@ -260,6 +275,18 @@ def test_pbw_filtration_rejects_negative_level(g2):
     with pytest.raises(ValueError, match="negative"):
         pbw_filtration(m, -1)
     assert pbw_filtration(m, 0).level_dims == [1]
+
+
+def test_filtration_checks_spanning_once_it_reaches_a_block_height(g2, monkeypatch):
+    """A filtration sweep that reaches a block's height raises, as the
+    essential sweep does, when the monomial vectors fail to span the block;
+    a level below the height of every unspanned block does not."""
+    m = WeylModuleP.build(g2, (1, 0), None, 1000)
+    monkeypatch.setattr(WeylModuleP, "monomial_coords",
+                        lambda self, s: None if sum(s) else [1])
+    assert pbw_filtration(m, 0).level_dims == [1]
+    with pytest.raises(InvariantError, match="fail to span"):
+        pbw_filtration(m, 1)
 
 
 def test_histogram_accumulates_to_level_dims(g2):

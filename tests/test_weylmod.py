@@ -38,6 +38,14 @@ def test_hyper_monomial_validation():
         HyperMonomial("F", (-1,))
     assert f_zero(3, 5) == HyperMonomial("F", (4, 4, 4))
     assert HyperMonomial("F", (1, 2)).degree == 3
+    assert [type(e) for e in HyperMonomial("E", [True, 2]).exponents] == [int, int]
+
+
+@pytest.mark.parametrize("exponents", [(1.5, 0), (1.0, 0), ("1", 0), (None,)])
+def test_hyper_monomial_rejects_non_integral_exponents(exponents):
+    """An exponent that is not an integer is refused, never truncated."""
+    with pytest.raises(ValueError, match="natural numbers"):
+        HyperMonomial("F", exponents)
 
 
 def test_composite_p_rejected():
