@@ -5,8 +5,8 @@ modules over Q, admissible Z-lattices and their mod-p reductions,
 essential-monomial bases for the PBW filtration, the induced filtration
 on tensor products, and the Frobenius-splitting verification pipeline
 for type G2. All arithmetic is exact: big integers and ints mod p, with
-a rational only where a result is one (a solve over Q, a root-system
-norm); there is no floating point anywhere in the package.
+a rational only where a result is one, a solve over Q; there is no
+floating point anywhere in the package.
 """
 
 __version__ = "0.1.0"

@@ -9,11 +9,12 @@ simple-root operators E_i and F_i. ``AdmissibleLattice`` then extracts the
 minimal integral form U_Z^- v. U_Z^- is generated by the simple-root divided
 powers F_i^(k) (Kostant, "Groups over Z"), so block by block L_t is the sum of
 F_i^(k) L_{t - k alpha_i}. The simple E_i and F_i are rewritten in lattice
-coordinates, and each other root beta = alpha_i + rest follows over Z from
-the Chevalley commutator of X_i and X_rest, divided exactly by the structure
-constant. The output is pure integer data — block dimensions, block weights,
-and integer matrices for every root raising/lowering operator in lattice
-coordinates — which is what the modular layer consumes.
+coordinates, and each other root beta = alpha + rest, split along its
+extraspecial pair, follows over Z from the Chevalley commutator of X_alpha
+and X_rest, divided exactly by the structure constant. The output is pure
+integer data — block dimensions, block weights, and integer matrices for
+every root raising/lowering operator in lattice coordinates — which is what
+the modular layer consumes.
 
 Everything is exact integer arithmetic; nothing here depends on a prime.
 Every basis vector is an integer lowering monomial applied to the highest
@@ -46,20 +47,14 @@ DIM_CAP_DEFAULT = 200_000
 
 
 def _root_splits(system: RootSystem) -> Dict[int, Tuple[int, int, int]]:
-    """beta = alpha_i + rest for every non-simple positive root #pos.
-
-    Maps pos to (position of alpha_i, position of rest, N(alpha_i, rest)),
-    with i the first simple root whose removal leaves a root.
-    """
+    """beta = alpha + rest for every non-simple positive root #pos, split
+    along its extraspecial pair (alpha, rest). Maps pos to (position of
+    alpha, position of rest, N(alpha, rest))."""
     splits = {}
     for pos, beta in enumerate(system.positive_roots):
         if sum(beta) == 1:
             continue
-        for i in range(system.rank):
-            rest = tuple(v - (k == i) for k, v in enumerate(beta))
-            if beta[i] and system.is_positive_root(rest):
-                break
-        alpha = tuple(int(k == i) for k in range(system.rank))
+        alpha, rest = system.extraspecial_pair(beta)
         n_const = system.structure_constant(alpha, rest)
         if n_const == 0:
             raise InvariantError(f"zero structure constant for root {beta}")
@@ -352,19 +347,19 @@ class AdmissibleLattice:
         simple_op.cache_clear()
 
         # Every other root, lowest first, from the Chevalley relations
-        # [E_i, E_rest] = N E_beta and [F_i, F_rest] = -N F_beta, over Z.
+        # [E_alpha, E_rest] = N E_beta and [F_alpha, F_rest] = -N F_beta, over Z.
         splits = _root_splits(sysm)
         for pos in sorted(splits, key=lambda c: sum(roots[c])):
-            ipos, rpos, n_const = splits[pos]
+            apos, rpos, n_const = splits[pos]
             for side, gen, sign in sides:
                 for t in dims:
                     tgt = moved(t, pos, sign)
                     if tgt not in dims:
                         continue
                     acc = [[0] * dims[t] for _ in range(dims[tgt])]
-                    # X_beta = -sign (X_i X_rest - X_rest X_i) / N; a term whose
-                    # middle block is absent has both factors absent
-                    for c, mid_a, mid_b in ((-sign, ipos, rpos), (sign, rpos, ipos)):
+                    # X_beta = -sign (X_alpha X_rest - X_rest X_alpha) / N; a
+                    # term whose middle block is absent has both factors absent
+                    for c, mid_a, mid_b in ((-sign, apos, rpos), (sign, rpos, apos)):
                         a = gen.get((mid_a, moved(t, mid_b, sign)))
                         b = gen.get((mid_b, t))
                         if a is None or b is None:

@@ -92,21 +92,11 @@ def _suffixes(system: RootSystem, pos: int, rem: Tuple[int, ...],
     if pos == tail:
         return [tuple([rem[beta.index(1)] for beta in roots[tail:]])]
     beta = roots[pos]
-    cap = min([r // b for r, b in zip(rem, beta) if b])
-    low = 0
-    if deg_left is not None:
-        # k of beta leave height sum(rem) - k*h to fill with degree
-        # deg_left - k from the roots after beta, each of height 1 to h1:
-        # deg_left - k <= sum(rem) - k*h <= (deg_left - k) * h1
-        height, h, h1 = sum(rem), sum(beta), sum(roots[pos + 1])
-        cap = min(cap, deg_left, (height - deg_left) // (h - 1))
-        if h > h1:
-            low = -((deg_left * h1 - height) // (h - h1))
     out: List[MultiIndex] = []
-    for k in range(max(low, 0), cap + 1):
+    for k in range(min([r // b for r, b in zip(rem, beta) if b]) + 1):
         nxt = tuple([r - k * b for r, b in zip(rem, beta)])
         left = None if deg_left is None else deg_left - k
-        if left is None or _least_degree(system, nxt, pos + 1) <= left:
+        if left is None or _least_degree(system, nxt, pos + 1) <= left <= sum(nxt):
             out += [(k,) + rest for rest in _suffixes(system, pos + 1, nxt, left)]
     return out
 

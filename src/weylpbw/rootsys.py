@@ -16,15 +16,17 @@ extraspecial-pair convention: positive roots are scanned in increasing
 (height, lex) order, and for each non-simple positive root the special pair
 with the least first member gets the positive sign N = p+1. All other
 constants are forced from those by the Jacobi identity and the standard
-reflection rules, with every division checked exact.
+reflection rules, with every division checked exact. ``charzero`` splits
+each root along its extraspecial pair too. A Cartan matrix is validated
+once, in integers, when a ``RootSystem`` is built from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from numbers import Rational
+from typing import Dict, Optional, Sequence, Tuple
 
 Coords = Tuple[int, ...]
 Weight = Tuple[int, ...]
@@ -86,7 +88,7 @@ def _series_matrix(series: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class CartanData:
-    """A validated finite-type Cartan matrix plus an optional label."""
+    """A Cartan matrix plus an optional label; ``RootSystem`` validates it."""
 
     matrix: Tuple[Tuple[int, ...], ...]
     label: Optional[str] = None
@@ -102,20 +104,16 @@ class CartanData:
                 if rank != 2:
                     raise CartanMatrixError("type G exists only in rank 2")
                 return CartanData(_LABEL_MATRICES["G2"], "G2")
-            mat = _series_matrix(series, rank)
-            cd = CartanData(mat, label)
-            _validate_cartan(cd.matrix)
-            return cd
+            return CartanData(_series_matrix(series, rank), label)
         raise CartanMatrixError(f"unknown type label {label!r}")
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence[int]], label: Optional[str] = None) -> "CartanData":
-        mat = tuple(tuple(int(v) for v in r) for r in rows)
-        _validate_cartan(mat)
-        return CartanData(mat, label)
+        return CartanData(tuple(tuple(int(v) for v in r) for r in rows), label)
 
 
-def _validate_cartan(mat: Tuple[Tuple[int, ...], ...]) -> None:
+def _validate_cartan(mat: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
+    """Check the Cartan-matrix axioms; the symmetrizer d of ``_symmetrizer``."""
     n = len(mat)
     if n == 0 or any(len(r) != n for r in mat):
         raise CartanMatrixError("axiom 'square': matrix must be square and nonempty")
@@ -127,48 +125,45 @@ def _validate_cartan(mat: Tuple[Tuple[int, ...], ...]) -> None:
                 raise CartanMatrixError(f"axiom 'offdiag<=0': entry ({i},{j}) is {mat[i][j]}")
             if i != j and (mat[i][j] == 0) != (mat[j][i] == 0):
                 raise CartanMatrixError(f"axiom 'zero-symmetry': entries ({i},{j}),({j},{i})")
-    d = _symmetrizer(mat)  # raises on non-symmetrizable
-    sym = [[Fraction(d[i] * mat[i][j]) for j in range(n)] for i in range(n)]
-    # Finite type == symmetrization positive definite (leading minors > 0).
-    work = [row[:] for row in sym]
+    d = _symmetrizer(mat)
+    # Finite type: D A is positive definite, i.e. its leading minors, the
+    # pivots of fraction-free (Bareiss) elimination, are all positive.
+    work = [[d[i] * v for v in row] for i, row in enumerate(mat)]
+    prev = 1
     for k in range(n):
-        minor_ok = work[k][k] > 0
-        if not minor_ok:
+        if work[k][k] <= 0:
             raise CartanMatrixError("axiom 'finite-type': symmetrization not positive definite")
         for r in range(k + 1, n):
-            f = work[r][k] / work[k][k]
-            for c in range(k, n):
-                work[r][c] -= f * work[k][c]
+            for c in range(k + 1, n):
+                work[r][c] = (work[k][k] * work[r][c] - work[r][k] * work[k][c]) // prev
+        prev = work[k][k]
+    return d
 
 
 def _symmetrizer(mat: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
-    """Positive integers d with d_i * a_ij symmetric; minimal on each component."""
+    """Positive integers d with d_i * a_ij symmetric; minimal on each component.
+    A component is walked in integers, scaled up where a_ij / a_ji is not integral."""
     n = len(mat)
-    d: List[Optional[Fraction]] = [None] * n
+    d = [0] * n
     for start in range(n):
-        if d[start] is not None:
+        if d[start]:
             continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
+        d[start], comp = 1, [start]
+        for i in comp:
             for j in range(n):
-                if i == j or mat[i][j] == 0:
-                    continue
-                val = d[i] * Fraction(mat[i][j], mat[j][i])
-                if d[j] is None:
-                    d[j] = val
-                    stack.append(j)
-                elif d[j] != val:
-                    raise CartanMatrixError("axiom 'symmetrizable': inconsistent ratios")
-    den = 1
-    for v in d:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in d]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return tuple(v // g for v in ints)
+                if mat[i][j] and not d[j]:
+                    num, den = d[i] * mat[i][j], mat[j][i]
+                    scale = abs(den) // gcd(num, den)
+                    for k in comp:
+                        d[k] *= scale
+                    d[j] = num * scale // den
+                    comp.append(j)
+        g = gcd(*(d[k] for k in comp))
+        for k in comp:
+            d[k] //= g
+    if any(d[i] * mat[i][j] != d[j] * mat[j][i] for i in range(n) for j in range(n)):
+        raise CartanMatrixError("axiom 'symmetrizable': inconsistent ratios")
+    return tuple(d)
 
 
 def _height(c: Coords) -> int:
@@ -191,13 +186,12 @@ class RootSystem:
     """Positive roots, Chevalley constants, and weight utilities for one type."""
 
     def __init__(self, cartan: CartanData):
-        _validate_cartan(cartan.matrix)
+        self.d = _validate_cartan(cartan.matrix)
         self.cartan = cartan
         self.A = cartan.matrix
         self.rank = len(self.A)
         if self.rank > RANK_CAP:
             raise ResourceCapError(f"rank {self.rank} exceeds cap {RANK_CAP}")
-        self.d = _symmetrizer(self.A)
         self._close_roots()
         self.positive_roots: Tuple[Coords, ...] = self._descending_height_order()
         self.n_pos = len(self.positive_roots)
@@ -225,11 +219,13 @@ class RootSystem:
                 raise CartanMatrixError("axiom 'finite-type': closure did not terminate")
             nxt = []
             for beta in frontier:
+                # <beta, alpha_i^vee> for every i, from row i of the Cartan matrix
+                pairs = self.root_weight_coords(beta)
                 for i, alpha in enumerate(simples):
                     p = 0
                     while _sub(beta, tuple(v * (p + 1) for v in alpha)) in found:
                         p += 1
-                    if p - self.pairing(self.root_weight_coords(beta), alpha) > 0:
+                    if p - pairs[i] > 0:
                         cand = _add(beta, alpha)
                         if cand not in found:
                             found.add(cand)
@@ -317,10 +313,9 @@ class RootSystem:
                 if _sub(eta, a0) in self._all_roots:
                     t2 = nfull(eta, _neg(a0)) * nfull(_sub(eta, a0), xi)
                 dnm = nfull(zeta, _neg(a0))
-                val = Fraction(-(t1 + t2), dnm)
-                if val.denominator != 1:
+                n, rem = divmod(-(t1 + t2), dnm)
+                if rem:
                     raise InvariantError("Jacobi propagation must stay integral")
-                n = int(val)
                 if abs(n) != self._p_value(xi, eta) + 1:
                     raise InvariantError("|N| must equal p+1")
                 table[(xi, eta)] = n
@@ -340,12 +335,12 @@ class RootSystem:
             return -self._resolve_constant(b, a)
         # a positive, b negative; use the zero-sum triple (a, b, -c).
         if c in self._pos_set:
-            val = Fraction(-self.norm(c) * self._npos[(_neg(b), c)], self.norm(a))
+            n, rem = divmod(-self.norm(c) * self._npos[(_neg(b), c)], self.norm(a))
         else:
-            val = Fraction(self.norm(c) * self._npos[(_neg(c), a)], self.norm(b))
-        if val.denominator != 1:
+            n, rem = divmod(self.norm(c) * self._npos[(_neg(c), a)], self.norm(b))
+        if rem:
             raise InvariantError("mixed-sign constant must be integral")
-        return int(val)
+        return n
 
     def structure_constant(self, a: Coords, b: Coords) -> int:
         """N with [E_a, E_b] = N * E_{a+b}; 0 when a+b is not a root."""
@@ -358,7 +353,8 @@ class RootSystem:
 
     def extraspecial_pair(self, gamma: Coords) -> Tuple[Coords, Coords]:
         """The sign-defining decomposition of a non-simple positive root: the
-        pair the structure constants were built from."""
+        pair the structure constants were built from, and the split
+        ``charzero._root_splits`` derives the root operators along."""
         pair = self._extraspecial.get(gamma)
         if pair is None:
             raise InvariantError(f"{gamma} is not a non-simple positive root")
@@ -443,8 +439,9 @@ class RootSystem:
                 cur[j] -= ci * self.A[j][i]
         return tuple(-v for v in cur)
 
-    def root_coords_of(self, lam: Weight) -> Tuple[Fraction, ...]:
-        """Coordinates of a weight over the simple roots (may be fractional)."""
+    def root_coords_of(self, lam: Weight) -> Tuple[Rational, ...]:
+        """Coordinates of a weight over the simple roots: the Fractions of
+        ``solve_dense``, a solve over Q (they may be fractional)."""
         from .linalg import solve_dense
 
         cols = solve_dense(self.A, [list(lam)])
@@ -454,12 +451,9 @@ class RootSystem:
         """Root coordinates of lam - w0(lam): the weight-box extent of V(lam)."""
         span = tuple(a + b for a, b in zip(lam, self.star(lam)))
         coords = self.root_coords_of(span)
-        out = []
-        for v in coords:
-            if v.denominator != 1:
-                raise InvariantError("lam - w0(lam) must lie in the root lattice")
-            out.append(int(v))
-        return tuple(out)
+        if any(v.denominator != 1 for v in coords):
+            raise InvariantError("lam - w0(lam) must lie in the root lattice")
+        return tuple(int(v) for v in coords)
 
     def monomial_depth(self, s: Sequence[int]) -> Coords:
         """Root coordinates of sum_beta s_beta * beta for a multi-index s."""

@@ -280,9 +280,10 @@ def test_invariant_error_survives_optimize_flag():
 
 
 def build_with_corrupt_structure_constant():
-    """Build G2 (1,0) with N(alpha_1, alpha_2) doubled in ``_root_splits``.
+    """Build G2 (1,0) with N(alpha_2, alpha_1) doubled in ``_root_splits``.
 
-    The commutator [F_1, F_2] on the lattice is -N F_12 with the true N = +-1,
+    alpha_1 + alpha_2 splits along its extraspecial pair (alpha_2, alpha_1).
+    The commutator [F_2, F_1] on the lattice is -N F_12 with the true N = +-1,
     so halving it leaves a remainder wherever F_12 has an odd entry.
     """
     original = charzero._root_splits

@@ -1,7 +1,8 @@
 """The package stays exact and stdlib-only: every absolute import names a
 standard-library module, and no source holds a float literal or calls
 ``float``. The one float is the CLI's stderr timing note (milliseconds),
-which never reaches a report."""
+which never reaches a report. A rational appears only as a solve over Q,
+so ``linalg`` is the one module that imports ``fractions``."""
 
 import ast
 import sys
@@ -53,3 +54,18 @@ def test_the_timing_constant_is_still_there():
     values = [node.value for node in ast.walk(_tree(PACKAGE / "cli.py"))
               if isinstance(node, ast.Constant) and isinstance(node.value, float)]
     assert values == [1000.0]
+
+
+def test_only_linalg_imports_fractions():
+    importers = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "fractions" in names:
+                importers.append(path.name)
+    assert importers == ["linalg.py"]

@@ -67,10 +67,23 @@ def test_bad_cartan_rejected():
         build_root_system([[2, 1], [1, 2]])            # positive off-diagonal
     with pytest.raises(CartanMatrixError):
         build_root_system([[1]])                       # diagonal must be 2
+    for finite_type_fails in ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],   # affine A2
+                              [[2, -1], [-4, 2]],                     # affine, rank 2
+                              [[2, -2, 0], [-1, 2, -1], [0, -2, 2]]):  # affine, rank 3
+        with pytest.raises(CartanMatrixError, match="finite-type"):
+            build_root_system(finite_type_fails)
     with pytest.raises(CartanMatrixError):
         build_root_system("E6")                        # label not supported
     with pytest.raises(CartanMatrixError):
         build_root_system("G3")
+
+
+def test_symmetrizer_is_minimal_on_each_component():
+    # B2 plus a disjoint A1: the A1 component is scaled on its own
+    assert build_root_system([[2, -1, 0], [-2, 2, 0], [0, 0, 2]]).d == (2, 1, 1)
+    assert build_root_system([[2, 0, 0], [0, 2, -1], [0, -2, 2]]).d == (1, 2, 1)
+    assert build_root_system("G2").d == (1, 3)
+    assert build_root_system("C3").d == (1, 1, 2)
 
 
 def test_rank_cap():
@@ -228,22 +241,65 @@ def test_root_order_check_raises_invariant_error():
         AscendingRoots(CartanData.from_label("G2"))
 
 
-def test_root_order_check_survives_optimize_flag():
-    """``python -O`` strips asserts; the root-order check must still fire."""
+def _invariant_error_under_optimize(build: str) -> str:
+    """Evaluate ``build`` in ``test_rootsys`` under ``python -O``; the
+    stdout it prints."""
     here = Path(__file__).resolve().parent
     src = Path(weylpbw.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src), str(here)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import test_rootsys\n"
+    code = ("from test_rootsys import *\n"
             "try:\n"
-            "    test_rootsys.AscendingRoots(test_rootsys.CartanData.from_label('A2'))\n"
-            "except test_rootsys.InvariantError as exc:\n"
+            f"    {build}\n"
+            "except InvariantError as exc:\n"
             "    print('InvariantError:', exc)\n")
     result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert "InvariantError: the last rank positive roots" in result.stdout
+    return result.stdout
+
+
+def test_root_order_check_survives_optimize_flag():
+    """``python -O`` strips asserts; the root-order check must still fire."""
+    out = _invariant_error_under_optimize("AscendingRoots(CartanData.from_label('A2'))")
+    assert "InvariantError: the last rank positive roots" in out
+
+
+class CorruptJacobiDivisor(RootSystem):
+    """G2 with N(3a1+2a2, -a2) doubled: the divisor of the one Jacobi
+    propagation (3a1+2a2 = (a1+a2) + (2a1+a2)), whose true quotient is +-3."""
+
+    def _resolve_constant(self, a, b):
+        n = super()._resolve_constant(a, b)
+        return 2 * n if (a, b) == ((3, 2), (0, -1)) else n
+
+
+class CorruptNorm(RootSystem):
+    """A2 with the norm of a1+a2 tripled, so a mixed-sign constant through
+    it is no longer an integer."""
+
+    def norm(self, b):
+        return super().norm(b) * (3 if b == (1, 1) else 1)
+
+
+def corrupt_mixed_sign_constant():
+    return CorruptNorm(CartanData.from_label("A2")).structure_constant((1, 1), (0, -1))
+
+
+def test_structure_constant_divisions_raise_invariant_error():
+    with pytest.raises(InvariantError, match="Jacobi propagation must stay integral"):
+        CorruptJacobiDivisor(CartanData.from_label("G2"))
+    with pytest.raises(InvariantError, match="mixed-sign constant must be integral"):
+        corrupt_mixed_sign_constant()
+
+
+def test_structure_constant_divisions_survive_optimize_flag():
+    out = _invariant_error_under_optimize(
+        "CorruptJacobiDivisor(CartanData.from_label('G2'))")
+    assert "InvariantError: Jacobi propagation must stay integral" in out
+    out = _invariant_error_under_optimize("corrupt_mixed_sign_constant()")
+    assert "InvariantError: mixed-sign constant must be integral" in out
 
 
 def test_root_lookups_reject_non_roots(g2):
