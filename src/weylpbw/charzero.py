@@ -33,8 +33,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add, mul
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import ScaledLattice, inverse_pair, mat_mul, rank_dense
 from .rootsys import InvariantError, ResourceCapError, RootSystem, build_root_system
@@ -240,18 +240,16 @@ class AdmissibleLattice:
     simple-root divided powers alone and derives the non-simple root
     operators over Z by exact commutators. Bases are canonical (Hermite
     form), so the integer data below is reproducible bit for bit across runs
-    and platforms.
+    and platforms. Blocks run in ``dims`` order, by depth.
     """
 
     def __init__(self, system, highest_weight: Weight, *,
-                 block_order: Sequence[Coords],
                  weights: Dict[Coords, Weight],
                  dims: Dict[Coords, int],
                  e_gen: Dict[Tuple[int, Coords], List[List[int]]],
                  f_gen: Dict[Tuple[int, Coords], List[List[int]]]):
         self.system: RootSystem = build_root_system(system)
         self.highest_weight = tuple(highest_weight)
-        self.block_order = [tuple(t) for t in block_order]
         self.weights = weights
         self.dims = dims
         self.e_gen = e_gen
@@ -377,8 +375,7 @@ class AdmissibleLattice:
                                 )
                     gen[(pos, t)] = acc
 
-        return cls(sysm, highest_weight, block_order=list(dims),
-                   weights=weights, dims=dims, e_gen=e_gen, f_gen=f_gen)
+        return cls(sysm, highest_weight, weights=weights, dims=dims, e_gen=e_gen, f_gen=f_gen)
 
     # -- serialization ----------------------------------------------------------
 
@@ -395,7 +392,7 @@ class AdmissibleLattice:
                     "weight": list(self.weights[t]),
                     "dim": self.dims[t],
                 }
-                for t in self.block_order
+                for t in self.dims
             ],
             "e": {f"{pos}|{tkey(t)}": mat for (pos, t), mat in sorted(self.e_gen.items())},
             "f": {f"{pos}|{tkey(t)}": mat for (pos, t), mat in sorted(self.f_gen.items())},
@@ -406,32 +403,43 @@ class AdmissibleLattice:
                      system: Optional[RootSystem] = None) -> "AdmissibleLattice":
         """The lattice a payload records. ``system`` is a root system the
         caller already holds for it: it is used when its Cartan matrix is
-        the payload's (ValueError otherwise), and no root system is built."""
+        the payload's (ValueError otherwise), and no root system is built.
+        A payload that does not fit its blocks is a ValueError too: a block
+        listed twice or not of JSON integers, or an e/f matrix leaving the
+        module or not of shape (target dim x source dim)."""
         cartan = tuple(tuple(r) for r in payload["cartan"])
         if system is None:
             system = build_root_system(cartan)
         elif system.cartan.matrix != cartan:
             raise ValueError("the payload is for another Cartan matrix")
 
-        block_order = [tuple(b["t"]) for b in payload["blocks"]]
-        weights = {t: tuple(b["weight"]) for t, b in zip(block_order, payload["blocks"])}
-        dims = {t: int(b["dim"]) for t, b in zip(block_order, payload["blocks"])}
-        # a label's block part -> the block's own key (KeyError: no such block)
-        by_label = {",".join(map(str, t)): t for t in block_order}
+        blocks = payload["blocks"]
+        dims = {tuple(b["t"]): b["dim"] for b in blocks}
+        weights = dict(zip(dims, (tuple(b["weight"]) for b in blocks)))   # one key tuple each
+        ints = itertools.chain(payload["highest_weight"], dims.values(), *dims, *weights.values())
+        if len(dims) != len(blocks) or not set(map(type, ints)) <= {int} or min(dims.values()) < 1:
+            raise ValueError("the stored blocks are not distinct blocks of positive integers")
+        # a label's block part -> the block and its row width (KeyError: no such block)
+        by_label = {",".join(map(str, t)): (t, {d}) for t, d in dims.items()}
 
-        def generators(table: dict) -> Dict[Tuple[int, Coords], List[List[int]]]:
+        def generators(table: dict, sign: int) -> Dict[Tuple[int, Coords], List[List[int]]]:
             """The decoded matrices themselves, keyed by (position, block)."""
+            steps = dict(enumerate(tuple(sign * c for c in b) for b in system.positive_roots))
             out = {}
             for label, mat in table.items():
                 pos, _, t = label.partition("|")
-                out[(int(pos), by_label[t])] = mat
+                pos, (src, width) = int(pos), by_label[t]
+                # -1: no matrix fits a target outside the module. The display sizes the
+                # tuple at once; tuple(map(...)) would resize it and fill the free list
+                if (len(mat) != dims.get((*map(add, src, steps[pos]),), -1)
+                        or set(map(len, mat)) != width):
+                    raise ValueError(f"a stored matrix at block {src} does not fit the module")
+                out[(pos, src)] = mat
             return out
 
-        e_gen = generators(payload["e"])
-        f_gen = generators(payload["f"])
+        e_gen, f_gen = generators(payload["e"], -1), generators(payload["f"], 1)
         rows = itertools.chain.from_iterable(itertools.chain(e_gen.values(), f_gen.values()))
         if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
             raise ValueError("a stored matrix entry is not an integer")
-        return cls(system, tuple(payload["highest_weight"]),
-                   block_order=block_order, weights=weights, dims=dims,
+        return cls(system, tuple(payload["highest_weight"]), weights=weights, dims=dims,
                    e_gen=e_gen, f_gen=f_gen)

@@ -210,8 +210,7 @@ def cmd_filtration(args):
     payload = _header(args, system)
     if mu is None:
         [module] = _modules(args, system, weight)
-        top = args.levels if args.levels is not None else sum(
-            system.depth_vector(weight))
+        top = args.levels if args.levels is not None else sum(module.box)
         table = pbw_filtration(module, top)
         payload.update(
             weight=list(weight), p=args.p,

@@ -98,7 +98,7 @@ def _gamma_start(m: WeylModuleP):
     f0 = f_zero(system.n_pos, p)
     coords = m.monomial_coords(f0.exponents)
     f0v = {} if coords is None else {system.monomial_depth(f0.exponents): coords}
-    witness = {"dim_v_gamma": sum(m.dims.values()), "top_level": level,
+    witness = {"dim_v_gamma": m.dim, "top_level": level,
                "f0_annihilates": coords is None}
     return level, f0, f0v, witness
 

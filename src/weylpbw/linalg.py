@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 # struct codes of the lane widths, in bytes, that struct packs whole; wider
 # lanes (p >= 2**32) go through int.to_bytes one lane at a time
-_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_LANE_CODES = {2: "H", 4: "I", 8: "Q"}
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -182,7 +182,6 @@ class EssentialSet:
     """All essential multi-indices of a module, block by block."""
     module: WeylModuleP
     by_block: Dict[Tuple[int, ...], BlockSweep]
-    _functionals: Dict[MultiIndex, Vector] = field(default_factory=dict, repr=False)
 
     @property
     def indices(self) -> List[MultiIndex]:
@@ -206,9 +205,6 @@ class EssentialSet:
         """The functional taking value 1 on F^s v and 0 on the other
         essential monomial vectors (the essential dual basis)."""
         s = tuple(s)
-        hit = self._functionals.get(s)
-        if hit is not None:
-            return {t: list(c) for t, c in hit.items()}
         depth = self.module.system.monomial_depth(s)
         sweep = self.by_block.get(depth)
         if sweep is None or s not in sweep.vectors:
@@ -216,10 +212,7 @@ class EssentialSet:
         ess = sweep.essential
         mat = [sweep.vectors[t] for t in ess]
         unit = [1 if t == s else 0 for t in ess]
-        coords = solve_dense(mat, [unit], self.module.p)[0]
-        xi = {depth: coords}
-        self._functionals[s] = {t: list(c) for t, c in xi.items()}
-        return xi
+        return {depth: solve_dense(mat, [unit], self.module.p)[0]}
 
 
 def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...],
@@ -261,7 +254,7 @@ def essential_set(m: WeylModuleP) -> EssentialSet:
     A block's sweep stops once its kept vectors span the block: no later
     monomial could be kept, so the result is that of the complete sweep.
     """
-    by_block = {t: _sweep_block(m, t) for t in m.block_order if m.dims[t]}
+    by_block = {t: _sweep_block(m, t) for t in m.dims}
     return EssentialSet(m, by_block)
 
 
@@ -289,7 +282,7 @@ def pbw_filtration(m: WeylModuleP, n: int) -> FiltrationTable:
     if n < 0:
         raise ValueError(f"filtration level {n} is negative")
     gains = [0] * (n + 1)
-    for depth in m.block_order:
+    for depth in m.dims:
         for s in _sweep_block(m, depth, n).essential:
             gains[sum(s)] += 1
     return FiltrationTable(m.highest_weight, m.p, list(itertools.accumulate(gains)),

@@ -204,7 +204,6 @@ class RootSystem:
         if set(self.positive_roots[self.n_pos - self.rank:]) != simples:
             raise InvariantError("the last rank positive roots must be the simple roots")
         self._build_structure_constants()
-        self._nfull_cache: Dict[Tuple[Coords, Coords], int] = {}
 
     # -- root enumeration ---------------------------------------------------
 
@@ -344,12 +343,7 @@ class RootSystem:
 
     def structure_constant(self, a: Coords, b: Coords) -> int:
         """N with [E_a, E_b] = N * E_{a+b}; 0 when a+b is not a root."""
-        key = (a, b)
-        hit = self._nfull_cache.get(key)
-        if hit is None:
-            hit = self._resolve_constant(a, b)
-            self._nfull_cache[key] = hit
-        return hit
+        return self._resolve_constant(a, b)
 
     def extraspecial_pair(self, gamma: Coords) -> Tuple[Coords, Coords]:
         """The sign-defining decomposition of a non-simple positive root: the

@@ -199,12 +199,10 @@ class InducedFiltration:
         if self.weight_group is not None and len(self.weight_group) != system.rank:
             raise ValueError(f"weight group {self.weight_group} has "
                              f"{len(self.weight_group)} coordinates, not the rank {system.rank}")
-        dim_a = sum(a.dims.values())
-        dim_b = sum(b.dims.values())
-        if dim_a * dim_b > dim_cap:
+        self.tensor_dim = a.dim * b.dim
+        if self.tensor_dim > dim_cap:
             raise ResourceCapError(
-                f"tensor dimension {dim_a * dim_b} exceeds the cap {dim_cap}")
-        self.tensor_dim = dim_a * dim_b
+                f"tensor dimension {self.tensor_dim} exceeds the cap {dim_cap}")
         # the dimension of the space swept: the sweep stops once it is spanned
         w = self.weight_group
         self.cap = self.tensor_dim if w is None else sum(
@@ -212,9 +210,8 @@ class InducedFiltration:
             for ta, d in a.dims.items())
         self.start = tensor_of((a.highest_vector(), b.highest_vector()),
                                reduce=a.reduce)
-        total = tuple(x + y for x, y in zip(self.lam, self.mu))
-        self.s_box = system.depth_vector(self.lam)
-        self.t_box = system.depth_vector(total)
+        self.s_box = a.box
+        self.t_box = tuple(map(add, a.box, b.box))   # lam - w0(lam) is linear in lam
         self.s_max = sum(self.s_box)
         self.requested = self.s_max if up_to is None else up_to
         # one object per distinct key, row and block the filtration stores

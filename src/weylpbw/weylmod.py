@@ -2,17 +2,18 @@
 
 ``WeylModuleP`` reduces an admissible lattice mod a prime (or keeps it over Z
 when ``p is None``), with divided-power generator matrices built lazily, block
-by block, by exact integer division and only then reduced. ``DualModuleP``
-carries the functionals on such a module under the antipode-twisted action,
-which is how induced modules enter: H0(lam) is the dual of the Weyl module
-with highest weight lam*. Tensor actions go through the divided-power
-coproduct, an algebra map: Delta(X^t) = sum_{a+b=t} X^a (x) X^b.
+by block, by exact integer division and only then reduced. It shares its
+lattice's ``dims`` and ``weights``; its ``box`` is its lowest block's depth.
+``DualModuleP`` carries the functionals on such a module under the
+antipode-twisted action: H0(lam) is the dual of the Weyl module with highest
+weight lam*. Tensor actions go through the divided-power coproduct, an
+algebra map: Delta(X^t) = sum_{a+b=t} X^a (x) X^b.
 
 Every action, on a module, a dual or a tensor, rests on one composition
 loop, ``_compose``: it walks the root positions from last to first and hands
 each nonzero factor X_beta^(k) to a step, blockwise on a module or dual
 vector and into a composed matrix on one block for a tensor leg. A leg of a
-tensor is anything offering ``system``, ``p``, ``reduce``, ``dims`` and
+tensor is anything offering ``system``, ``p``, ``reduce``, ``box`` and
 ``leg_matrix``; both module classes do.
 ``leg_matrix(side, pos, k, t)`` gives the target block and the matrix of one
 factor on block t: the module's divided power itself, or for the dual its
@@ -31,7 +32,13 @@ reduces the product once and applies it, M.X on leg 0 and X.M^T on leg 1;
 the leg keeps the composed matrices of the monomial last asked for, since a
 sweep applies one monomial to many vectors in a row. ``tensor_act`` sums
 ``tensor_leg_act`` over the splits a + b = t, X^b on leg 1 then X^a on leg 0,
-skipping a split once some k*beta of it leaves a leg's box of block depths.
+skipping a split once some k*beta of it leaves the leg's ``box``.
+
+The module's two tables stay apart. ``_div_int`` keeps integers, as X^(k) =
+X.X^(k-1)/k must be exact and k >= p has no inverse mod p. ``_legs`` keeps
+them reduced, since Hermite lattice entries grow (to 1.29e19, 64 bits, on A2
+V(8,8); 381,372 on A2 V(4,4); 380 on B2 V(2,2)) and would ride into every
+mat-vec and composed product.
 
 The monomial vectors F^s v of a sweep share their tails: with j the first
 nonzero position of s, F^s v is F_j^(s_j) applied to F^r v, r being s with
@@ -157,10 +164,10 @@ class WeylModuleP:
         self.p = p
         self.system: RootSystem = lattice.system
         self.highest_weight: Weight = lattice.highest_weight
-        self.block_order: List[Coords] = list(lattice.block_order)
-        self.dims: Dict[Coords, int] = dict(lattice.dims)
-        self.weights: Dict[Coords, Weight] = dict(lattice.weights)
+        self.dims: Dict[Coords, int] = lattice.dims
+        self.weights: Dict[Coords, Weight] = lattice.weights
         self.dim: int = lattice.dim
+        self.box: Coords = tuple(map(max, zip(*self.dims)))   # the lowest block's depth
         self._blocks: Dict[Coords, Coords] = {t: t for t in self.dims}   # one tuple each
         self._div_int: Dict[Tuple[str, int, int, Coords], Optional[Matrix]] = {}
         self._legs: Dict[Tuple[str, int, int], LegTable] = {}
@@ -335,6 +342,7 @@ class DualModuleP:
         self.p = module.p
         self.reduce = module.reduce
         self.dims: Dict[Coords, int] = module.dims
+        self.box: Coords = module.box
         self._legs: Dict[Tuple[str, int, int], LegTable] = {}
         self._last_monomial: Tuple[Optional[HyperMonomial], LegTable] = (None, {})
 
@@ -451,12 +459,9 @@ def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVe
     if len(t) != mods[0].system.n_pos:
         raise ValueError("monomial length does not match the root count")
     # X_beta^(k) moves a block by k*beta, so it is zero on a leg once k*beta
-    # leaves the box of the leg's block depths: those splits are skipped
-    caps = []
-    for leg in mods:
-        box = [max(col) for col in zip(*leg.dims)]
-        caps.append([min(d // c for d, c in zip(box, beta) if c)
-                     for beta in leg.system.positive_roots])
+    # leaves the leg's box of block depths: those splits are skipped
+    caps = [[min(d // c for d, c in zip(leg.box, beta) if c)
+             for beta in leg.system.positive_roots] for leg in mods]
     acc: TensorVector = {}
     for b in product(*(range(max(0, k - cap_a), min(k, cap_b) + 1)
                        for k, cap_a, cap_b in zip(t, *caps))):

@@ -159,22 +159,49 @@ def test_load_or_build_rebuilds_a_corrupted_entry(tmp_path):
     assert path.read_bytes() == raw                 # the entry was rewritten
 
 
+def misfit_g2_payloads():
+    """G2 (1,1) payloads of the right dimension that do not fit their own
+    blocks: block (1,1) listed twice, the F matrix of root #0 on it a column
+    or a row short, its dimension or weight not a JSON integer, and an E
+    matrix raising the highest block out of the module."""
+    want = stable_dumps(AdmissibleLattice.build("G2", (1, 1)).to_payload())
+
+    def edited(change):
+        payload = json.loads(want)
+        block = next(b for b in payload["blocks"] if b["t"] == [1, 1])
+        change(payload, block, payload["f"]["0|1,1"])
+        return payload
+
+    return [
+        edited(lambda payload, block, mat: payload["blocks"].append(dict(block))),
+        edited(lambda payload, block, mat: [row.pop() for row in mat]),
+        edited(lambda payload, block, mat: mat.pop()),
+        edited(lambda payload, block, mat: block.update(dim=float(block["dim"]))),
+        edited(lambda payload, block, mat: block.update(weight=list(map(str, block["weight"])))),
+        edited(lambda payload, block, mat: payload["e"].update({"0|0,0": [[1]]})),
+    ]
+
+
 def test_load_or_build_rebuilds_an_entry_that_does_not_check(tmp_path):
     """A digest-valid entry under the right key whose payload does not parse,
-    or parses to another module, is a miss: rebuilt and overwritten."""
+    parses to another module, or does not fit its own blocks is a miss:
+    rebuilt and overwritten."""
     a2 = build_root_system("A2")
-    store = PayloadStore(tmp_path)
-    key = content_key(a2.cartan.matrix, (1, 0))
-    want = stable_dumps(AdmissibleLattice.build(a2, (1, 0)).to_payload())
     dual = AdmissibleLattice.build(a2, (0, 1)).to_payload()    # the same dimension
     short = AdmissibleLattice.build(a2, (1, 0)).to_payload()
     short["blocks"] = short["blocks"][:-1]
-    for payload in ({"cartan": [[2]]}, [1, 2], {"cartan": "A2"}, dual, short):
-        store.store(key, {"key_fields": key_fields(a2.cartan.matrix, (1, 0)),
-                          "payload": payload})
-        rebuilt = load_or_build_lattice(a2, (1, 0), None, store)
-        assert stable_dumps(rebuilt.to_payload()) == want
-        assert stable_dumps(store.load(key)["payload"]) == want
+    cases = [(a2, (1, 0), [{"cartan": [[2]]}, [1, 2], {"cartan": "A2"}, dual, short]),
+             (build_root_system("G2"), (1, 1), misfit_g2_payloads())]
+    store = PayloadStore(tmp_path)
+    for system, weight, payloads in cases:
+        key = content_key(system.cartan.matrix, weight)
+        want = stable_dumps(AdmissibleLattice.build(system, weight).to_payload())
+        for payload in payloads:
+            store.store(key, {"key_fields": key_fields(system.cartan.matrix, weight),
+                              "payload": payload})
+            rebuilt = load_or_build_lattice(system, weight, None, store)
+            assert stable_dumps(rebuilt.to_payload()) == want
+            assert stable_dumps(store.load(key)["payload"]) == want
 
 
 def test_load_or_build_rebuilds_an_entry_with_a_loose_matrix(tmp_path, lattice_builds):

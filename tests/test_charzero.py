@@ -217,7 +217,7 @@ def test_lattice_payload_round_trip(typ, weight):
     rebuilt = AdmissibleLattice.from_payload(payload)
     assert rebuilt.system.cartan.matrix == lattice.system.cartan.matrix
     assert rebuilt.highest_weight == lattice.highest_weight
-    assert rebuilt.block_order == lattice.block_order
+    assert list(rebuilt.dims) == list(lattice.dims)
     assert rebuilt.dims == lattice.dims
     assert rebuilt.weights == lattice.weights
     assert rebuilt.e_gen == lattice.e_gen

@@ -2,7 +2,8 @@
 standard-library module, and no source holds a float literal or calls
 ``float``. The one float is the CLI's stderr timing note (milliseconds),
 which never reaches a report. A rational appears only as a solve over Q,
-so ``linalg`` is the one module that imports ``fractions``."""
+so ``linalg`` is the one module that imports ``fractions``. A module's
+box is derived in one place, the characteristic-zero build."""
 
 import ast
 import sys
@@ -69,3 +70,15 @@ def test_only_linalg_imports_fractions():
             if "fractions" in names:
                 importers.append(path.name)
     assert importers == ["linalg.py"]
+
+
+def test_only_charzero_derives_a_box():
+    """A module's box has one source: the characteristic-zero build solves
+    for lam - w0(lam) once, and every later box is read off built blocks."""
+    callers = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "depth_vector"):
+                callers.append(path.name)
+    assert callers == ["charzero.py"]

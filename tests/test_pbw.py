@@ -233,7 +233,7 @@ def test_filtration_sweep_stops_at_full_rank(g2, coords_calls):
     m = WeylModuleP.build(g2, (1, 2), 5, 10000)
     top = sum(g2.depth_vector((1, 2)))
     assert pbw_filtration(m, top).top_dim == g2.weyl_dimension((1, 2))
-    monomials = sum(len(monomials_with_depth(g2, t)) for t in m.block_order)
+    monomials = sum(len(monomials_with_depth(g2, t)) for t in m.dims)
     assert 2 * len(coords_calls) < monomials
 
 

@@ -207,7 +207,7 @@ def small_modules(draw):
 
 def _vectors(draw, m):
     """A vector on up to three blocks of ``m``, coordinates in the module's ring."""
-    keys = draw(st.lists(st.sampled_from(m.block_order), min_size=1, max_size=3,
+    keys = draw(st.lists(st.sampled_from(list(m.dims)), min_size=1, max_size=3,
                          unique=True))
     entry = st.integers(-3, 3) if m.p is None else st.integers(0, m.p - 1)
     return {t: [draw(entry) for _ in range(m.dims[t])] for t in keys}
@@ -436,7 +436,7 @@ def _insert(space, coords):
 def test_sweeps_equal_their_no_stop_references(label, weight, p):
     m = _module(label, weight, p)
     es = essential_set(m)
-    for depth in m.block_order:
+    for depth in m.dims:
         indices = sorted(monomials_with_depth(m.system, depth), key=sweep_key)
         space, kept = row_space(p), {}
         for s in indices:                 # the complete greedy sweep

@@ -249,8 +249,12 @@ ORBIT_CASES = {
 def test_delta_orbit_matches_the_per_monomial_action(make):
     """The orbit formed from the module vectors F^a.v and F^b.w of each leg
     gives the same depths, vectors and order as acting with each whole
-    monomial t on v (x) w."""
+    monomial t on v (x) w. The box it is clipped to, the sum of the legs'
+    boxes, is that of V(lam + mu)."""
     filt = make()
+    total = tuple(x + y for x, y in zip(filt.lam, filt.mu))
+    assert filt.t_box == filt.system.depth_vector(total)
+    assert filt.s_box == filt.system.depth_vector(filt.lam)
     orbit = filt._delta_orbit()
     # the orbit stores tuple rows, the action returns list rows
     as_lists = [(dt, {key: [list(row) for row in block] for key, block in vec.items()})

@@ -139,7 +139,7 @@ def test_leg_matrices_are_divided_products_of_first_powers(typ, weight, p):
             k = 1
             while True:
                 refs = {t: _product_of_first_powers(lattice, side, pos, k, t)
-                        for t in m.block_order}
+                        for t in m.dims}
                 if not any(refs.values()):
                     break
                 upstream = {}
@@ -153,9 +153,22 @@ def test_leg_matrices_are_divided_products_of_first_powers(typ, weight, p):
                         (side, pos, k, t)
                     upstream[tgt] = (t, [[m.reduce((-1) ** k * v) for v in col]
                                          for col in zip(*mat)])
-                for t in m.block_order:
+                for t in m.dims:
                     assert d.leg_matrix(side, pos, k, t) == upstream.get(t), (side, k, t)
                 k += 1
+
+
+@pytest.mark.parametrize("typ,weight", [(typ, weight) for typ, weight, _ in GOLDEN_PAYLOAD_DIGESTS])
+def test_a_module_shares_its_lattice_shape_and_boxes_its_blocks(typ, weight):
+    """The module keeps its lattice's own block tables, blocks in ``dims``
+    order, and its box, read off its lowest block, is lam - w0(lam) in root
+    coordinates, which the dual shares."""
+    lattice = AdmissibleLattice.build(typ, weight)
+    m = WeylModuleP(lattice, 3)
+    assert m.dims is lattice.dims and m.weights is lattice.weights
+    assert m.box == lattice.system.depth_vector(m.highest_weight)
+    assert m.box in m.dims
+    assert DualModuleP(m).box == m.box
 
 
 def test_module_is_freed_by_refcount():
@@ -237,7 +250,7 @@ def test_dual_is_antipode_twisted():
     assert d.act(E1, xi) == {}
     for mono in (F1, E1, HyperMonomial("F", (2,))):
         sign = (-1) ** mono.degree
-        for t in m.block_order:
+        for t in m.dims:
             for r in range(m.dims[t]):
                 u = {t: [1 if i == r else 0 for i in range(m.dims[t])]}
                 lhs = d.pair(d.act(mono, xi), u)
@@ -310,7 +323,7 @@ def test_tensor_leg_act_matches_the_factor_by_factor_action(label, weight, p):
     entry = (lambda: rng.randint(-3, 3)) if p is None else (lambda: rng.randrange(p))
     nonzero = 0
     for legs in _mixed_legs(m):
-        vecs = [{t: [entry() for _ in range(m.dims[t])] for t in rng.sample(m.block_order, 3)}
+        vecs = [{t: [entry() for _ in range(m.dims[t])] for t in rng.sample(list(m.dims), 3)}
                 for _ in range(2)]
         tvec = tensor_of(tuple(vecs), reduce=m.reduce)
         for mono in _random_monomials(rng, m.system.n_pos, 12):
@@ -345,7 +358,7 @@ def test_tensor_act_is_the_coproduct_of_each_factor_in_turn(label, weight, p):
     entry = (lambda: rng.randint(-3, 3)) if p is None else (lambda: rng.randrange(p))
 
     def pure():
-        vecs = [{t: [entry() for _ in range(m.dims[t])] for t in rng.sample(m.block_order, 2)}
+        vecs = [{t: [entry() for _ in range(m.dims[t])] for t in rng.sample(list(m.dims), 2)}
                 for _ in range(2)]
         return tensor_of(tuple(vecs), reduce=m.reduce)
 
