@@ -7,9 +7,9 @@ characteristic, so there is one entry per (Cartan matrix, weight), shared by
 every prime and by characteristic zero. An entry file is the entry's JSON
 line and then that line's sha256. A loaded entry that fails its digest,
 whose recorded key fields no longer hash to its own key, whose payload does
-not parse or does not fit its own blocks, or whose lattice has another
-highest weight or the wrong dimension is discarded and recomputed — a stale,
-foreign or damaged file can never poison a run.
+not parse or holds anything but what a build of its blocks stores, or
+whose lattice has another highest weight or the wrong dimension is discarded
+and recomputed — a stale, foreign or damaged file can never poison a run.
 Writes go through a temporary file in the same directory followed by an
 atomic rename, so a crashed run leaves no half-written entries.
 """

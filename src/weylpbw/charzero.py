@@ -12,9 +12,8 @@ F_i^(k) L_{t - k alpha_i}. The simple E_i and F_i are rewritten in lattice
 coordinates, and each other root beta = alpha + rest, split along its
 extraspecial pair, follows over Z from the Chevalley commutator of X_alpha
 and X_rest, divided exactly by the structure constant. The output is pure
-integer data — block dimensions, block weights, and integer matrices for
-every root raising/lowering operator in lattice coordinates — which is what
-the modular layer consumes.
+integer data for the modular layer: block dimensions and integer matrices, in
+lattice coordinates, for the root operators; the rest follows from the depths.
 
 Everything is exact integer arithmetic; nothing here depends on a prime.
 Every basis vector is an integer lowering monomial applied to the highest
@@ -33,7 +32,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import ScaledLattice, inverse_pair, mat_mul, rank_dense
@@ -60,6 +59,21 @@ def _root_splits(system: RootSystem) -> Dict[int, Tuple[int, int, int]]:
             raise InvariantError(f"zero structure constant for root {beta}")
         splits[pos] = (system.pos_index[alpha], system.pos_index[rest], n_const)
     return splits
+
+
+def _block_weight(system: RootSystem, highest_weight: Weight, t: Coords) -> Weight:
+    """The weight lam - sum t_i alpha_i of block t, in weight coordinates."""
+    return tuple(map(sub, highest_weight, system.root_weight_coords(t)))
+
+
+def _edges(system: RootSystem, blocks, sign: int) -> Dict[Tuple[int, Coords], Coords]:
+    """(pos, t) -> t + sign beta_pos for every root #pos and block t whose
+    target is a block: the F_beta (sign 1) or E_beta (sign -1) matrices a
+    lattice on ``blocks`` holds."""
+    steps = [tuple(sign * c for c in beta) for beta in system.positive_roots]
+    # the display sizes each target at once; tuple(map(...)) would resize it
+    return {(pos, t): tgt for pos, step in enumerate(steps) for t in blocks
+            if (tgt := (*map(add, t, step),)) in blocks}
 
 
 @dataclass
@@ -109,10 +123,6 @@ class HWModuleQ:
 
     # -- construction --------------------------------------------------------
 
-    def _block_weight(self, t: Coords) -> Weight:
-        shift = self.system.root_weight_coords(t)
-        return tuple(l - s for l, s in zip(self.highest_weight, shift))
-
     def _build(self) -> None:
         rank = self.system.rank
         total = 0
@@ -140,7 +150,7 @@ class HWModuleQ:
 
     def _build_block(self, t: Coords) -> _Block:
         rank = self.system.rank
-        weight = self._block_weight(t)
+        weight = _block_weight(self.system, self.highest_weight, t)
         ups = [self._up(t, i) for i in range(rank)]
         cands: List[Tuple[int, int]] = []
         first: Dict[int, int] = {}     # i -> index of candidate (i, 0)
@@ -240,20 +250,18 @@ class AdmissibleLattice:
     simple-root divided powers alone and derives the non-simple root
     operators over Z by exact commutators. Bases are canonical (Hermite
     form), so the integer data below is reproducible bit for bit across runs
-    and platforms. Blocks run in ``dims`` order, by depth.
+    and platforms. Blocks run in ``dims`` order, by depth. Block weights
+    are derived from the depths; there is a matrix for each pair of ``_edges``.
     """
 
     def __init__(self, system, highest_weight: Weight, *,
-                 weights: Dict[Coords, Weight],
                  dims: Dict[Coords, int],
                  e_gen: Dict[Tuple[int, Coords], List[List[int]]],
                  f_gen: Dict[Tuple[int, Coords], List[List[int]]]):
         self.system: RootSystem = build_root_system(system)
         self.highest_weight = tuple(highest_weight)
-        self.weights = weights
-        self.dims = dims
-        self.e_gen = e_gen
-        self.f_gen = f_gen
+        self.weights = {t: _block_weight(self.system, self.highest_weight, t) for t in dims}
+        self.dims, self.e_gen, self.f_gen = dims, e_gen, f_gen
         self.dim = sum(dims.values())
 
     # -- construction ---------------------------------------------------------
@@ -265,9 +273,7 @@ class AdmissibleLattice:
         sysm, blocks = module.system, module.blocks
         roots = sysm.positive_roots
         simple = range(sysm.n_pos - sysm.rank, sysm.n_pos)
-
-        def moved(t: Coords, pos: int, sign: int) -> Coords:
-            return tuple(v + sign * d for v, d in zip(t, roots[pos]))
+        f_edges, e_edges = _edges(sysm, blocks, 1), _edges(sysm, blocks, -1)
 
         @functools.cache
         def simple_op(side: str, t: Coords, pos: int) -> Tuple[List[List[int]], int]:
@@ -291,9 +297,9 @@ class AdmissibleLattice:
             dens[t], rows[t] = den, basis
             for pos in simple:
                 cur_t, cur, k = t, [(row, den) for row in basis], 1
-                while cur and moved(cur_t, pos, 1) in blocks:
+                while cur and (pos, cur_t) in f_edges:
                     ints, op_den = simple_op("F", cur_t, pos)
-                    cur_t, nxt = moved(cur_t, pos, 1), []
+                    cur_t, nxt = f_edges[(pos, cur_t)], []
                     for vec, vec_den in cur:
                         image = [sum(map(mul, r, vec)) for r in ints]
                         if any(image):
@@ -329,17 +335,16 @@ class AdmissibleLattice:
 
         e_gen: Dict[Tuple[int, Coords], List[List[int]]] = {}
         f_gen: Dict[Tuple[int, Coords], List[List[int]]] = {}
-        sides = (("F", f_gen, 1), ("E", e_gen, -1))
+        sides = (("F", f_gen, f_edges, 1), ("E", e_gen, e_edges, -1))
         for t in blocks:
             for pos in simple:
-                for side, gen, sign in sides:
-                    tgt = moved(t, pos, sign)
-                    if tgt in blocks:
+                for side, gen, edges, _ in sides:
+                    tgt = edges.get((pos, t))
+                    if tgt is not None:
                         gen[(pos, t)] = to_lattice(t, tgt, simple_op(side, t, pos))
 
         # The module, its operator memo and the Hermite bases are done with;
         # freeing them here lowers the peak memory of the build.
-        weights = {t: blk.weight for t, blk in blocks.items()}
         dims = {t: blk.dim for t, blk in blocks.items()}
         del module, blocks, rows, dens
         simple_op.cache_clear()
@@ -349,20 +354,20 @@ class AdmissibleLattice:
         splits = _root_splits(sysm)
         for pos in sorted(splits, key=lambda c: sum(roots[c])):
             apos, rpos, n_const = splits[pos]
-            for side, gen, sign in sides:
+            for side, gen, edges, sign in sides:
                 for t in dims:
-                    tgt = moved(t, pos, sign)
-                    if tgt not in dims:
+                    tgt = edges.get((pos, t))
+                    if tgt is None:
                         continue
                     acc = [[0] * dims[t] for _ in range(dims[tgt])]
                     # X_beta = -sign (X_alpha X_rest - X_rest X_alpha) / N; a
-                    # term whose middle block is absent has both factors absent
+                    # term has both factors exactly when its middle block is a block
                     for c, mid_a, mid_b in ((-sign, apos, rpos), (sign, rpos, apos)):
-                        a = gen.get((mid_a, moved(t, mid_b, sign)))
-                        b = gen.get((mid_b, t))
-                        if a is None or b is None:
+                        mid = edges.get((mid_b, t))
+                        if mid is None:
                             continue
-                        for out_row, prod_row in zip(acc, mat_mul(a, b)):
+                        prod = mat_mul(gen[(mid_a, mid)], gen[(mid_b, t)])
+                        for out_row, prod_row in zip(acc, prod):
                             for j, v in enumerate(prod_row):
                                 out_row[j] += c * v
                     for out_row in acc:
@@ -375,27 +380,19 @@ class AdmissibleLattice:
                                 )
                     gen[(pos, t)] = acc
 
-        return cls(sysm, highest_weight, weights=weights, dims=dims, e_gen=e_gen, f_gen=f_gen)
+        return cls(sysm, highest_weight, dims=dims, e_gen=e_gen, f_gen=f_gen)
 
     # -- serialization ----------------------------------------------------------
 
     def to_payload(self) -> dict:
-        def tkey(t: Coords) -> str:
-            return ",".join(str(v) for v in t)
-
+        tkey = {t: ",".join(map(str, t)) for t in self.dims}
         return {
             "cartan": [list(r) for r in self.system.cartan.matrix],
             "highest_weight": list(self.highest_weight),
-            "blocks": [
-                {
-                    "t": list(t),
-                    "weight": list(self.weights[t]),
-                    "dim": self.dims[t],
-                }
-                for t in self.dims
-            ],
-            "e": {f"{pos}|{tkey(t)}": mat for (pos, t), mat in sorted(self.e_gen.items())},
-            "f": {f"{pos}|{tkey(t)}": mat for (pos, t), mat in sorted(self.f_gen.items())},
+            "blocks": [{"t": list(t), "weight": list(self.weights[t]), "dim": dim}
+                       for t, dim in self.dims.items()],
+            "e": {f"{pos}|{tkey[t]}": mat for (pos, t), mat in sorted(self.e_gen.items())},
+            "f": {f"{pos}|{tkey[t]}": mat for (pos, t), mat in sorted(self.f_gen.items())},
         }
 
     @classmethod
@@ -404,42 +401,43 @@ class AdmissibleLattice:
         """The lattice a payload records. ``system`` is a root system the
         caller already holds for it: it is used when its Cartan matrix is
         the payload's (ValueError otherwise), and no root system is built.
-        A payload that does not fit its blocks is a ValueError too: a block
-        listed twice or not of JSON integers, or an e/f matrix leaving the
-        module or not of shape (target dim x source dim)."""
+        Anything but what ``build`` stores raises (ValueError; KeyError for a
+        label not stored): distinct blocks of JSON integers, rank long, each
+        with its depth's weight, and an integer e/f matrix of shape (target
+        dim x source dim) for each pair of ``_edges`` and for no other."""
         cartan = tuple(tuple(r) for r in payload["cartan"])
         if system is None:
             system = build_root_system(cartan)
         elif system.cartan.matrix != cartan:
             raise ValueError("the payload is for another Cartan matrix")
 
-        blocks = payload["blocks"]
+        blocks, highest = payload["blocks"], payload["highest_weight"]
         dims = {tuple(b["t"]): b["dim"] for b in blocks}
-        weights = dict(zip(dims, (tuple(b["weight"]) for b in blocks)))   # one key tuple each
-        ints = itertools.chain(payload["highest_weight"], dims.values(), *dims, *weights.values())
-        if len(dims) != len(blocks) or not set(map(type, ints)) <= {int} or min(dims.values()) < 1:
+        stored = [b["weight"] for b in blocks]
+        ints = itertools.chain(highest, dims.values(), *dims, *stored)
+        if (len(dims) != len(blocks) or not set(map(type, ints)) <= {int}
+                or min(dims.values()) < 1 or {len(highest), *map(len, dims)} != {system.rank}):
             raise ValueError("the stored blocks are not distinct blocks of positive integers")
-        # a label's block part -> the block and its row width (KeyError: no such block)
-        by_label = {",".join(map(str, t)): (t, {d}) for t, d in dims.items()}
+        labels = {t: ",".join(map(str, t)) for t in dims}
 
-        def generators(table: dict, sign: int) -> Dict[Tuple[int, Coords], List[List[int]]]:
-            """The decoded matrices themselves, keyed by (position, block)."""
-            steps = dict(enumerate(tuple(sign * c for c in b) for b in system.positive_roots))
+        def generators(table: dict, edges: dict) -> Dict[Tuple[int, Coords], IntMatrix]:
+            """The stored matrix of each edge, as decoded (KeyError: none stored)."""
+            if len(table) != len(edges):
+                raise ValueError("the stored matrices are not one per operator of the module")
             out = {}
-            for label, mat in table.items():
-                pos, _, t = label.partition("|")
-                pos, (src, width) = int(pos), by_label[t]
-                # -1: no matrix fits a target outside the module. The display sizes the
-                # tuple at once; tuple(map(...)) would resize it and fill the free list
-                if (len(mat) != dims.get((*map(add, src, steps[pos]),), -1)
-                        or set(map(len, mat)) != width):
+            for key, tgt in edges.items():
+                pos, src = key
+                out[key] = mat = table[f"{pos}|{labels[src]}"]
+                if len(mat) != dims[tgt] or set(map(len, mat)) != {dims[src]}:
                     raise ValueError(f"a stored matrix at block {src} does not fit the module")
-                out[(pos, src)] = mat
             return out
 
-        e_gen, f_gen = generators(payload["e"], -1), generators(payload["f"], 1)
+        e_gen = generators(payload["e"], _edges(system, dims, -1))
+        f_gen = generators(payload["f"], _edges(system, dims, 1))
         rows = itertools.chain.from_iterable(itertools.chain(e_gen.values(), f_gen.values()))
         if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
             raise ValueError("a stored matrix entry is not an integer")
-        return cls(system, tuple(payload["highest_weight"]), weights=weights, dims=dims,
-                   e_gen=e_gen, f_gen=f_gen)
+        lattice = cls(system, tuple(highest), dims=dims, e_gen=e_gen, f_gen=f_gen)
+        if stored != list(map(list, lattice.weights.values())):
+            raise ValueError("a stored block weight is not the weight of its depth")
+        return lattice

@@ -67,7 +67,7 @@ def _read_cartan_file(path: str):
     except ValueError as exc:
         raise UsageError(f"Cartan file {path} is not valid JSON: {exc}") from None
     if (not isinstance(rows, list) or not rows
-            or not all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows)):
+            or not all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows)):
         raise UsageError(f"Cartan file {path} must hold a JSON matrix of integers")
     return rows
 

@@ -162,8 +162,9 @@ def test_load_or_build_rebuilds_a_corrupted_entry(tmp_path):
 def misfit_g2_payloads():
     """G2 (1,1) payloads of the right dimension that do not fit their own
     blocks: block (1,1) listed twice, the F matrix of root #0 on it a column
-    or a row short, its dimension or weight not a JSON integer, and an E
-    matrix raising the highest block out of the module."""
+    or a row short or missing, its dimension or weight not a JSON integer,
+    an E matrix raising the highest block out of the module, and block
+    (0,1) given a weight its depth does not give."""
     want = stable_dumps(AdmissibleLattice.build("G2", (1, 1)).to_payload())
 
     def edited(change):
@@ -179,18 +180,24 @@ def misfit_g2_payloads():
         edited(lambda payload, block, mat: block.update(dim=float(block["dim"]))),
         edited(lambda payload, block, mat: block.update(weight=list(map(str, block["weight"])))),
         edited(lambda payload, block, mat: payload["e"].update({"0|0,0": [[1]]})),
+        edited(lambda payload, block, mat: payload["f"].pop("0|1,1")),
+        edited(lambda payload, block, mat: next(
+            b for b in payload["blocks"] if b["t"] == [0, 1]).update(weight=[5, 5])),
     ]
 
 
-def test_load_or_build_rebuilds_an_entry_that_does_not_check(tmp_path):
+def test_load_or_build_rebuilds_an_entry_that_does_not_check(tmp_path, lattice_builds):
     """A digest-valid entry under the right key whose payload does not parse,
     parses to another module, or does not fit its own blocks is a miss:
-    rebuilt and overwritten."""
+    rebuilt once and overwritten."""
     a2 = build_root_system("A2")
     dual = AdmissibleLattice.build(a2, (0, 1)).to_payload()    # the same dimension
-    short = AdmissibleLattice.build(a2, (1, 0)).to_payload()
-    short["blocks"] = short["blocks"][:-1]
-    cases = [(a2, (1, 0), [{"cartan": [[2]]}, [1, 2], {"cartan": "A2"}, dual, short]),
+    good = AdmissibleLattice.build(a2, (1, 0)).to_payload()
+    short = dict(good, blocks=good["blocks"][:-1])
+    e_list = dict(good, e=list(good["e"].values()))            # tables that are not objects
+    f_int = dict(good, f=3)
+    cases = [(a2, (1, 0), [{"cartan": [[2]]}, [1, 2], {"cartan": "A2"}, dual, short,
+                           e_list, f_int]),
              (build_root_system("G2"), (1, 1), misfit_g2_payloads())]
     store = PayloadStore(tmp_path)
     for system, weight, payloads in cases:
@@ -199,7 +206,9 @@ def test_load_or_build_rebuilds_an_entry_that_does_not_check(tmp_path):
         for payload in payloads:
             store.store(key, {"key_fields": key_fields(system.cartan.matrix, weight),
                               "payload": payload})
+            lattice_builds.clear()
             rebuilt = load_or_build_lattice(system, weight, None, store)
+            assert lattice_builds == [weight]
             assert stable_dumps(rebuilt.to_payload()) == want
             assert stable_dumps(store.load(key)["payload"]) == want
 

@@ -42,11 +42,13 @@ def test_roots_from_cartan_file(capsys, tmp_path):
 
 
 def test_roots_rejects_bad_cartan_file(capsys, tmp_path):
+    """Not a Cartan matrix, or not of JSON integers (a boolean is not one)."""
     path = tmp_path / "bad.json"
-    path.write_text("[[2,-2],[-2,2]]")
-    code, out, err = run(capsys, "roots", "--cartan", str(path))
-    assert code == 2
-    assert "error" in err
+    for text in ("[[2,-2],[-2,2]]", "[[2,-1.0],[-1,2]]", "[[2,false],[false,2]]"):
+        path.write_text(text)
+        code, out, err = run(capsys, "roots", "--cartan", str(path))
+        assert code == 2, text
+        assert "error" in err
 
 
 def test_roots_needs_a_system(capsys):

@@ -7,6 +7,7 @@ Hypothesis is missing, and the sympy comparison when sympy is.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from weylpbw import (AdmissibleLattice, DualModuleP, HWModuleQ, WeylModuleP,  # noqa: E402
-                     build_root_system, essential_set, pbw_filtration)
+                     build_root_system, essential_set, pbw_filtration, stable_dumps)
 from weylpbw.linalg import (RowSpaceGF, inverse_pair, pivot_prefix, rank_dense,  # noqa: E402
                             row_space, solve_dense)
 from weylpbw.pbw import monomials_of_degree, monomials_with_depth, sweep_key  # noqa: E402
@@ -335,6 +336,26 @@ def test_integer_gram_layer(data):
     """Integer, positive definite block Grams with G X = d I, and
     [E_i, F_i] = <mu, alpha_i^vee> from the (ints, den) operators."""
     assert_integer_gram_layer(HWModuleQ(*_small_module(data.draw)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_a_payload_holds_exactly_its_lattice(data):
+    """A payload re-serialises byte for byte, and loses its lattice when one
+    e/f matrix is dropped or one block's weight is moved off its depth."""
+    payload = AdmissibleLattice.build(*_small_module(data.draw)).to_payload()
+    want = stable_dumps(payload)
+    assert stable_dumps(AdmissibleLattice.from_payload(payload).to_payload()) == want
+    edited = json.loads(want)
+    where = data.draw(st.sampled_from([side for side in ("e", "f") if edited[side]] + ["weight"]))
+    if where == "weight":
+        weight = data.draw(st.sampled_from(edited["blocks"]))["weight"]
+        weight[data.draw(st.integers(0, len(weight) - 1))] += data.draw(
+            st.integers(-3, 3).filter(bool))
+    else:
+        del edited[where][data.draw(st.sampled_from(sorted(edited[where])))]
+    with pytest.raises((KeyError, ValueError)):
+        AdmissibleLattice.from_payload(edited)
 
 
 # -- the PBW sweeps: forced enumeration tail and early stops -------------------
