@@ -30,13 +30,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import row_space, solve_dense
 from .rootsys import InvariantError, RootSystem
 from .weylmod import (DualModuleP, HyperMonomial, Vector, WeylModuleP,
-                      tensor_act, tensor_of)
+                      is_prime, tensor_act, tensor_of)
 
 MultiIndex = Tuple[int, ...]
 
@@ -433,7 +433,7 @@ def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
     restriction is what makes the symbol of a dual-basis element a monomial
     whenever nothing larger of its degree shares its weight.
     """
-    out = Polynomial()
+    out: Dict[MultiIndex, object] = {}
     for blk, coords in xi.items():
         if not any(coords):
             continue
@@ -449,7 +449,6 @@ def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
             if sum(s) > n:
                 continue
             xi_s = sections.essentials.dual_functional(s)
-            term: Dict[MultiIndex, object] = {}
             for t in monomials_with_depth(sections.system, blk, degree=n):
                 if order_compare(t, s) < 0:
                     continue
@@ -458,9 +457,8 @@ def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
                     continue
                 val = sections.dual.pair(xi_s, {blk: coords})
                 if val:
-                    term[t] = c * val if sections.p is None else (c * val) % sections.p
-            out = out + Polynomial(term)
-    return out.reduce(sections.p)
+                    out[t] = out.get(t, 0) + c * val
+    return Polynomial(out).reduce(sections.p)
 
 
 def section_product(a: InducedSections, b: InducedSections,
@@ -506,30 +504,42 @@ def section_product(a: InducedSections, b: InducedSections,
 # the divided action of raising operators on symbols
 # --------------------------------------------------------------------------
 
-def _chain_constants(system: RootSystem, beta_pos: int,
-                     gamma_pos: int) -> List[int]:
-    """c_0 = 1, and c_r = the coefficient of E_{gamma + r*beta} in
-    (ad E_beta)^r / r! applied to E_gamma, for as long as gamma + r*beta
-    stays a positive root."""
+def _chain(system: RootSystem, beta_pos: int, gamma_pos: int) -> List[Tuple[int, int]]:
+    """The beta-chain of x_gamma: (position of gamma + r*beta, c_r) for as
+    long as gamma + r*beta stays a positive root, where c_0 = 1 and c_r is
+    the coefficient of E_{gamma + r*beta} in (ad E_beta)^r / r! applied to
+    E_gamma."""
     beta = system.positive_roots[beta_pos]
-    out = [1]
-    run = 1
     cur = system.positive_roots[gamma_pos]
-    r = 1
-    while True:
-        nxt = tuple(g + b for g, b in zip(cur, beta))
-        if not system.is_positive_root(nxt):
-            break
+    out = [(gamma_pos, 1)]
+    run = 1
+    while system.is_positive_root(nxt := tuple(map(add, cur, beta))):
         run *= system.structure_constant(beta, cur)
-        val, rem = divmod(run, math.factorial(r))
+        val, rem = divmod(run, math.factorial(len(out)))
         if rem:
             raise InvariantError(
-                f"divided chain coefficient {run}/{math.factorial(r)} of root"
+                f"divided chain coefficient {run}/{math.factorial(len(out))} of root"
                 f" #{gamma_pos} along root #{beta_pos} is not integral")
-        out.append(val)
+        out.append((system.pos_index[nxt], val))
         cur = nxt
-        r += 1
     return out
+
+
+def _spread(chain: List[Tuple[int, int]], copies: int, k: int,
+            base: int) -> List[Tuple[int, int, int, int]]:
+    """The terms of (sum_r c_r z^r x_{gamma + r*beta})^copies up to z^k, where
+    ``chain`` lists (position of gamma + r*beta, c_r) for r = 0, 1, ...: the
+    copies spread over the chain with multinomial weight. Each term is
+    (monomial code, climb, 0, coefficient), the climb being the z-degree it
+    spends and the code sum_g e_g * base**g of its monomial x^e."""
+    parts = [(0, 0, copies, 1)]   # (code, climb, copies left to place, coefficient)
+    for r, (pos, c) in reversed(list(enumerate(chain))):
+        unit = base ** pos
+        # the chain's foot, r = 0, is placed last and takes every copy left
+        parts = [(code + m * unit, climb + r * m, left - m, w * math.comb(left, m) * c ** m)
+                 for code, climb, left, w in parts
+                 for m in (range(min(left, (k - climb) // r) + 1) if r else (left,))]
+    return parts
 
 
 def sn_divided_action(system: RootSystem, beta_pos: int, k: int,
@@ -538,57 +548,48 @@ def sn_divided_action(system: RootSystem, beta_pos: int, k: int,
 
     E_beta acts on the variables by the adjoint action, x_gamma climbing the
     chain gamma, gamma+beta, gamma+2beta, ... with the divided adjoint chain
-    coefficients; E^(k) distributes a total climb of k over all the factors
-    of each monomial (the divided Leibniz rule), so no factorials appear.
+    coefficients c_r (``_chain``). So exp(z E_beta) is the ring map
+    x_gamma -> sum_r c_r z^r x_{gamma + r*beta}, and E_beta^(k) f is the z^k
+    coefficient of the image of f. The image of a monomial is the product of
+    its variables' images: each variable's copies are spread over its chain
+    (``_spread``), and the variables are merged one at a time, dropping every
+    term whose climb exceeds k or can no longer reach it. No factorial is
+    divided, so the expansion is exact over Z; with a prime ``p`` it is
+    reduced mod p at the end. A monomial needs one exponent per positive
+    root.
+
+    Inside, a monomial x^e of degree d is the integer sum_g e_g * (d+1)**g:
+    every image term has degree d, so no exponent reaches the base, and the
+    product of two monomials is the sum of their codes.
     """
     n = system.n_pos
     if beta_pos < 0 or beta_pos >= n:
         raise ValueError("beta_pos is out of range")
     if k < 0:
         raise ValueError("the divided power must be nonnegative")
-    beta = system.positive_roots[beta_pos]
-    chains = [_chain_constants(system, beta_pos, g) for g in range(n)]
-    climb_to: Dict[Tuple[int, int], int] = {}
-    for g in range(n):
-        gamma = system.positive_roots[g]
-        for lv in range(1, len(chains[g])):
-            tgt = tuple(a + lv * b for a, b in zip(gamma, beta))
-            climb_to[(g, lv)] = system.pos_index[tgt]
-
+    if p is not None and not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    chains = [_chain(system, beta_pos, g) for g in range(n)]
     result: Dict[MultiIndex, object] = {}
     for s, coeff in poly.coeffs.items():
-        positions = [g for g in range(n) if s[g]]
-        start = [0 if g in positions else s[g] for g in range(n)]
-
-        def distribute(idx: int, budget: int, exp: List[int], mult) -> None:
-            if idx == len(positions):
-                if budget == 0 and mult:
-                    key = tuple(exp)
-                    result[key] = result.get(key, 0) + mult * coeff
-                return
-            g = positions[idx]
-            chain = chains[g]
-            top = len(chain) - 1
-
-            def split(lv: int, left: int, spent: int, factor, delta: List[int]) -> None:
-                if lv == 0:
-                    delta[g] += left
-                    distribute(idx + 1, budget - spent,
-                               [a + b for a, b in zip(exp, delta)], factor)
-                    delta[g] -= left
-                    return
-                for cnt in range(left + 1):
-                    cost = spent + cnt * lv
-                    if cost > budget:
-                        break
-                    f2 = factor * (chain[lv] ** cnt) * math.comb(left, cnt)
-                    tgt = climb_to[(g, lv)]
-                    delta[tgt] += cnt
-                    split(lv - 1, left - cnt, cost, f2, delta)
-                    delta[tgt] -= cnt
-
-            split(top, s[g], 0, mult, [0] * n)
-
-        distribute(0, k, list(start), 1)
-
+        if len(s) != n:
+            raise ValueError(f"monomial {s} does not have the root count {n}")
+        base = sum(s) + 1
+        # by climb: {monomial code: coefficient}
+        terms: List[Dict[int, object]] = [{0: coeff}] + [{} for _ in range(k)]
+        # the most the variables not yet merged can climb: a term that cannot
+        # reach k with it is dropped
+        room = sum(e * (len(chain) - 1) for e, chain in zip(s, chains))
+        for copies, chain in zip(s, chains):
+            room -= copies * (len(chain) - 1)
+            merged: List[Dict[int, object]] = [{} for _ in range(k + 1)]
+            for part, r, _, b in _spread(chain, copies, k, base):
+                for climb in range(max(0, k - room - r), k - r + 1):
+                    into = merged[climb + r]
+                    for code, a in terms[climb].items():
+                        into[code + part] = into.get(code + part, 0) + a * b
+            terms = merged
+        for code, c in terms[k].items():
+            mono = tuple(code // base ** g % base for g in range(n))
+            result[mono] = result.get(mono, 0) + c
     return Polynomial(result).reduce(p)

@@ -400,11 +400,10 @@ class ProductOrderReport:
         return self.smash_dims == self.reversed_dims == self.union_dims
 
 
-def product_order_equality(mods: Tuple[WeylModuleP, WeylModuleP],
-                           up_to: Optional[int] = None) -> ProductOrderReport:
+def product_order_equality(mods: Tuple[WeylModuleP, WeylModuleP]) -> ProductOrderReport:
     """Check that applying the leg monomial before or after the coproduct
     monomial spans the same filtration level, degree by degree."""
-    filt = InducedFiltration(mods, up_to)
+    filt = InducedFiltration(mods)
     system, p = filt.system, filt.p
     span_rev = _WeightSpan(p)
     span_union = _WeightSpan(p)
@@ -505,13 +504,12 @@ class StabilityReport:
 
 
 def delta_stability_check(mods: Tuple[WeylModuleP, WeylModuleP],
-                          up_to: Optional[int] = None,
                           k_cap: int = 2) -> StabilityReport:
-    """Apply Delta(X^(k)) to a basis of each level and test membership; a
-    violation is recorded rather than raised, so reports stay comparable."""
-    filt = InducedFiltration(mods, up_to)
+    """Apply Delta(X^(k)) to a basis of each level, up to the top level
+    s_max, and test membership; a violation is recorded rather than raised,
+    so reports stay comparable."""
+    filt = InducedFiltration(mods)
     system, p = filt.system, filt.p
-    top = min(filt.requested, filt.s_max)
     violations: List[Tuple[int, str, int, int]] = []
     basis: List[TensorVector] = []
     zero = [0] * system.n_pos
@@ -526,7 +524,7 @@ def delta_stability_check(mods: Tuple[WeylModuleP, WeylModuleP],
                         u = tensor_act(filt.mods, HyperMonomial(side, tuple(expo)), w)
                         if u and not filt.contains_at(u, n):
                             violations.append((n, side, pos, k))
-    return StabilityReport(filt.lam, filt.mu, p, k_cap, top, violations)
+    return StabilityReport(filt.lam, filt.mu, p, k_cap, filt.s_max, violations)
 
 
 @dataclass

@@ -366,6 +366,10 @@ GOLDEN = [
      "42ee93fa975038d58bd43eef72f19f911999979a776c14bc4346efab8ae57b37", EMPTY),
     (("verify", "--g2", "--p", "11"), 1,
      "eec027eef07fb6a2964424793dcbd1e6e8765a3a26fa1a5acff721672a6f9b5e", EMPTY),
+    (("verify", "--g2", "--p", "13"), 1,
+     "9101148a4c9f84aea9116cffd76cf99d9ab76de7d1f9712b3f49674ae6c118bd", EMPTY),
+    (("verify", "--g2", "--p", "23"), 1,
+     "e829ba438decf7bdcf116b01a061ff3f279ddeca59b6f1e66975e3da58663998", EMPTY),
     (("verify", "--g2", "--p", "7", "--format", "csv"), 2, EMPTY,
      "b95b1386e9b6547631c88dd0a1a8010ce260044ea0d56746c3742b7593b33615"),
     (("verify", "--type", "A1", "--p", "2"), 2, EMPTY,

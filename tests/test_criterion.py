@@ -152,10 +152,10 @@ def test_g2_structural_steps_pass(g2_11):
 
 
 def test_g2_coefficient_step(g2_11):
-    """The literal coefficient is binomial(2p-2, p-1) up to sign, hence
-    divisible by p; the run records the vanishing and the facts that do
-    hold (agreement of both evaluation routes, membership of the target
-    in the essential set, and the nonzero power witness)."""
+    """The literal coefficient is +binomial(2p-2, p-1), hence divisible by
+    p; the run records the vanishing and the facts that do hold (agreement
+    of the Z expansion with the closed form, membership of the target in
+    the essential set, and the nonzero power witness)."""
     step = next(s for s in g2_11.steps if s.name == "coefficient")
     assert not step.ok
     d = step.details

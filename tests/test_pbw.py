@@ -438,6 +438,18 @@ def test_sn_action_divided_multiplicativity(g2):
             assert lhs == rhs, (a, b)
 
 
+def test_sn_action_rejects_monomials_off_the_root_count_and_non_primes(g2):
+    """A monomial needs one exponent per positive root, none dropped or
+    missing, and the reduction needs a prime."""
+    for bad in ((0, 0, 0, 0, 1, 0, 7), (0, 0, 0, 1, 0)):
+        with pytest.raises(ValueError, match="does not have the root count 6"):
+            sn_divided_action(g2, 5, 1, Polynomial.monomial(bad))
+    x5 = Polynomial.monomial((0, 0, 0, 0, 1, 0))
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            sn_divided_action(g2, 5, 1, x5, p)
+
+
 def test_sn_action_rejects_non_integral_chain_coefficient(g2, monkeypatch):
     """With every structure constant forced to 1, a root string of length
     three along the short simple root gives (ad E)^2 / 2! = 1/2: a named

@@ -20,7 +20,8 @@ from weylpbw import (AdmissibleLattice, DualModuleP, HWModuleQ, WeylModuleP,  # 
                      build_root_system, essential_set, pbw_filtration, stable_dumps)
 from weylpbw.linalg import (RowSpaceGF, inverse_pair, pivot_prefix, rank_dense,  # noqa: E402
                             row_space, solve_dense)
-from weylpbw.pbw import monomials_of_degree, monomials_with_depth, sweep_key  # noqa: E402
+from weylpbw.pbw import (Polynomial, monomials_of_degree, monomials_with_depth,  # noqa: E402
+                         sn_divided_action, sweep_key)
 from weylpbw.weylmod import HyperMonomial, tensor_act, tensor_leg_act, tensor_of  # noqa: E402
 
 from test_charzero import assert_integer_gram_layer, assert_lattice_is_pbw_span  # noqa: E402
@@ -309,6 +310,46 @@ def test_monomial_coords_agrees_with_act(data):
         assert vec == {}
     else:
         assert vec == {m.system.monomial_depth(s): coords}
+
+
+# -- the divided action on symbols against its definition ---------------------
+
+def _derivation(system, pos, poly):
+    """E_beta on symbols, beta the root at ``pos``: the derivation taking
+    x_gamma to N_{beta, gamma} x_{gamma + beta}."""
+    beta = system.positive_roots[pos]
+    out = {}
+    for s, c in poly.coeffs.items():
+        for g, gamma in enumerate(system.positive_roots):
+            up = tuple(a + b for a, b in zip(gamma, beta))
+            if s[g] and system.is_positive_root(up):
+                t = list(s)
+                t[g] -= 1
+                t[system.pos_index[up]] += 1
+                t = tuple(t)
+                out[t] = out.get(t, 0) + c * s[g] * system.structure_constant(beta, gamma)
+    return Polynomial(out)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_divided_symbol_action_is_the_derivation_power(data):
+    """k! E^(k) f is E applied k times to f over Z, and E^(k) f with a prime
+    is the Z result reduced."""
+    system = build_root_system(data.draw(st.sampled_from(["A2", "B2", "G2", "A3", "C3"])))
+    n = system.n_pos
+    monomials = st.tuples(*[st.integers(0, 2)] * n)
+    poly = Polynomial(data.draw(st.dictionaries(monomials, st.integers(-3, 3),
+                                                min_size=1, max_size=3)))
+    pos = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(0, 3))
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    got = sn_divided_action(system, pos, k, poly)
+    power = poly
+    for _ in range(k):
+        power = _derivation(system, pos, power)
+    assert got.scale(math.factorial(k)) == power
+    assert sn_divided_action(system, pos, k, poly, p) == got.reduce(p)
 
 
 # -- the integral form: simple-root generation against the PBW definition ------
