@@ -225,7 +225,7 @@ def cmd_filtration(args):
         text = [f"induced filtration of V({_join(weight)}) (x)"
                 f" V({_join(mu)}) ({args.type or 'custom'}, p={args.p});"
                 f" tensor dimension {table.tensor_dim}"]
-        if len(table.level_dims) >= 1 and all(g == 0 for g in table.graded_dims[1:]):
+        if table.level_dims and table.level_dims[0] == table.tensor_dim:
             payload["note"] = "filtration concentrated in degree 0"
             text.append("note: filtration concentrated in degree 0")
 

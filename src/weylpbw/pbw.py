@@ -21,8 +21,8 @@ from ``WeylModuleP.monomial_coords``, which shares their tails.
 
 Functionals on a Weyl module (sections of the induced module) get polynomial
 symbols: the degree-n symbol of xi reads off its values on the degree-n
-monomial vectors. Products of sections are computed through the coproduct
-and re-expanded in the essential dual basis.
+monomial vectors. Products of sections are taken on module vectors through
+the coproduct and re-expanded in the essential dual basis.
 """
 from __future__ import annotations
 
@@ -30,13 +30,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import row_space, solve_dense
 from .rootsys import InvariantError, RootSystem
-from .weylmod import (DualModuleP, HyperMonomial, Vector, WeylModuleP,
-                      is_prime, tensor_act, tensor_of)
+from .weylmod import DualModuleP, Vector, WeylModuleP, is_prime
 
 MultiIndex = Tuple[int, ...]
 
@@ -350,8 +349,8 @@ class Polynomial:
         self.coeffs = {tuple(s): c for s, c in (coeffs or {}).items() if c}
 
     @classmethod
-    def monomial(cls, s: Sequence[int], c=1) -> "Polynomial":
-        return cls({tuple(s): c})
+    def monomial(cls, s: Sequence[int]) -> "Polynomial":
+        return cls({tuple(s): 1})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -432,13 +431,16 @@ def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
     the monomial vectors F^t v over deg t = deg s, t >= s only — that support
     restriction is what makes the symbol of a dual-basis element a monomial
     whenever nothing larger of its degree shares its weight.
+
+    The dual-basis element at s takes F^t v to its coordinate at s in the
+    block's essential basis: one solve against the transposed essential
+    matrix gives those of every F^t v from the least surviving s up.
     """
     out: Dict[MultiIndex, object] = {}
-    for blk, coords in xi.items():
-        if not any(coords):
-            continue
+    for blk in xi:
         sweep = sections.essentials.by_block[blk]
-        for s in sweep.essential:
+        live = []   # (position in the essential list, s, xi(F^s v)) for deg s = n
+        for i, s in enumerate(sweep.essential):
             c = sections.dual.pair(xi, {blk: sweep.vectors[s]})
             if not c:
                 continue
@@ -446,18 +448,20 @@ def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
                 raise ValueError(
                     f"functional has a component at essential degree {sum(s)}"
                     f" < {n}, so it does not lie in filtration level {n}")
-            if sum(s) > n:
-                continue
-            xi_s = sections.essentials.dual_functional(s)
-            for t in monomials_with_depth(sections.system, blk, degree=n):
-                if order_compare(t, s) < 0:
-                    continue
-                coords = sections.module.monomial_coords(t)
-                if coords is None:
-                    continue
-                val = sections.dual.pair(xi_s, {blk: coords})
-                if val:
-                    out[t] = out.get(t, 0) + c * val
+            if sum(s) == n:
+                live.append((i, s, c))
+        if not live:
+            continue
+        least = order_key(live[0][1])
+        vecs = {t: v for t in monomials_with_depth(sections.system, blk, degree=n)
+                if order_key(t) >= least
+                and (v := sections.module.monomial_coords(t)) is not None}
+        basis = list(zip(*(sweep.vectors[s] for s in sweep.essential)))
+        xs = dict(zip(vecs, solve_dense(basis, list(vecs.values()), sections.p)))
+        for i, s, c in live:
+            for t, x in xs.items():
+                if x[i] and order_key(t) >= order_key(s):
+                    out[t] = out.get(t, 0) + c * x[i]
     return Polynomial(out).reduce(sections.p)
 
 
@@ -465,38 +469,33 @@ def section_product(a: InducedSections, b: InducedSections,
                     target: InducedSections, xi: Vector, eta: Vector) -> Vector:
     """The product of sections H0(lam) x H0(mu) -> H0(lam + mu).
 
-    The value of xi*eta on F^s v_{(lam+mu)*} is (xi (x) eta) applied to the
-    coproduct of F^s acting on the tensor of highest vectors; the result is
-    re-expanded through the essential basis of each block of V((lam+mu)*).
+    The value of xi*eta on F^s v_{(lam+mu)*} is (xi (x) eta) applied to
+    Delta(F^s).(v (x) w), v and w the highest vectors of the factors. The
+    coproduct is an algebra map, so that is the sum of xi(F^a v) * eta(F^b w)
+    over the splits a + b = s; a split is skipped once either vector is zero.
+    Each block's values are re-expanded in its essential dual basis.
     """
     if not (a.p == b.p == target.p):
         raise ValueError("section product requires a common characteristic")
     if tuple(x + y for x, y in zip(a.weight, b.weight)) != target.weight:
         raise ValueError("target weight must be the sum of the factor weights")
-    va = a.module.highest_vector()
-    vb = b.module.highest_vector()
-    start = tensor_of((va, vb))
-    mods = (a.module, b.module)
+    depth = target.system.monomial_depth
     out: Vector = {}
     for blk, sweep in target.essentials.by_block.items():
-        ess = sweep.essential
         vals = []
-        for s in ess:
-            tv = tensor_act(mods, HyperMonomial("F", s), start)
+        for s in sweep.essential:
             total = 0
-            for (ta, tb), block in tv.items():
-                row_a = xi.get(ta)
-                row_b = eta.get(tb)
-                if row_a is None or row_b is None:
-                    continue
-                total += sum(x * sum(map(mul, row, row_b))
-                             for x, row in zip(row_a, block))
-            vals.append(total if target.p is None else total % target.p)
-        if not any(vals):
-            continue
-        mat = [sweep.vectors[s] for s in ess]
-        coords = solve_dense(mat, [vals], target.p)[0]
-        out[blk] = coords
+            for left in itertools.product(*(range(k + 1) for k in s)):
+                right = tuple(map(sub, s, left))
+                u = a.module.monomial_coords(left)
+                w = None if u is None else b.module.monomial_coords(right)
+                if w is not None:
+                    total += (a.dual.pair(xi, {depth(left): u})
+                              * b.dual.pair(eta, {depth(right): w}))
+            vals.append(target.module.reduce(total))
+        if any(vals):
+            mat = [sweep.vectors[s] for s in sweep.essential]
+            out[blk] = solve_dense(mat, [vals], target.p)[0]
     return out
 
 

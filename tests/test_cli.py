@@ -184,6 +184,17 @@ def test_filtration_degenerate_tensor_notes_concentration(capsys):
     assert payload["note"] == "filtration concentrated in degree 0"
 
 
+def test_filtration_cut_at_level_zero_notes_no_concentration(capsys):
+    # level 0 is 4 of the 6 dimensions: cutting the sweep there leaves no
+    # graded piece above it, but the filtration is not concentrated
+    code, payload = run_json(capsys, "filtration", "--type", "A1", "--weight", "2",
+                             "--tensor", "1", "--p", "3", "--levels", "0")
+    assert code == 0
+    assert [lv["dim"] for lv in payload["levels"]] == [4]
+    assert payload["tensor_dim"] == 6
+    assert "note" not in payload
+
+
 # --- verify -------------------------------------------------------------------
 
 

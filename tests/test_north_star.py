@@ -82,3 +82,18 @@ def test_only_charzero_derives_a_box():
                     and node.func.attr == "depth_vector"):
                 callers.append(path.name)
     assert callers == ["charzero.py"]
+
+
+def test_pbw_reads_no_tensor_vectors():
+    """Sections, symbols and products in ``pbw`` work on module vectors: the
+    coproduct is applied split by split, never through the tensor API."""
+    tensor_api = {"HyperMonomial", "tensor_act", "tensor_leg_act", "tensor_of"}
+    found = set()
+    for node in ast.walk(_tree(PACKAGE / "pbw.py")):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name for alias in node.names} & tensor_api
+        elif isinstance(node, ast.Name) and node.id in tensor_api:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in tensor_api:
+            found.add(node.attr)
+    assert not found, f"pbw.py uses {sorted(found)}"

@@ -24,8 +24,9 @@ from weylpbw import (
     sn_divided_action,
 )
 from weylpbw import pbw
+from weylpbw.linalg import solve_dense
 from weylpbw.pbw import monomials_with_depth
-from weylpbw.weylmod import HyperMonomial
+from weylpbw.weylmod import HyperMonomial, tensor_act, tensor_of
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +367,70 @@ def test_j_map_skips_higher_degree_components(g2):
     assert j_map(sections, mixed, 1) == Polynomial.monomial((1, 0, 0, 0, 0, 0))
 
 
+def _symbol_by_dual_basis(sections, xi, n):
+    """The degree-n symbol read one essential index at a time: the component
+    xi(F^s v), then the dual-basis element at s on every F^t v, t >= s."""
+    out = {}
+    for blk, coords in xi.items():
+        if not any(coords):
+            continue
+        sweep = sections.essentials.by_block[blk]
+        for s in sweep.essential:
+            c = sections.dual.pair(xi, {blk: sweep.vectors[s]})
+            if not c:
+                continue
+            if sum(s) < n:
+                raise ValueError(
+                    f"functional has a component at essential degree {sum(s)}"
+                    f" < {n}, so it does not lie in filtration level {n}")
+            if sum(s) > n:
+                continue
+            xi_s = sections.essentials.dual_functional(s)
+            for t in monomials_with_depth(sections.system, blk, degree=n):
+                if order_compare(t, s) < 0:
+                    continue
+                vec = sections.module.monomial_coords(t)
+                if vec is None:
+                    continue
+                val = sections.dual.pair(xi_s, {blk: vec})
+                if val:
+                    out[t] = out.get(t, 0) + c * val
+    return Polynomial(out).reduce(sections.p)
+
+
+def _symbol_or_error(symbol, sections, xi, n):
+    try:
+        return symbol(sections, xi, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _plus(xi, eta):
+    out = {blk: list(c) for blk, c in xi.items()}
+    for blk, c in eta.items():
+        out[blk] = [x + y for x, y in zip(out.get(blk, [0] * len(c)), c)]
+    return out
+
+
+@pytest.mark.parametrize("label, lam, p", [
+    ("A2", (1, 1), 3), ("A3", (0, 1, 0), None), ("B2", (1, 1), 5),
+    ("C3", (1, 0, 0), 2), ("G2", (0, 1), 11), ("G2", (1, 0), 3)])
+def test_j_map_matches_the_dual_basis_route(label, lam, p):
+    """Each essential index's dual-basis element, and the sum of each pair
+    of them in one block, at the degree of each index and one below: the
+    same symbol, or the same rejection."""
+    system = build_root_system(label)
+    sections = h0(system, lam, p)
+    cases = [([s], sections.xi(s)) for s in sections.essentials.indices] + [
+        ([s, t], _plus(sections.xi(s), sections.xi(t)))
+        for sweep in sections.essentials.by_block.values()
+        for s, t in itertools.combinations(sweep.essential, 2)]
+    for ss, xi in cases:
+        for n in {d for s in ss for d in (sum(s), sum(s) - 1)}:
+            assert (_symbol_or_error(j_map, sections, xi, n)
+                    == _symbol_or_error(_symbol_by_dual_basis, sections, xi, n)), (ss, n)
+
+
 def test_sections_take_the_dual_module():
     """H0(lam) is built on V(lam*): in A2, V(1,0) carries H0(0,1)."""
     a2 = build_root_system("A2")
@@ -397,6 +462,48 @@ def test_section_product_g2_square_of_top_section(g2):
     square = section_product(fund, fund, target, vp, vp)
     sym = j_map(target, square, 4)
     assert sym == Polynomial.monomial((2, 0, 0, 0, 0, 2))
+
+
+def _product_by_tensor_route(a, b, target, xi, eta):
+    """xi*eta through a tensor vector: Delta(F^s) applied to the tensor of
+    the highest vectors, contracted block by block with xi (x) eta, then
+    re-expanded in the essential dual basis of each block."""
+    start = tensor_of((a.module.highest_vector(), b.module.highest_vector()))
+    out = {}
+    for blk, sweep in target.essentials.by_block.items():
+        vals = []
+        for s in sweep.essential:
+            tv = tensor_act((a.module, b.module), HyperMonomial("F", s), start)
+            total = sum(x * y * v
+                        for (ta, tb), block in tv.items() if ta in xi and tb in eta
+                        for x, row in zip(xi[ta], block)
+                        for y, v in zip(eta[tb], row))
+            vals.append(target.module.reduce(total))
+        if any(vals):
+            mat = [sweep.vectors[s] for s in sweep.essential]
+            out[blk] = solve_dense(mat, [vals], target.p)[0]
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 11])
+@pytest.mark.parametrize("label, lam, mu", [
+    ("A1", (1,), (2,)), ("A2", (1, 0), (1, 1)), ("B2", (0, 1), (1, 0)),
+    ("G2", (1, 0), (0, 1))])
+def test_section_product_matches_the_tensor_route(label, lam, mu, p):
+    """Products of the first and last few essential dual-basis elements,
+    and of one sum of them, agree with the tensor-vector computation."""
+    system = build_root_system(label)
+    a, b = h0(system, lam, p), h0(system, mu, p)
+    target = h0(system, tuple(x + y for x, y in zip(lam, mu)), p)
+
+    def picks(sections):
+        idx = sections.essentials.indices
+        xis = [sections.xi(s) for s in idx[:2] + idx[-2:]]
+        return xis + [_plus(xis[1], xis[-1])]
+
+    for xi, eta in itertools.product(picks(a), picks(b)):
+        assert (section_product(a, b, target, xi, eta)
+                == _product_by_tensor_route(a, b, target, xi, eta))
 
 
 def test_section_product_weight_mismatch(g2):
