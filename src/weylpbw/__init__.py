@@ -46,7 +46,6 @@ from .pbw import (  # noqa: E402,F401
     g2_essential_member,
     g2_essential_table,
     j_map,
-    order_compare,
     order_key,
     pbw_filtration,
     section_product,

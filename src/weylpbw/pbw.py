@@ -51,14 +51,6 @@ def order_key(s: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
     return (sum(s), tuple(reversed(s)))
 
 
-def order_compare(s: Sequence[int], t: Sequence[int]) -> int:
-    """-1, 0, or 1 as s <, =, > t in the monomial total order."""
-    if len(s) != len(t):
-        raise ValueError("multi-indices of different lengths are incomparable")
-    ks, kt = order_key(s), order_key(t)
-    return (ks > kt) - (ks < kt)
-
-
 # --------------------------------------------------------------------------
 # multi-index enumeration
 # --------------------------------------------------------------------------
@@ -477,6 +469,8 @@ def section_product(a: InducedSections, b: InducedSections,
     """
     if not (a.p == b.p == target.p):
         raise ValueError("section product requires a common characteristic")
+    if not (a.system.cartan.matrix == b.system.cartan.matrix == target.system.cartan.matrix):
+        raise ValueError("section product requires a common root system")
     if tuple(x + y for x, y in zip(a.weight, b.weight)) != target.weight:
         raise ValueError("target weight must be the sum of the factor weights")
     depth = target.system.monomial_depth

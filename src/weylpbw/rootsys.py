@@ -52,8 +52,6 @@ class InvariantError(AssertionError):
 
 
 _LABEL_MATRICES: Dict[str, Tuple[Tuple[int, ...], ...]] = {
-    "B2": ((2, -1), (-2, 2)),
-    "C2": ((2, -2), (-1, 2)),
     "G2": ((2, -3), (-1, 2)),
     "F4": ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)),
 }

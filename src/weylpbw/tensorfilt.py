@@ -34,7 +34,9 @@ The module also verifies the structural facts used downstream: the two
 product orders span the same levels, the comparison map from the
 single-factor filtration is filtration-preserving (with its graded kernel
 measured, since it is not injective in general), and the norm-form identity
-(F0 (x) 1) . Delta(F0) = F0 (x) F0 holds on the cyclic vector.
+(F0 (x) 1) . Delta(F0) = F0 (x) F0 holds on the cyclic vector. Their F^s.v
+(x) w, w the second leg's highest vector, are one block each from the first
+leg's ``_leg_orbit``, and F0.v, F0.w come from ``monomial_coords``.
 
 Everything here takes built legs, a pair (V(lam), V(mu)) of Weyl modules
 over one root system and one characteristic (a square passes one module
@@ -45,15 +47,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import add, le, mul
+from itertools import product
+from operator import add, le
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cache import input_hash
 from .charzero import DIM_CAP_DEFAULT
-from .linalg import pivot_prefix, row_space
+from .linalg import mat_mul, pivot_prefix, row_space
 from .pbw import monomials_of_degree, monomials_with_depth, pbw_filtration
 from .rootsys import ResourceCapError
-from .weylmod import (HyperMonomial, TensorVector, WeylModuleP, f_zero,
+from .weylmod import (HyperMonomial, TensorVector, WeylModuleP, _tidy, f_zero,
                       tensor_act, tensor_leg_act, tensor_of)
 
 Weight = Tuple[int, ...]
@@ -96,6 +99,17 @@ def _leg_orbit(m: WeylModuleP,
                 coords = m.monomial_coords(a)
                 if coords is not None:
                     out.setdefault(block, []).append((a, coords))
+    return out
+
+
+def _leg_vectors_by_degree(a: WeylModuleP) -> List[List[TensorVector]]:
+    """The nonzero F^s.v (x) w, w the other leg's highest vector, by the
+    degree of s: each one dim_a x 1 block, read from ``_leg_orbit``."""
+    top = (0,) * a.system.rank
+    out: List[List[TensorVector]] = [[] for _ in range(sum(a.box) + 1)]
+    for block, vecs in _leg_orbit(a, a.box).items():
+        for s, coords in vecs:
+            out[sum(s)].append({(block, top): [[c] for c in coords]})
     return out
 
 
@@ -208,8 +222,6 @@ class InducedFiltration:
         self.cap = self.tensor_dim if w is None else sum(
             d * b.dims.get(tuple(x - y for x, y in zip(w, ta)), 0)
             for ta, d in a.dims.items())
-        self.start = tensor_of((a.highest_vector(), b.highest_vector()),
-                               reduce=a.reduce)
         self.s_box = a.box
         self.t_box = tuple(map(add, a.box, b.box))   # lam - w0(lam) is linear in lam
         self.s_max = sum(self.s_box)
@@ -236,7 +248,7 @@ class InducedFiltration:
         is formed one depth at a time: each pair of blocks (da, db) whose
         depths sum to it adds its outer products to the t they sum to, and
         block (da, db) of t is X^T Y, with the rows of X the F^a.v and the
-        rows of Y the F^b.w of its splits.
+        rows of Y the F^b.w of its splits (``weylmod._tidy`` drops it if zero).
         """
         room = self.t_box if self.weight_group is None else tuple(
             min(b, w) for b, w in zip(self.t_box, self.weight_group))
@@ -269,14 +281,8 @@ class InducedFiltration:
                         pair[0].append(x)
                         pair[1].append(y)
             for t, by_block in splits.items():
-                vec = {}
-                for key, (xs, ys) in by_block.items():
-                    cols = list(zip(*ys))
-                    block = [[sum(map(mul, xc, yc)) for yc in cols] for xc in zip(*xs)]
-                    if p is not None:
-                        block = [[v % p for v in row] for row in block]
-                    if any(map(any, block)):
-                        vec[key] = block
+                vec = _tidy({key: mat_mul(list(zip(*xs)), ys)
+                             for key, (xs, ys) in by_block.items()}, p)
                 if vec:
                     found.append((t, dt, self._stored(vec)))
         found.sort(key=lambda item: (sum(item[0]), item[0]))
@@ -351,12 +357,16 @@ class InducedFiltration:
         weight g and degree <= n. One reduction against that prefix decides
         membership; below level 0 the prefix is empty, and above the swept
         levels it is the whole space, which is VV_n only if the sweep
-        stopped at s_max or filled its space (ValueError otherwise).
+        stopped at s_max or filled its space (ValueError otherwise). A
+        restricted filtration answers for its own weight group only.
         """
         self._check_swept(n)
         group = _total_depth(tvec)
         if group is None:
             return True
+        if self.weight_group is not None and group != self.weight_group:
+            raise ValueError(f"a vector of weight group {group} lies outside "
+                             f"this filtration's weight group {self.weight_group}")
         k = bisect_right(self._kept_degrees.get(group, []), n)
         return self.span.contains(tvec, k)
 
@@ -404,7 +414,11 @@ def product_order_equality(mods: Tuple[WeylModuleP, WeylModuleP]) -> ProductOrde
     """Check that applying the leg monomial before or after the coproduct
     monomial spans the same filtration level, degree by degree."""
     filt = InducedFiltration(mods)
-    system, p = filt.system, filt.p
+    p = filt.p
+    bases = _leg_vectors_by_degree(filt.mods[0])
+    depths = product(*(range(k + 1) for k in filt.t_box))
+    monos = [HyperMonomial("F", t) for depth in depths
+             for t in monomials_with_depth(filt.system, depth)]
     span_rev = _WeightSpan(p)
     span_union = _WeightSpan(p)
     smash_dims: List[int] = []
@@ -414,16 +428,11 @@ def product_order_equality(mods: Tuple[WeylModuleP, WeylModuleP]) -> ProductOrde
         # the smash-order vectors were kept by the main sweep; feed them in
         for vec in kept:
             span_union.insert(vec)
-        for s in monomials_of_degree(system, filt.s_box, n):
-            base = tensor_leg_act(filt.mods, 0, HyperMonomial("F", s), filt.start)
-            if not base:
-                continue
-            for d in range(sum(filt.t_box) + 1):
-                for t in monomials_of_degree(system, filt.t_box, d):
-                    vec = tensor_act(filt.mods, HyperMonomial("F", t), base)
-                    if vec:
-                        if span_rev.insert(vec):
-                            span_union.insert(vec)
+        for base in bases[n]:
+            for mono in monos:
+                vec = tensor_act(filt.mods, mono, base)
+                if vec and span_rev.insert(vec):
+                    span_union.insert(vec)
         smash_dims.append(filt.level_dims[n])
         reversed_dims.append(span_rev.rank)
         union_dims.append(span_union.rank)
@@ -451,20 +460,16 @@ def comparison_map_check(mods: Tuple[WeylModuleP, WeylModuleP]) -> ComparisonRep
     """Verify V_n(lam) (x) v_mu lies in VV_n at every level and measure the
     kernel of the induced map on graded pieces, degree by degree."""
     filt = InducedFiltration(mods)
-    system, p = filt.system, filt.p
-    top = filt.s_max
-    table = pbw_filtration(filt.mods[0], top)
+    p = filt.p
+    table = pbw_filtration(filt.mods[0], filt.s_max)
+    bases = _leg_vectors_by_degree(filt.mods[0])
     sweep = _WeightSpan(p)
     inclusion_ok = True
     image_dims: List[int] = []
     kernel_dims: List[int] = []
     for n, kept in enumerate(filt.kept_by_level()):
         # entering this iteration the sweep holds exactly VV_{n-1}
-        new = 0
-        for s in monomials_of_degree(system, filt.s_box, n):
-            vec = tensor_leg_act(filt.mods, 0, HyperMonomial("F", s), filt.start)
-            if vec and sweep.insert(vec):
-                new += 1
+        new = sum(map(sweep.insert, bases[n]))
         for vec in kept:
             sweep.insert(vec)
         if sweep.rank != filt.level_dims[n]:
@@ -509,22 +514,21 @@ def delta_stability_check(mods: Tuple[WeylModuleP, WeylModuleP],
     s_max, and test membership; a violation is recorded rather than raised,
     so reports stay comparable."""
     filt = InducedFiltration(mods)
-    system, p = filt.system, filt.p
+    n_pos = filt.system.n_pos
+    # the single factors X_beta^(k), each built once
+    factors = [((side, pos, k), HyperMonomial(side, tuple(k if i == pos else 0
+                                                          for i in range(n_pos))))
+               for side in ("F", "E") for pos in range(n_pos) for k in range(1, k_cap + 1)]
     violations: List[Tuple[int, str, int, int]] = []
     basis: List[TensorVector] = []
-    zero = [0] * system.n_pos
     for n, kept in enumerate(filt.kept_by_level()):
         basis.extend(kept)
         for w in basis:
-            for side in ("F", "E"):
-                for pos in range(system.n_pos):
-                    for k in range(1, k_cap + 1):
-                        expo = list(zero)
-                        expo[pos] = k
-                        u = tensor_act(filt.mods, HyperMonomial(side, tuple(expo)), w)
-                        if u and not filt.contains_at(u, n):
-                            violations.append((n, side, pos, k))
-    return StabilityReport(filt.lam, filt.mu, p, k_cap, filt.s_max, violations)
+            for label, mono in factors:
+                u = tensor_act(filt.mods, mono, w)
+                if u and not filt.contains_at(u, n):
+                    violations.append((n, *label))
+    return StabilityReport(filt.lam, filt.mu, filt.p, k_cap, filt.s_max, violations)
 
 
 @dataclass
@@ -554,8 +558,10 @@ def norm_form_identity_check(legs: Tuple[WeylModuleP, WeylModuleP]) -> NormFormR
     f0 = f_zero(system.n_pos, p)
     start = tensor_of((a.highest_vector(), b.highest_vector()), reduce=a.reduce)
     lhs = tensor_leg_act(legs, 0, f0, tensor_act(legs, f0, start))
-    rhs = tensor_of((a.act(f0, a.highest_vector()), b.act(f0, b.highest_vector())),
-                    reduce=a.reduce)
+    depth = system.monomial_depth(f0.exponents)
+    fvs = tuple({} if c is None else {depth: c}
+                for c in (leg.monomial_coords(f0.exponents) for leg in legs))
+    rhs = tensor_of(fvs, reduce=a.reduce)
     identity_ok = lhs == rhs
     level = (p - 1) * system.n_pos
     nonzero = bool(rhs)

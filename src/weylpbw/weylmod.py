@@ -45,8 +45,9 @@ nonzero position of s, F^s v is F_j^(s_j) applied to F^r v, r being s with
 that exponent set to 0. ``monomial_coords`` keeps a table s -> F^s v (None
 once it dies) on the module, so each miss is one single-factor ``act`` on a
 tail already in the table, and the table lives as long as the module. The
-module sweeps and each leg of the coproduct orbit of a tensor filtration
-read their F^s v from it.
+module sweeps, each leg of the coproduct orbit of a tensor filtration and
+the structural tensor checks read their F^s v from it; outside this module
+nothing calls ``act``.
 
 Module vectors are sparse maps {block key -> dense coordinate list}; tensor
 vectors are sparse maps {(block, block) -> dense dim_a x dim_b block}, a
@@ -254,9 +255,7 @@ class WeylModuleP:
 
     def leg_apply(self, side: str, pos: int, k: int,
                   t: Coords, coords: Sequence[int]) -> Optional[Tuple[Coords, List[int]]]:
-        """Apply one divided power to a single-block vector; None when it dies."""
-        if k == 0:
-            return t, list(coords)
+        """Apply X^(k), k >= 1, to a single-block vector; None when it dies."""
         hit = self.leg_matrix(side, pos, k, t)
         if hit is None:
             return None

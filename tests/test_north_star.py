@@ -97,3 +97,41 @@ def test_pbw_reads_no_tensor_vectors():
         elif isinstance(node, ast.Attribute) and node.attr in tensor_api:
             found.add(node.attr)
     assert not found, f"pbw.py uses {sorted(found)}"
+
+
+def _calls(path: Path, name: str):
+    """The qualified names of the functions in ``path`` that call ``name``,
+    as a bare name or as an attribute, once per call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(".".join(scope))
+            visit(child, scope)
+    visit(_tree(path), ())
+    return found
+
+
+def test_module_vectors_have_one_route_each():
+    """F^s.v is read from the module's table: outside ``weylmod`` nothing
+    calls ``act``, and the tensor checks list their monomials by depth. The
+    one box enumeration left is the sweep's, whose lexicographic order the
+    kept-vector digests pin; the one dense product is ``linalg.mat_mul``."""
+    enumerators = [(path.name, scope) for path in SOURCES
+                   for scope in _calls(path, "monomials_of_degree")]
+    assert enumerators == [("tensorfilt.py", "InducedFiltration._spanning")]
+    actors = sorted({path.name for path in SOURCES
+                     for node in ast.walk(_tree(path))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "act"})
+    assert actors == ["weylmod.py"]
+    imported = {alias.name for node in ast.walk(_tree(PACKAGE / "tensorfilt.py"))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "mul" not in imported

@@ -17,7 +17,6 @@ from weylpbw import (
     g2_essential_member,
     g2_essential_table,
     j_map,
-    order_compare,
     order_key,
     pbw_filtration,
     section_product,
@@ -38,15 +37,15 @@ def g2():
 
 
 def test_order_degree_dominates():
-    assert order_compare((1, 0, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0)) < 0
-    assert order_compare((0, 0, 0, 0, 0, 2), (1, 0, 0, 0, 0, 0)) > 0
+    assert order_key((1, 0, 0, 0, 0, 0)) < order_key((0, 0, 0, 2, 0, 0))
+    assert order_key((0, 0, 0, 0, 0, 2)) > order_key((1, 0, 0, 0, 0, 0))
 
 
 def test_order_within_degree_reads_from_the_right():
     # equal degree: compare reversed tuples lexicographically
-    assert order_compare((0, 0, 0, 2, 0, 0), (0, 0, 1, 0, 1, 0)) < 0
-    assert order_compare((1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0)) > 0
-    assert order_compare((1, 1), (1, 1)) == 0
+    assert order_key((0, 0, 0, 2, 0, 0)) < order_key((0, 0, 1, 0, 1, 0))
+    assert order_key((1, 0, 0, 0, 0, 1)) > order_key((0, 0, 1, 0, 1, 0))
+    assert order_key((1, 1)) == order_key((1, 1))
     assert sorted([(2, 0), (0, 2), (1, 1)], key=order_key) == [
         (2, 0), (1, 1), (0, 2)]
 
@@ -110,7 +109,7 @@ def test_sweep_convention_documented(g2):
     small = m.act(HyperMonomial("F", (0, 0, 0, 2, 0, 0)), v)
     large = m.act(HyperMonomial("F", (0, 0, 1, 0, 1, 0)), v)
     assert small == large == {(2, 2): [-1]}
-    assert order_compare((0, 0, 0, 2, 0, 0), (0, 0, 1, 0, 1, 0)) < 0
+    assert order_key((0, 0, 0, 2, 0, 0)) < order_key((0, 0, 1, 0, 1, 0))
 
 
 def test_essential_matches_inequality_table(g2):
@@ -340,7 +339,7 @@ def test_j_map_shape_every_essential(g2):
             assert poly.coefficient(s) == 1, (weight, s)
             for t in poly.support():
                 assert sum(t) == sum(s), (weight, s, t)
-                assert order_compare(t, s) >= 0, (weight, s, t)
+                assert order_key(t) >= order_key(s), (weight, s, t)
                 if t != s:
                     assert t not in es, (weight, s, t)
 
@@ -387,7 +386,7 @@ def _symbol_by_dual_basis(sections, xi, n):
                 continue
             xi_s = sections.essentials.dual_functional(s)
             for t in monomials_with_depth(sections.system, blk, degree=n):
-                if order_compare(t, s) < 0:
+                if order_key(t) < order_key(s):
                     continue
                 vec = sections.module.monomial_coords(t)
                 if vec is None:
@@ -512,6 +511,19 @@ def test_section_product_weight_mismatch(g2):
     with pytest.raises(ValueError):
         section_product(fund, fund, bad_target, fund.xi((0,) * 6),
                         fund.xi((0,) * 6))
+
+
+@pytest.mark.parametrize("left,right", [("B2", "C2"), ("A2", "B2")])
+def test_section_product_root_system_mismatch(left, right):
+    """Sections over different root systems do not multiply: B2 x C2 into B2
+    has the same shapes throughout, and A2 x B2 into A2 differs in root count
+    only on the right factor."""
+    a = h0(build_root_system(left), (1, 0), 3)
+    b = h0(build_root_system(right), (0, 1), 3)
+    target = h0(build_root_system(left), (1, 1), 3)
+    top = (0,) * a.system.n_pos
+    with pytest.raises(ValueError, match="common root system"):
+        section_product(a, b, target, a.xi(top), b.xi((0,) * b.system.n_pos))
 
 
 # --- divided differential action --------------------------------------------

@@ -216,6 +216,8 @@ MEMBERSHIP_CASES = {
 def per_monomial_delta_orbit(filt):
     """Delta(F^t).(v (x) w) one whole monomial t at a time, over the unclipped
     box by degree, dropping the t outside the weight group afterwards."""
+    a, b = filt.mods
+    start = tensor_of((a.highest_vector(), b.highest_vector()), reduce=a.reduce)
     out = []
     w = filt.weight_group
     for d in range(sum(filt.t_box) + 1):
@@ -223,7 +225,7 @@ def per_monomial_delta_orbit(filt):
             dt = filt.system.monomial_depth(t)
             if w is not None and any(x > y for x, y in zip(dt, w)):
                 continue
-            vec = tensor_act(filt.mods, HyperMonomial("F", t), filt.start)
+            vec = tensor_act(filt.mods, HyperMonomial("F", t), start)
             if vec:
                 out.append((dt, vec))
     return out
@@ -388,6 +390,18 @@ def test_contains_at_matches_a_fresh_sweep_at_every_level(make):
             assert filt.contains_at(vec, n) == want, (n, vec)
             outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_a_restricted_filtration_answers_for_its_own_weight_group_only(a2):
+    """v (x) v spans VV_0, so the full filtration holds it at level 0; the
+    filtration restricted to another weight group has not swept it and
+    refuses to answer rather than say no."""
+    m = WeylModuleP.build(a2, (1, 1), 3)
+    vv = tensor_of((m.highest_vector(), m.highest_vector()), reduce=m.reduce)
+    assert InducedFiltration((m, m)).contains_at(vv, 0)
+    restricted = InducedFiltration((m, m), weight_group=(1, 1))
+    with pytest.raises(ValueError, match=r"\(0, 0\).*\(1, 1\)"):
+        restricted.contains_at(vv, 0)
 
 
 def test_contains_at_inserts_nothing(monkeypatch):

@@ -71,6 +71,15 @@ def test_divided_powers_a1():
     assert not m.act(HyperMonomial("F", (3,)), v)
 
 
+def test_leg_apply_takes_no_zeroth_power():
+    """X^(0) is the identity and every caller skips it: ``leg_apply`` on a
+    module or a dual refuses k = 0, as ``divided`` does."""
+    m = WeylModuleP.build(build_root_system("A1"), (2,), 3, 100)
+    for leg in (m, DualModuleP(m)):
+        with pytest.raises(ValueError, match=r"X\^\(0\) is the identity"):
+            leg.leg_apply("F", 0, 0, (0,), [1])
+
+
 def corrupt_a1_module() -> WeylModuleP:
     """V(2) of A1 with F on the middle block changed from 2 to 1, so that
     F^(2) = F F / 2 is no longer integral."""
