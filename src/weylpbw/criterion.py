@@ -165,6 +165,9 @@ def check_v0(m: WeylModuleP) -> CriterionReport:
 def implication_consistent(condition2: CriterionReport,
                            v0: CriterionReport) -> bool:
     """Condition 2 forces the v0 ingredient (one direction only)."""
+    if (condition2.condition, v0.condition) != ("condition2", "v0"):
+        raise ValueError("expected a condition2 report and a v0 report, got"
+                         f" {condition2.condition!r} and {v0.condition!r}")
     if (condition2.label, condition2.p) != (v0.label, v0.p):
         raise ValueError("reports compare different inputs")
     return (not condition2.verdict) or v0.verdict

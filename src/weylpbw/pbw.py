@@ -20,9 +20,12 @@ one type, walk each shared subtree once. The monomial vectors F^s v come
 from ``WeylModuleP.monomial_coords``, which shares their tails.
 
 Functionals on a Weyl module (sections of the induced module) get polynomial
-symbols: the degree-n symbol of xi reads off its values on the degree-n
-monomial vectors. Products of sections are taken on module vectors through
-the coproduct and re-expanded in the essential dual basis.
+symbols: the degree-n symbol of xi is the sum of xi(F^s v) * x^s over the
+essential s of degree n. The sweep visits a degree from the largest monomial
+down, so no other F^t v of degree n has a coordinate at an essential s < t
+of its degree (see ``j_map``). ``EssentialSet.functional`` is the one solve:
+a block's functional from its values on the essential vectors, for the dual
+basis and for products of sections (taken through the coproduct).
 """
 from __future__ import annotations
 
@@ -192,6 +195,14 @@ class EssentialSet:
             out[d] += 1
         return out
 
+    def functional(self, depth: Tuple[int, ...], values: Sequence) -> Vector:
+        """The functional on the block at ``depth`` that takes ``values`` on
+        its essential vectors, in ascending order: one solve against the
+        block's essential matrix."""
+        sweep = self.by_block[depth]
+        mat = [sweep.vectors[t] for t in sweep.essential]
+        return {depth: solve_dense(mat, [values], self.module.p)[0]}
+
     def dual_functional(self, s: Sequence[int]) -> Vector:
         """The functional taking value 1 on F^s v and 0 on the other
         essential monomial vectors (the essential dual basis)."""
@@ -200,10 +211,7 @@ class EssentialSet:
         sweep = self.by_block.get(depth)
         if sweep is None or s not in sweep.vectors:
             raise ValueError(f"{s} is not an essential multi-index of this module")
-        ess = sweep.essential
-        mat = [sweep.vectors[t] for t in ess]
-        unit = [1 if t == s else 0 for t in ess]
-        return {depth: solve_dense(mat, [unit], self.module.p)[0]}
+        return self.functional(depth, [1 if t == s else 0 for t in sweep.essential])
 
 
 def _sweep_block(m: WeylModuleP, depth: Tuple[int, ...],
@@ -414,46 +422,28 @@ class InducedSections:
 
 
 def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
-    """The degree-n polynomial symbol of a functional in filtration level n.
+    """The degree-n polynomial symbol of a functional in filtration level n:
+    the sum of xi(F^s v) * x^s over the essential s of degree n.
 
-    The functional is expanded in the essential dual basis (the coefficient
-    at s is xi(F^s v)); components of degree > n die in the degree-n graded
-    piece, components of degree < n mean xi is not in level n and are
-    rejected. Each surviving basis component xi(s) contributes its values on
-    the monomial vectors F^t v over deg t = deg s, t >= s only — that support
-    restriction is what makes the symbol of a dual-basis element a monomial
-    whenever nothing larger of its degree shares its weight.
-
-    The dual-basis element at s takes F^t v to its coordinate at s in the
-    block's essential basis: one solve against the transposed essential
-    matrix gives those of every F^t v from the least surviving s up.
+    The coefficient of xi at s in the essential dual basis is xi(F^s v). A
+    component of degree < n means xi is not in level n and is rejected; one
+    of degree > n dies in the degree-n graded piece. On the F^t v of degree
+    n with t >= s, the dual-basis element at s is x^s alone: the sweep visits
+    a degree from the largest monomial down, so a rejected F^t v lies in the
+    span of the essential vectors of lower degree and of those of degree n
+    above t, and has no coordinate at an essential s below t.
     """
     out: Dict[MultiIndex, object] = {}
     for blk in xi:
         sweep = sections.essentials.by_block[blk]
-        live = []   # (position in the essential list, s, xi(F^s v)) for deg s = n
-        for i, s in enumerate(sweep.essential):
+        for s in sweep.essential:
             c = sections.dual.pair(xi, {blk: sweep.vectors[s]})
-            if not c:
-                continue
-            if sum(s) < n:
+            if c and sum(s) < n:
                 raise ValueError(
                     f"functional has a component at essential degree {sum(s)}"
                     f" < {n}, so it does not lie in filtration level {n}")
             if sum(s) == n:
-                live.append((i, s, c))
-        if not live:
-            continue
-        least = order_key(live[0][1])
-        vecs = {t: v for t in monomials_with_depth(sections.system, blk, degree=n)
-                if order_key(t) >= least
-                and (v := sections.module.monomial_coords(t)) is not None}
-        basis = list(zip(*(sweep.vectors[s] for s in sweep.essential)))
-        xs = dict(zip(vecs, solve_dense(basis, list(vecs.values()), sections.p)))
-        for i, s, c in live:
-            for t, x in xs.items():
-                if x[i] and order_key(t) >= order_key(s):
-                    out[t] = out.get(t, 0) + c * x[i]
+                out[s] = c
     return Polynomial(out).reduce(sections.p)
 
 
@@ -488,8 +478,7 @@ def section_product(a: InducedSections, b: InducedSections,
                               * b.dual.pair(eta, {depth(right): w}))
             vals.append(target.module.reduce(total))
         if any(vals):
-            mat = [sweep.vectors[s] for s in sweep.essential]
-            out[blk] = solve_dense(mat, [vals], target.p)[0]
+            out |= target.essentials.functional(blk, vals)
     return out
 
 

@@ -93,16 +93,18 @@ class CartanData:
 
     @staticmethod
     def from_label(label: str) -> "CartanData":
+        """The Cartan data of a type label; the rank is a number, so b03 is B3."""
         label = label.strip().upper()
-        if label in _LABEL_MATRICES:
-            return CartanData(_LABEL_MATRICES[label], label)
-        if len(label) >= 2 and label[0] in "ABCDG" and label[1:].isdigit():
-            series, rank = label[0], int(label[1:])
-            if series == "G":
-                if rank != 2:
-                    raise CartanMatrixError("type G exists only in rank 2")
-                return CartanData(_LABEL_MATRICES["G2"], "G2")
-            return CartanData(_series_matrix(series, rank), label)
+        series, rank = label[:1], label[1:]
+        if not rank.isdecimal():
+            raise CartanMatrixError(f"unknown type label {label!r}")
+        name = series + str(int(rank))
+        if name in _LABEL_MATRICES:
+            return CartanData(_LABEL_MATRICES[name], name)
+        if series == "G":
+            raise CartanMatrixError("type G exists only in rank 2")
+        if series in "ABCD":
+            return CartanData(_series_matrix(series, int(rank)), name)
         raise CartanMatrixError(f"unknown type label {label!r}")
 
     @staticmethod

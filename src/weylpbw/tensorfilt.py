@@ -417,8 +417,8 @@ def product_order_equality(mods: Tuple[WeylModuleP, WeylModuleP]) -> ProductOrde
     p = filt.p
     bases = _leg_vectors_by_degree(filt.mods[0])
     depths = product(*(range(k + 1) for k in filt.t_box))
-    monos = [HyperMonomial("F", t) for depth in depths
-             for t in monomials_with_depth(filt.system, depth)]
+    monos = {depth: [HyperMonomial("F", t) for t in monomials_with_depth(filt.system, depth)]
+             for depth in depths}
     span_rev = _WeightSpan(p)
     span_union = _WeightSpan(p)
     smash_dims: List[int] = []
@@ -429,10 +429,13 @@ def product_order_equality(mods: Tuple[WeylModuleP, WeylModuleP]) -> ProductOrde
         for vec in kept:
             span_union.insert(vec)
         for base in bases[n]:
-            for mono in monos:
-                vec = tensor_act(filt.mods, mono, base)
-                if vec and span_rev.insert(vec):
-                    span_union.insert(vec)
+            [(block, _)] = base   # Delta(F^t) kills it unless block + depth(t) fits t_box
+            for depth, group in monos.items():
+                if all(map(le, map(add, block, depth), filt.t_box)):
+                    for mono in group:
+                        vec = tensor_act(filt.mods, mono, base)
+                        if vec and span_rev.insert(vec):
+                            span_union.insert(vec)
         smash_dims.append(filt.level_dims[n])
         reversed_dims.append(span_rev.rank)
         union_dims.append(span_union.rank)

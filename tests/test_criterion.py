@@ -133,6 +133,14 @@ def test_implication_rejects_mismatched_reports(a1, a2):
                                check_v0(v_gamma(a2, 2)))
 
 
+def test_implication_rejects_reports_of_the_wrong_conditions(a1):
+    m = v_gamma(a1, 2)
+    condition2, v0 = check_condition2(m), check_v0(m)
+    for pair in [(v0, condition2), (condition2, condition2), (v0, v0)]:
+        with pytest.raises(ValueError, match="condition2 report and a v0 report"):
+            implication_consistent(*pair)
+
+
 # --- the G2 run ---------------------------------------------------------------
 
 

@@ -135,3 +135,14 @@ def test_module_vectors_have_one_route_each():
     imported = {alias.name for node in ast.walk(_tree(PACKAGE / "tensorfilt.py"))
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "mul" not in imported
+
+
+def test_symbols_are_read_off_essential_components():
+    """``j_map`` reads each symbol off the functional's essential components:
+    it neither enumerates monomials nor solves. The one solve in ``pbw`` is
+    ``EssentialSet.functional``."""
+    pbw = PACKAGE / "pbw.py"
+    for name in ("monomials_with_depth", "monomial_coords", "solve_dense"):
+        callers = [scope for scope in _calls(pbw, name) if scope.split(".")[0] == "j_map"]
+        assert not callers, f"j_map calls {name}"
+    assert _calls(pbw, "solve_dense") == ["EssentialSet.functional"]

@@ -413,7 +413,8 @@ def _plus(xi, eta):
 
 @pytest.mark.parametrize("label, lam, p", [
     ("A2", (1, 1), 3), ("A3", (0, 1, 0), None), ("B2", (1, 1), 5),
-    ("C3", (1, 0, 0), 2), ("G2", (0, 1), 11), ("G2", (1, 0), 3)])
+    ("C3", (1, 0, 0), 2), ("G2", (0, 1), 11), ("G2", (1, 0), 3),
+    ("A3", (1, 1, 1), 3), ("G2", (1, 1), 2), ("B3", (1, 0, 1), None)])
 def test_j_map_matches_the_dual_basis_route(label, lam, p):
     """Each essential index's dual-basis element, and the sum of each pair
     of them in one block, at the degree of each index and one below: the

@@ -78,6 +78,17 @@ def test_bad_cartan_rejected():
         build_root_system("G3")
 
 
+def test_label_rank_is_read_as_a_number():
+    """A zero-padded or lower-case label names the same root system as its
+    plain form, under the plain label."""
+    for typed, plain in [("A01", "A1"), ("b02", "B2"), ("F04", "F4"), ("G02", "G2")]:
+        assert build_root_system(typed) is build_root_system(plain)
+        assert CartanData.from_label(typed).label == plain
+    for bad in ("E6", "F3", "B1", "A0"):
+        with pytest.raises(CartanMatrixError):
+            build_root_system(bad)
+
+
 def test_symmetrizer_is_minimal_on_each_component():
     # B2 plus a disjoint A1: the A1 component is scaled on its own
     assert build_root_system([[2, -1, 0], [-2, 2, 0], [0, 0, 2]]).d == (2, 1, 1)

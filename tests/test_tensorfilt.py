@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import operator
 import random
 import tracemalloc
 import weakref
@@ -513,6 +514,24 @@ def test_product_order_equality(label, lam, p, expected):
     assert report.smash_dims == expected
     assert report.reversed_dims == expected
     assert report.union_dims == expected
+
+
+def test_product_order_equality_acts_only_inside_the_box(a2, monkeypatch):
+    """Delta(F^t) kills F^s.v (x) w once depth(s) + depth(t) leaves the
+    tensor box, so no such pair reaches ``tensor_act``."""
+    mods = legs(a2, (1, 0), (0, 1), 2)
+    t_box = tuple(x + y for x, y in zip(mods[0].box, mods[1].box))
+    seen = []
+
+    def spy(mods, mono, vec):
+        [((block, _), _)] = vec.items()
+        seen.append(tuple(d + t for d, t in zip(block, a2.monomial_depth(mono.exponents))))
+        return tensor_act(mods, mono, vec)
+
+    monkeypatch.setattr(tensorfilt, "tensor_act", spy)
+    report = product_order_equality(mods)
+    assert report.equal
+    assert seen and all(all(map(operator.le, depth, t_box)) for depth in seen)
 
 
 # --- the comparison map ------------------------------------------------------
