@@ -464,7 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(json.dumps(SCHEMAS[args.cmd], indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
-    started = time.perf_counter()
+    started = time.perf_counter_ns()
     try:
         if getattr(args, "cap", 1) < 1:
             raise UsageError("--cap must be at least 1")
@@ -485,8 +485,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_RESOURCE
 
     if not args.quiet:
-        elapsed = (time.perf_counter() - started) * 1000.0
-        print(f"weylpbw: {args.cmd} finished in {elapsed:.0f} ms", file=sys.stderr)
+        elapsed = (time.perf_counter_ns() - started) // 1_000_000
+        print(f"weylpbw: {args.cmd} finished in {elapsed} ms", file=sys.stderr)
     return code
 
 

@@ -17,7 +17,7 @@ checks take built modules and read the root system and the prime from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import SCHEMA_VERSION
@@ -68,16 +68,7 @@ class CriterionReport:
     input_hash: str
 
     def to_payload(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "label": self.label,
-            "p": self.p,
-            "gamma": list(self.gamma),
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "input_hash": self.input_hash,
-        }
+        return asdict(self)
 
 
 def _require_prime(p: Optional[int]) -> int:
@@ -113,7 +104,7 @@ def check_condition2(m: WeylModuleP,
                      dim_cap: int = DIM_CAP_DEFAULT) -> CriterionReport:
     """Does F0.v (x) F0.v escape level (p-1)N - 1 of the induced filtration
     on V(gamma) (x) V(gamma)? ``m`` is V(gamma) over GF(p); ``dim_cap``
-    bounds the tensor square.
+    bounds the weight group swept.
 
     The computation is restricted to the weight space of the test vector,
     which is exact because all spanning vectors are weight-homogeneous.
@@ -184,7 +175,7 @@ class StepVerdict:
     details: dict
 
     def to_payload(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "details": self.details}
+        return asdict(self)
 
 
 def _g2() -> RootSystem:
@@ -198,13 +189,13 @@ def g2_annihilation_check(sections: InducedSections) -> StepVerdict:
     system = sections.system
     a1 = sections.xi(G2_A1_INDEX)
     a2 = sections.xi(G2_A2_INDEX)
-    w1 = sections.dual.functional_weight(a1)
-    w2 = sections.dual.functional_weight(a2)
+    w1 = sections.functional_weight(a1)
+    w2 = sections.functional_weight(a2)
     pair_weight = tuple(x + y for x, y in zip(w1, w2))
     # a1 has weight -alpha1 and a2 weight 0, so the pair has weight -alpha1
     weight_ok = w1 == (-2, 1) and w2 == (0, 0)
-    legs = (sections.dual, sections.dual)
-    ten = tensor_of((a1, a2), reduce=sections.dual.reduce)
+    legs = (sections, sections)
+    ten = tensor_of((a1, a2), reduce=sections.reduce)
     operators = []
     all_vanish = True
     for pos, k in G2_ANNIHILATORS:
@@ -385,16 +376,7 @@ class G2Report:
         raise KeyError(name)
 
     def to_payload(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "type": "G2",
-            "p": self.p,
-            "steps": [s.to_payload() for s in self.steps],
-            "overall": self.overall,
-            "exploration_only": self.exploration_only,
-            "certified": self.certified,
-            "input_hash": self.input_hash,
-        }
+        return dict(asdict(self), type="G2")
 
 
 def g2_verify(v_w1: WeylModuleP, v_w2: WeylModuleP) -> G2Report:

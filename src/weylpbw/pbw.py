@@ -405,16 +405,13 @@ class Polynomial:
 # sections of induced modules and their symbols
 # --------------------------------------------------------------------------
 
-class InducedSections:
-    """The induced module H0(lam) realised as functionals on a built
-    V(lam*), with its essential dual basis and the symbol maps."""
+class InducedSections(DualModuleP):
+    """The induced module H0(lam), the functionals on a built V(lam*), with
+    its essential dual basis and the symbol maps."""
 
     def __init__(self, module: WeylModuleP):
-        self.module = module                                   # V(lam*)
-        self.system = system = module.system
-        self.p = module.p
-        self.weight = system.star(module.highest_weight)       # lam
-        self.dual = DualModuleP(module)                        # H0(lam)
+        super().__init__(module)                               # V(lam*)
+        self.weight = self.system.star(module.highest_weight)  # lam
         self.essentials = essential_set(module)
 
     def xi(self, s: Sequence[int]) -> Vector:
@@ -437,7 +434,7 @@ def j_map(sections: InducedSections, xi: Vector, n: int) -> Polynomial:
     for blk in xi:
         sweep = sections.essentials.by_block[blk]
         for s in sweep.essential:
-            c = sections.dual.pair(xi, {blk: sweep.vectors[s]})
+            c = sections.pair(xi, {blk: sweep.vectors[s]})
             if c and sum(s) < n:
                 raise ValueError(
                     f"functional has a component at essential degree {sum(s)}"
@@ -474,8 +471,8 @@ def section_product(a: InducedSections, b: InducedSections,
                 u = a.module.monomial_coords(left)
                 w = None if u is None else b.module.monomial_coords(right)
                 if w is not None:
-                    total += (a.dual.pair(xi, {depth(left): u})
-                              * b.dual.pair(eta, {depth(right): w}))
+                    total += (a.pair(xi, {depth(left): u})
+                              * b.pair(eta, {depth(right): w}))
             vals.append(target.module.reduce(total))
         if any(vals):
             out |= target.essentials.functional(blk, vals)

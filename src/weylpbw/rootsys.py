@@ -58,7 +58,7 @@ _LABEL_MATRICES: Dict[str, Tuple[Tuple[int, ...], ...]] = {
 
 
 def _series_matrix(series: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
-    if series == "A":
+    if series == "A" and rank >= 1:
         rows = [[0] * rank for _ in range(rank)]
         for i in range(rank):
             rows[i][i] = 2

@@ -195,10 +195,14 @@ class InducedFiltration:
     """The filtration computation on the tensor product of two built legs
     V(lam), V(mu): spanning sweep and kept vectors.
 
-    ``weight_group`` restricts everything to one total weight space (given as
-    the root-coordinate depth below lam + mu), which is exact because the
-    spanning vectors are weight vectors; it makes single-vector membership
-    tests cheap on modules whose full tensor square would be expensive.
+    The sweep covers ``groups``, a map from each swept weight group (a total
+    weight, given as the root-coordinate depth below lam + mu) to its width:
+    every group of V(lam) (x) V(mu), or only ``weight_group`` when one is
+    given. Restricting to one group is exact because the spanning vectors
+    are weight vectors; it makes single-vector membership tests cheap on
+    modules whose full tensor square would be expensive. ``dim_cap`` bounds
+    ``cap``, the sum of the swept widths: the tensor dimension in a full run,
+    the group's width in a restricted one.
     """
 
     def __init__(self, mods: Tuple[WeylModuleP, WeylModuleP],
@@ -214,14 +218,23 @@ class InducedFiltration:
             raise ValueError(f"weight group {self.weight_group} has "
                              f"{len(self.weight_group)} coordinates, not the rank {system.rank}")
         self.tensor_dim = a.dim * b.dim
-        if self.tensor_dim > dim_cap:
-            raise ResourceCapError(
-                f"tensor dimension {self.tensor_dim} exceeds the cap {dim_cap}")
-        # the dimension of the space swept: the sweep stops once it is spanned
+        # the weight groups swept, each with its width: every group of the
+        # tensor product, or the one asked for; the sweep stops once the
+        # cap, the dimension swept, is spanned
         w = self.weight_group
-        self.cap = self.tensor_dim if w is None else sum(
-            d * b.dims.get(tuple(x - y for x, y in zip(w, ta)), 0)
-            for ta, d in a.dims.items())
+        self.groups: Dict[Weight, int] = {}
+        if w is None:
+            for ta, da in a.dims.items():
+                for tb, db in b.dims.items():
+                    g = tuple(map(add, ta, tb))
+                    self.groups[g] = self.groups.get(g, 0) + da * db
+        else:
+            self.groups[w] = sum(d * b.dims.get(tuple(x - y for x, y in zip(w, ta)), 0)
+                                 for ta, d in a.dims.items())
+        self.cap = sum(self.groups.values())
+        if self.cap > dim_cap:
+            raise ResourceCapError(
+                f"the dimension swept, {self.cap}, exceeds the cap {dim_cap}")
         self.s_box = a.box
         self.t_box = tuple(map(add, a.box, b.box))   # lam - w0(lam) is linear in lam
         self.s_max = sum(self.s_box)
@@ -238,7 +251,7 @@ class InducedFiltration:
 
     def _delta_orbit(self) -> List[Tuple[Weight, TensorVector]]:
         """The nonzero Delta(F^t).(v (x) w), with their depths, for every t
-        whose depth fits the box (and the weight group, in a restricted run),
+        whose depth fits the componentwise max of the swept groups,
         by degree and then lexicographically in t.
 
         The coproduct is an algebra map, so Delta(F^t).(v (x) w) is the sum
@@ -250,10 +263,8 @@ class InducedFiltration:
         block (da, db) of t is X^T Y, with the rows of X the F^a.v and the
         rows of Y the F^b.w of its splits (``weylmod._tidy`` drops it if zero).
         """
-        room = self.t_box if self.weight_group is None else tuple(
-            min(b, w) for b, w in zip(self.t_box, self.weight_group))
-        if min(room) < 0:
-            return []
+        # the componentwise max of the swept groups: t_box in a full run
+        room = tuple(map(max, zip(*self.groups)))
         a, b = self.mods
         left = _leg_orbit(a, room)
         right = left if b is a else _leg_orbit(b, room)
@@ -301,14 +312,16 @@ class InducedFiltration:
 
     def _spanning(self, n: int) -> Iterator[TensorVector]:
         """The spanning vectors (F^s (x) 1) . Delta(F^t) . (v (x) w) with
-        deg s = n, and in a restricted run depth(s) + depth(t) = the group."""
-        w = self.weight_group
+        deg s = n and depth(s) + depth(t) a swept group, in sweep order: for
+        each s, the orbit entries whose depth F^s carries into a swept group
+        (any other pair gives the zero vector or an unswept group)."""
         for s in monomials_of_degree(self.system, self.s_box, n):
             mono = HyperMonomial("F", s)
-            rem = None if w is None else tuple(
-                x - y for x, y in zip(w, self.system.monomial_depth(s)))
+            ds = self.system.monomial_depth(s)
+            # the orbit depths that F^s carries into a swept group
+            wanted = {tuple(x - y for x, y in zip(g, ds)) for g in self.groups}
             for dt, base in self._tpairs:
-                if rem is None or dt == rem:
+                if dt in wanted:
                     vec = tensor_leg_act(self.mods, 0, mono, base)
                     if vec:
                         yield vec
@@ -358,15 +371,18 @@ class InducedFiltration:
         membership; below level 0 the prefix is empty, and above the swept
         levels it is the whole space, which is VV_n only if the sweep
         stopped at s_max or filled its space (ValueError otherwise). A
-        restricted filtration answers for its own weight group only.
+        vector of a group that was not swept is refused (ValueError): a
+        restricted filtration answers for its own weight group only, and a
+        full one for the groups of V(lam) (x) V(mu).
         """
         self._check_swept(n)
         group = _total_depth(tvec)
         if group is None:
             return True
-        if self.weight_group is not None and group != self.weight_group:
-            raise ValueError(f"a vector of weight group {group} lies outside "
-                             f"this filtration's weight group {self.weight_group}")
+        if group not in self.groups:
+            swept = ("the groups of V(lam) (x) V(mu)" if self.weight_group is None
+                     else f"this filtration's weight group {self.weight_group}")
+            raise ValueError(f"a vector of weight group {group} lies outside {swept}")
         k = bisect_right(self._kept_degrees.get(group, []), n)
         return self.span.contains(tvec, k)
 

@@ -125,9 +125,9 @@ def test_criterion_05_section_symbols_and_annihilation_identities():
                               (h0_w1, G2_VPRIME_INDEX)):
             assert j_map(sections, sections.xi(idx), 2) \
                 == Polynomial.monomial(idx), (p, idx)
-        legs = (h0_w2.dual, h0_w2.dual)
+        legs = (h0_w2, h0_w2)
         pair = tensor_of((h0_w2.xi(G2_A1_INDEX), h0_w2.xi(G2_A2_INDEX)),
-                         reduce=h0_w2.dual.reduce)
+                         reduce=h0_w2.reduce)
         for pos, power in G2_ANNIHILATORS:
             expo = tuple(power if i == pos else 0 for i in range(g2.n_pos))
             assert not tensor_act(legs, HyperMonomial("E", expo), pair), \

@@ -206,6 +206,19 @@ def test_verify_condition2(capsys):
     assert payload["verdict"] is True
 
 
+def test_verify_condition2_caps_the_weight_group_it_sweeps(capsys):
+    """At A2 p=2, dim V(gamma) is 27 and the tensor square 729, but the
+    check sweeps one weight group of width 45: a cap of 45 runs it as the
+    default cap does, and 44 stops it before any work."""
+    argv = ("verify", "--condition2", "--type", "A2", "--p", "2", "--quiet")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--cap", "45")[:2] == (0, out)
+    code, out, err = run(capsys, *argv, "--cap", "44")
+    assert code == 3 and out == ""
+    assert "45" in err
+
+
 def test_verify_g2_small_prime_explores(capsys):
     code, payload = run_json(capsys, "verify", "--g2", "--p", "7")
     assert code == 0

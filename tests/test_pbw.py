@@ -375,7 +375,7 @@ def _symbol_by_dual_basis(sections, xi, n):
             continue
         sweep = sections.essentials.by_block[blk]
         for s in sweep.essential:
-            c = sections.dual.pair(xi, {blk: sweep.vectors[s]})
+            c = sections.pair(xi, {blk: sweep.vectors[s]})
             if not c:
                 continue
             if sum(s) < n:
@@ -391,7 +391,7 @@ def _symbol_by_dual_basis(sections, xi, n):
                 vec = sections.module.monomial_coords(t)
                 if vec is None:
                     continue
-                val = sections.dual.pair(xi_s, {blk: vec})
+                val = sections.pair(xi_s, {blk: vec})
                 if val:
                     out[t] = out.get(t, 0) + c * val
     return Polynomial(out).reduce(sections.p)

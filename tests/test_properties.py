@@ -251,6 +251,32 @@ def test_divided_powers_compose_on_modules_and_duals(data):
     assert _scaled(leg, 1, lhs) == _scaled(leg, math.comb(a + b, a), rhs)
 
 
+def _mod_p(vec, p):
+    """``vec`` reduced mod p, all-zero blocks dropped."""
+    out = {t: [x % p for x in coords] for t, coords in vec.items()}
+    return {t: coords for t, coords in out.items() if any(coords)}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_reduction_mod_p_commutes_with_the_action(data):
+    """X^s acting over GF(p) on v mod p is X^s acting over Z on v, reduced
+    mod p, on Weyl vectors and on functionals alike."""
+    label, weight = data.draw(st.sampled_from(SMALL_MODULES))
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    over_z, over_p = _module(label, weight, None), _module(label, weight, p)
+    dual = data.draw(st.booleans())
+    legs = (DualModuleP(over_z), DualModuleP(over_p)) if dual else (over_z, over_p)
+    n_pos = over_z.system.n_pos
+    mono = HyperMonomial(data.draw(st.sampled_from("EF")),
+                         tuple(data.draw(st.lists(st.integers(0, 2), min_size=n_pos,
+                                                  max_size=n_pos))))
+    block = data.draw(st.sampled_from(list(over_z.dims)))
+    vec = {block: data.draw(st.lists(st.integers(-9, 9), min_size=over_z.dims[block],
+                                     max_size=over_z.dims[block]))}
+    assert legs[1].act(mono, _mod_p(vec, p)) == _mod_p(legs[0].act(mono, vec), p)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_tensor_leg_act_is_the_action_on_one_leg(data):

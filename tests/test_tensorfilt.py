@@ -139,6 +139,16 @@ def test_dim_cap(a1):
         InducedFiltration(legs(a1, (30,), (30,), None), dim_cap=100)
 
 
+def test_dim_cap_bounds_the_weight_group_swept(a1):
+    """V(30) (x) V(30) has dimension 961, but its weight group 30 is 31
+    wide: a restricted run fits a cap of 31, and refuses one of 30."""
+    square = legs(a1, (30,), (30,), None)
+    filt = InducedFiltration(square, up_to=0, dim_cap=31, weight_group=(30,))
+    assert (filt.tensor_dim, filt.cap, filt.level_dims) == (961, 31, [1])
+    with pytest.raises(ResourceCapError, match="31"):
+        InducedFiltration(square, up_to=0, dim_cap=30, weight_group=(30,))
+
+
 # --- membership --------------------------------------------------------------
 
 
@@ -403,6 +413,16 @@ def test_a_restricted_filtration_answers_for_its_own_weight_group_only(a2):
     restricted = InducedFiltration((m, m), weight_group=(1, 1))
     with pytest.raises(ValueError, match=r"\(0, 0\).*\(1, 1\)"):
         restricted.contains_at(vv, 0)
+
+
+def test_a_full_filtration_refuses_a_vector_outside_its_legs(a2):
+    """A vector keyed by block pairs outside the legs' blocks lies in no
+    weight group of the tensor product, so the full filtration has not swept
+    it and refuses to answer."""
+    m = WeylModuleP.build(a2, (1, 0), 3)
+    far = tuple(x + 1 for x in m.box)
+    with pytest.raises(ValueError, match=r"\(4, 4\)"):
+        InducedFiltration((m, m)).contains_at({(far, far): [[1]]}, 0)
 
 
 def test_contains_at_inserts_nothing(monkeypatch):
