@@ -32,7 +32,6 @@ from .charzero import (  # noqa: E402,F401
 )
 from .weylmod import (  # noqa: E402,F401
     DualModuleP,
-    HyperMonomial,
     WeylModuleP,
     tensor_act,
     tensor_of,

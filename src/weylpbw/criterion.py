@@ -29,8 +29,7 @@ from .pbw import (InducedSections, MultiIndex, Polynomial, g2_essential_member,
                   sn_divided_action)
 from .rootsys import RootSystem, build_root_system
 from .tensorfilt import InducedFiltration
-from .weylmod import (HyperMonomial, WeylModuleP, f_zero, is_prime,
-                      tensor_act, tensor_of)
+from .weylmod import WeylModuleP, f_zero, is_prime, tensor_act, tensor_of
 
 Weight = Tuple[int, ...]
 
@@ -87,8 +86,8 @@ def _gamma_start(m: WeylModuleP):
         raise ValueError(f"V({m.highest_weight}) is not V(gamma), gamma = {gamma}")
     level = (p - 1) * system.n_pos
     f0 = f_zero(system.n_pos, p)
-    coords = m.monomial_coords(f0.exponents)
-    f0v = {} if coords is None else {system.monomial_depth(f0.exponents): coords}
+    coords = m.monomial_coords(f0)
+    f0v = {} if coords is None else {system.monomial_depth(f0): coords}
     witness = {"dim_v_gamma": m.dim, "top_level": level,
                "f0_annihilates": coords is None}
     return level, f0, f0v, witness
@@ -113,7 +112,7 @@ def check_condition2(m: WeylModuleP,
     verdict = False
     if not witness["f0_annihilates"]:
         ten = tensor_of((f0v, f0v), reduce=m.reduce)
-        group = tuple(2 * v for v in m.system.monomial_depth(f0.exponents))
+        group = tuple(2 * v for v in m.system.monomial_depth(f0))
         filt = InducedFiltration((m, m), up_to=level, dim_cap=dim_cap,
                                  weight_group=group)
         below = filt.contains_at(ten, level - 1)
@@ -136,7 +135,7 @@ def check_v0(m: WeylModuleP) -> CriterionReport:
     level, f0, f0v, witness = _gamma_start(m)
     verdict = False
     if not witness["f0_annihilates"]:
-        block = m.system.monomial_depth(f0.exponents)
+        block = m.system.monomial_depth(f0)
         space = row_space(m.p)
         considered = 0
         for degree in range(level):
@@ -201,7 +200,7 @@ def g2_annihilation_check(sections: InducedSections) -> StepVerdict:
     for pos, k in G2_ANNIHILATORS:
         expo = [0] * system.n_pos
         expo[pos] = k
-        res = tensor_act(legs, HyperMonomial("E", tuple(expo)), ten)
+        res = tensor_act(legs, "E", expo, ten)
         vanishes = not res
         all_vanish = all_vanish and vanishes
         operators.append({"root": system.root_name(system.positive_roots[pos]),
@@ -209,7 +208,7 @@ def g2_annihilation_check(sections: InducedSections) -> StepVerdict:
     # only the listed powers annihilate: the first power of E_alpha1 must not
     probe = [0] * system.n_pos
     probe[5] = 1
-    informational = bool(tensor_act(legs, HyperMonomial("E", tuple(probe)), ten))
+    informational = bool(tensor_act(legs, "E", probe, ten))
     return StepVerdict("annihilation", all_vanish and weight_ok, {
         "operators": operators,
         "weight_of_pair": list(pair_weight),

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import row_space, solve_dense
 from .rootsys import InvariantError, RootSystem
-from .weylmod import DualModuleP, Vector, WeylModuleP, is_prime
+from .weylmod import DualModuleP, Vector, WeylModuleP
 
 MultiIndex = Tuple[int, ...]
 
@@ -522,7 +522,7 @@ def _spread(chain: List[Tuple[int, int]], copies: int, k: int,
 
 
 def sn_divided_action(system: RootSystem, beta_pos: int, k: int,
-                      poly: Polynomial, p: Optional[int] = None) -> Polynomial:
+                      poly: Polynomial) -> Polynomial:
     """Apply the divided operator E_beta^(k) to a symbol polynomial.
 
     E_beta acts on the variables by the adjoint action, x_gamma climbing the
@@ -533,9 +533,8 @@ def sn_divided_action(system: RootSystem, beta_pos: int, k: int,
     its variables' images: each variable's copies are spread over its chain
     (``_spread``), and the variables are merged one at a time, dropping every
     term whose climb exceeds k or can no longer reach it. No factorial is
-    divided, so the expansion is exact over Z; with a prime ``p`` it is
-    reduced mod p at the end. A monomial needs one exponent per positive
-    root.
+    divided, so the expansion is exact over Z, and a symbol mod p is its
+    ``reduce(p)``. A monomial needs one exponent per positive root.
 
     Inside, a monomial x^e of degree d is the integer sum_g e_g * (d+1)**g:
     every image term has degree d, so no exponent reaches the base, and the
@@ -546,8 +545,6 @@ def sn_divided_action(system: RootSystem, beta_pos: int, k: int,
         raise ValueError("beta_pos is out of range")
     if k < 0:
         raise ValueError("the divided power must be nonnegative")
-    if p is not None and not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     chains = [_chain(system, beta_pos, g) for g in range(n)]
     result: Dict[MultiIndex, object] = {}
     for s, coeff in poly.coeffs.items():
@@ -571,4 +568,4 @@ def sn_divided_action(system: RootSystem, beta_pos: int, k: int,
         for code, c in terms[k].items():
             mono = tuple(code // base ** g % base for g in range(n))
             result[mono] = result.get(mono, 0) + c
-    return Polynomial(result).reduce(p)
+    return Polynomial(result)

@@ -56,8 +56,8 @@ from .charzero import DIM_CAP_DEFAULT
 from .linalg import mat_mul, pivot_prefix, row_space
 from .pbw import monomials_of_degree, monomials_with_depth, pbw_filtration
 from .rootsys import ResourceCapError
-from .weylmod import (HyperMonomial, TensorVector, WeylModuleP, _tidy, f_zero,
-                      tensor_act, tensor_leg_act, tensor_of)
+from .weylmod import (TensorVector, WeylModuleP, _tidy, f_zero, tensor_act,
+                      tensor_leg_act, tensor_of)
 
 Weight = Tuple[int, ...]
 
@@ -316,13 +316,12 @@ class InducedFiltration:
         each s, the orbit entries whose depth F^s carries into a swept group
         (any other pair gives the zero vector or an unswept group)."""
         for s in monomials_of_degree(self.system, self.s_box, n):
-            mono = HyperMonomial("F", s)
             ds = self.system.monomial_depth(s)
             # the orbit depths that F^s carries into a swept group
             wanted = {tuple(x - y for x, y in zip(g, ds)) for g in self.groups}
             for dt, base in self._tpairs:
                 if dt in wanted:
-                    vec = tensor_leg_act(self.mods, 0, mono, base)
+                    vec = tensor_leg_act(self.mods, 0, "F", s, base)
                     if vec:
                         yield vec
 
@@ -433,8 +432,7 @@ def product_order_equality(mods: Tuple[WeylModuleP, WeylModuleP]) -> ProductOrde
     p = filt.p
     bases = _leg_vectors_by_degree(filt.mods[0])
     depths = product(*(range(k + 1) for k in filt.t_box))
-    monos = {depth: [HyperMonomial("F", t) for t in monomials_with_depth(filt.system, depth)]
-             for depth in depths}
+    monos = {depth: monomials_with_depth(filt.system, depth) for depth in depths}
     span_rev = _WeightSpan(p)
     span_union = _WeightSpan(p)
     smash_dims: List[int] = []
@@ -448,8 +446,8 @@ def product_order_equality(mods: Tuple[WeylModuleP, WeylModuleP]) -> ProductOrde
             [(block, _)] = base   # Delta(F^t) kills it unless block + depth(t) fits t_box
             for depth, group in monos.items():
                 if all(map(le, map(add, block, depth), filt.t_box)):
-                    for mono in group:
-                        vec = tensor_act(filt.mods, mono, base)
+                    for t in group:
+                        vec = tensor_act(filt.mods, "F", t, base)
                         if vec and span_rev.insert(vec):
                             span_union.insert(vec)
         smash_dims.append(filt.level_dims[n])
@@ -534,19 +532,18 @@ def delta_stability_check(mods: Tuple[WeylModuleP, WeylModuleP],
     so reports stay comparable."""
     filt = InducedFiltration(mods)
     n_pos = filt.system.n_pos
-    # the single factors X_beta^(k), each built once
-    factors = [((side, pos, k), HyperMonomial(side, tuple(k if i == pos else 0
-                                                          for i in range(n_pos))))
+    # the exponents of each single factor X_beta^(k), built once
+    factors = [(side, pos, k, tuple(k if i == pos else 0 for i in range(n_pos)))
                for side in ("F", "E") for pos in range(n_pos) for k in range(1, k_cap + 1)]
     violations: List[Tuple[int, str, int, int]] = []
     basis: List[TensorVector] = []
     for n, kept in enumerate(filt.kept_by_level()):
         basis.extend(kept)
         for w in basis:
-            for label, mono in factors:
-                u = tensor_act(filt.mods, mono, w)
+            for side, pos, k, s in factors:
+                u = tensor_act(filt.mods, side, s, w)
                 if u and not filt.contains_at(u, n):
-                    violations.append((n, *label))
+                    violations.append((n, side, pos, k))
     return StabilityReport(filt.lam, filt.mu, filt.p, k_cap, filt.s_max, violations)
 
 
@@ -576,10 +573,10 @@ def norm_form_identity_check(legs: Tuple[WeylModuleP, WeylModuleP]) -> NormFormR
         raise ValueError("the norm form lives in positive characteristic")
     f0 = f_zero(system.n_pos, p)
     start = tensor_of((a.highest_vector(), b.highest_vector()), reduce=a.reduce)
-    lhs = tensor_leg_act(legs, 0, f0, tensor_act(legs, f0, start))
-    depth = system.monomial_depth(f0.exponents)
+    lhs = tensor_leg_act(legs, 0, "F", f0, tensor_act(legs, "F", f0, start))
+    depth = system.monomial_depth(f0)
     fvs = tuple({} if c is None else {depth: c}
-                for c in (leg.monomial_coords(f0.exponents) for leg in legs))
+                for c in (leg.monomial_coords(f0) for leg in legs))
     rhs = tensor_of(fvs, reduce=a.reduce)
     identity_ok = lhs == rhs
     level = (p - 1) * system.n_pos

@@ -9,6 +9,13 @@ antipode-twisted action: H0(lam) is the dual of the Weyl module with highest
 weight lam*. Tensor actions go through the divided-power coproduct, an
 algebra map: Delta(X^t) = sum_{a+b=t} X^a (x) X^b.
 
+A monomial X^(s) is a side, "E" (raising) or "F" (lowering), and its
+exponent tuple s, one natural number per positive root in the fixed root
+order; the last root's factor acts first. Every action takes the two as
+separate arguments, ``act(side, s, vec)``, and ``_monomial`` is the one
+check of them, made once at the entry of ``act``, ``monomial_coords``,
+``tensor_leg_act`` and ``tensor_act``.
+
 Every action, on a module, a dual or a tensor, rests on one composition
 loop, ``_compose``: it walks the root positions from last to first and hands
 each nonzero factor X_beta^(k) to a step, blockwise on a module or dual
@@ -58,8 +65,7 @@ a prime.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -94,32 +100,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HyperMonomial:
-    """An ordered product of divided powers, one exponent per positive root.
-
-    ``side`` is "E" (raising) or "F" (lowering); the product runs over the
-    fixed root order with the last root's factor applied first.
-    """
-
-    side: str
-    exponents: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.side not in ("E", "F"):
-            raise ValueError("side must be 'E' or 'F'")
-        if not all(isinstance(e, int) and e >= 0 for e in self.exponents):
+def _monomial(system: RootSystem, side: str, s: Sequence[int]) -> Coords:
+    """``s`` as the exponent tuple of a monomial of ``side``, booleans read
+    as ints: the one check of a monomial (see the module docstring)."""
+    if side not in ("E", "F"):
+        raise ValueError("side must be 'E' or 'F'")
+    s = tuple(s)
+    kinds = set(map(type, s))
+    if kinds != {int}:
+        if not kinds <= {int, bool}:
             raise ValueError("exponents must be natural numbers")
-        object.__setattr__(self, "exponents", tuple(map(int, self.exponents)))
+        s = tuple(map(int, s))
+    if len(s) != system.n_pos:
+        raise ValueError("monomial length does not match the root count")
+    if min(s) < 0:
+        raise ValueError("exponents must be natural numbers")
+    return s
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
 
-
-def f_zero(n_pos: int, p: int) -> HyperMonomial:
-    """The lowering monomial with every exponent p - 1."""
-    return HyperMonomial("F", tuple(p - 1 for _ in range(n_pos)))
+def f_zero(n_pos: int, p: int) -> Coords:
+    """The exponents of the lowering monomial F0: every one p - 1."""
+    return (p - 1,) * n_pos
 
 
 def _shift(system: RootSystem, side: str, pos: int, t: Coords, k: int) -> Coords:
@@ -129,30 +130,22 @@ def _shift(system: RootSystem, side: str, pos: int, t: Coords, k: int) -> Coords
     return tuple(v + step * c for v, c in zip(t, system.positive_roots[pos]))
 
 
-def _compose(leg, mono: HyperMonomial, vec, step: Callable):
-    """Apply ``mono`` to ``vec`` one root factor at a time, last root first.
+def _compose(side: str, s: Coords, vec, step: Callable):
+    """Apply X^(s) of ``side`` to ``vec`` one root factor at a time, last
+    root first.
 
     ``step(side, pos, k, vec)`` applies the single factor X_beta^(k) of root
     position ``pos``; zero exponents are skipped, and the walk stops as soon
     as the vector dies.
     """
-    n_pos = leg.system.n_pos
-    if len(mono.exponents) != n_pos:
-        raise ValueError("monomial length does not match the root count")
-    for pos in range(n_pos - 1, -1, -1):
-        k = mono.exponents[pos]
+    for pos in range(len(s) - 1, -1, -1):
+        k = s[pos]
         if k == 0:
             continue
-        vec = step(mono.side, pos, k, vec)
+        vec = step(side, pos, k, vec)
         if not vec:
             break
     return vec
-
-
-@lru_cache(maxsize=256)
-def _lowering(n_pos: int, pos: int, k: int) -> HyperMonomial:
-    """The single factor F_beta^(k) of root position ``pos``, built once."""
-    return HyperMonomial("F", tuple(k if i == pos else 0 for i in range(n_pos)))
 
 
 class WeylModuleP:
@@ -172,7 +165,7 @@ class WeylModuleP:
         self._blocks: Dict[Coords, Coords] = {t: t for t in self.dims}   # one tuple each
         self._div_int: Dict[Tuple[str, int, int, Coords], Optional[Matrix]] = {}
         self._legs: Dict[Tuple[str, int, int], LegTable] = {}
-        self._last_monomial: Tuple[Optional[HyperMonomial], LegTable] = (None, {})
+        self._last_monomial: Tuple[Optional[Tuple[str, Coords]], LegTable] = (None, {})
         # s -> F^s v as (block, coords), None when it dies; see _tail
         self._tails: Dict[Coords, Optional[Tuple[Coords, Coords]]] = {
             (0,) * self.system.n_pos: ((0,) * self.system.rank, (1,))}
@@ -274,9 +267,10 @@ class WeylModuleP:
                 out[res[0]] = res[1]
         return out
 
-    def act(self, mono: HyperMonomial, vec: Vector) -> Vector:
-        """``mono`` applied to ``vec``: a new vector, ``vec`` is not written to."""
-        out = _compose(self, mono, vec, self._step)
+    def act(self, side: str, s: Sequence[int], vec: Vector) -> Vector:
+        """X^(s) of ``side`` applied to ``vec``: a new vector, ``vec`` is not
+        written to."""
+        out = _compose(side, _monomial(self.system, side, s), vec, self._step)
         return {t: list(c) for t, c in vec.items()} if out is vec else out
 
     def monomial_coords(self, s: Sequence[int]) -> Optional[List[int]]:
@@ -286,12 +280,7 @@ class WeylModuleP:
         F^s v is a weight vector, so it lies in the single block at the
         depth of s.
         """
-        s = tuple(s)
-        if len(s) != self.system.n_pos:
-            raise ValueError("monomial length does not match the root count")
-        if min(s) < 0:
-            raise ValueError("exponents must be natural numbers")
-        hit = self._tail(s)
+        hit = self._tail(_monomial(self.system, "F", s))
         return None if hit is None else list(hit[1])
 
     def _tail(self, s: Coords) -> Optional[Tuple[Coords, Coords]]:
@@ -307,7 +296,8 @@ class WeylModuleP:
             j = next(i for i, v in enumerate(s) if v)
             hit = self._tail((0,) * (j + 1) + s[j + 1:])
             if hit is not None:
-                vec = self.act(_lowering(len(s), j, s[j]), {hit[0]: hit[1]})
+                vec = self.act("F", s[:j + 1] + (0,) * (len(s) - j - 1),
+                               {hit[0]: hit[1]})
                 hit = next(((t, tuple(c)) for t, c in vec.items()), None)
             self._tails[s] = hit
         return hit
@@ -343,7 +333,7 @@ class DualModuleP:
         self.dims: Dict[Coords, int] = module.dims
         self.box: Coords = module.box
         self._legs: Dict[Tuple[str, int, int], LegTable] = {}
-        self._last_monomial: Tuple[Optional[HyperMonomial], LegTable] = (None, {})
+        self._last_monomial: Tuple[Optional[Tuple[str, Coords]], LegTable] = (None, {})
 
     def functional_weight(self, xi: Vector) -> Optional[Weight]:
         """Minus the weight of a homogeneous functional's blocks (None for 0 or mixed)."""
@@ -395,14 +385,14 @@ def _matrix_step(leg, side: str, pos: int, k: int, acc):
     return hit[0], hit[1] if acc[1] is None else mat_mul(hit[1], acc[1])
 
 
-def _monomial_matrix(leg, mono: HyperMonomial, table: LegTable,
+def _monomial_matrix(leg, side: str, s: Coords, table: LegTable,
                      t: Coords) -> Optional[Tuple[Coords, Matrix]]:
     """The whole monomial on block t of ``leg``: its target block and one
     matrix, the factors' ``leg_matrix`` composed last root first and reduced
     once; None when the block dies. Kept in ``table``, the monomial's."""
     hit = table.get(t, _UNBUILT)
     if hit is _UNBUILT:
-        hit = _compose(leg, mono, (t, None), partial(_matrix_step, leg))
+        hit = _compose(side, s, (t, None), partial(_matrix_step, leg))
         if hit is not None:
             tgt, mat = hit
             if leg.p is not None:
@@ -412,7 +402,7 @@ def _monomial_matrix(leg, mono: HyperMonomial, table: LegTable,
     return hit
 
 
-def tensor_leg_act(mods: Tuple, idx: int, mono: HyperMonomial,
+def tensor_leg_act(mods: Tuple, idx: int, side: str, s: Sequence[int],
                    tvec: TensorVector) -> TensorVector:
     """Act with a monomial on one tensor leg only: X^s (x) 1 for ``idx`` 0,
     1 (x) X^s for ``idx`` 1 (no coproduct). Each block of the leg takes one
@@ -425,17 +415,16 @@ def tensor_leg_act(mods: Tuple, idx: int, mono: HyperMonomial,
     if idx not in (0, 1):
         raise ValueError("a tensor has legs 0 and 1")
     leg = mods[idx]
-    if len(mono.exponents) != leg.system.n_pos:
-        raise ValueError("monomial length does not match the root count")
-    if not any(mono.exponents):
+    s = _monomial(leg.system, side, s)
+    if not any(s):
         return tvec
     last, table = leg._last_monomial
-    if last != mono:
+    if last != (side, s):
         table = {}
-        leg._last_monomial = (mono, table)
+        leg._last_monomial = ((side, s), table)
     out: TensorVector = {}
     for (ta, tb), block in tvec.items():
-        hit = _monomial_matrix(leg, mono, table, tb if idx else ta)
+        hit = _monomial_matrix(leg, side, s, table, tb if idx else ta)
         if hit is None:
             continue
         tgt, mat = hit
@@ -446,7 +435,8 @@ def tensor_leg_act(mods: Tuple, idx: int, mono: HyperMonomial,
     return _tidy(out, leg.p)
 
 
-def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVector:
+def tensor_act(mods: Tuple, side: str, t: Sequence[int],
+               tvec: TensorVector) -> TensorVector:
     """Act on a tensor vector through the divided-power coproduct.
 
     ``mods`` is a pair of WeylModuleP or DualModuleP legs (mixed pairs
@@ -454,9 +444,7 @@ def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVe
     over the componentwise splits of t: X^b on leg 1, then X^a on leg 0, each
     through ``tensor_leg_act``, and the sum reduced once.
     """
-    side, t = mono.side, mono.exponents
-    if len(t) != mods[0].system.n_pos:
-        raise ValueError("monomial length does not match the root count")
+    t = _monomial(mods[0].system, side, t)
     # X_beta^(k) moves a block by k*beta, so it is zero on a leg once k*beta
     # leaves the leg's box of block depths: those splits are skipped
     caps = [[min(d // c for d, c in zip(leg.box, beta) if c)
@@ -465,8 +453,7 @@ def tensor_act(mods: Tuple, mono: HyperMonomial, tvec: TensorVector) -> TensorVe
     for b in product(*(range(max(0, k - cap_a), min(k, cap_b) + 1)
                        for k, cap_a, cap_b in zip(t, *caps))):
         a = tuple(k - j for k, j in zip(t, b))
-        term = tensor_leg_act(mods, 0, HyperMonomial(side, a),
-                              tensor_leg_act(mods, 1, HyperMonomial(side, b), tvec))
+        term = tensor_leg_act(mods, 0, side, a, tensor_leg_act(mods, 1, side, b, tvec))
         for key, block in term.items():
             prev = acc.get(key)
             acc[key] = block if prev is None else [

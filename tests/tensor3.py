@@ -11,7 +11,6 @@ dim_u x dim_v x dim_w nested list, with all-zero blocks dropped.
 import itertools
 
 from weylpbw import tensor_act
-from weylpbw.weylmod import HyperMonomial
 
 
 def _shape(block):
@@ -74,8 +73,9 @@ def act_leg3(mod, leg, side, pos, k, triple):
     return clean(out, mod.reduce)
 
 
-def act_pair3(mods3, legs, mono, triple):
-    """Delta(mono) on two adjacent legs of a triple, through tensor_act."""
+def act_pair3(mods3, legs, side, s, triple):
+    """Delta(X^(s)) of ``side`` on two adjacent legs of a triple, through
+    tensor_act."""
     other = 3 - legs[0] - legs[1]
 
     def place(o, i, j):
@@ -93,7 +93,7 @@ def act_pair3(mods3, legs, mono, triple):
                     (key[legs[0]], key[legs[1]])] = mat
     out = {}
     for (to, ro, dim_o), tvec in slices.items():
-        for (ta, tb), mat in tensor_act(pair, mono, tvec).items():
+        for (ta, tb), mat in tensor_act(pair, side, s, tvec).items():
             nkey = place(to, ta, tb)
             if nkey not in out:
                 out[nkey] = _zeros(place(dim_o, len(mat), len(mat[0])))
@@ -119,12 +119,12 @@ def iterated_coproduct(mods3, side, pos, k, triple, nest):
     for outer in range(k + 1):
         inner = k - outer
         n_pos = mods3[0].system.n_pos
-        mono = HyperMonomial(side, tuple(inner if i == pos else 0 for i in range(n_pos)))
+        s = tuple(inner if i == pos else 0 for i in range(n_pos))
         if nest == "left":
             term = act_leg3(mods3[2], 2, side, pos, outer, triple)
-            term = act_pair3(mods3, (0, 1), mono, term)
+            term = act_pair3(mods3, (0, 1), side, s, term)
         else:
             term = act_leg3(mods3[0], 0, side, pos, outer, triple)
-            term = act_pair3(mods3, (1, 2), mono, term)
+            term = act_pair3(mods3, (1, 2), side, s, term)
         add3(acc, term)
     return clean(acc, mods3[0].reduce)

@@ -77,7 +77,7 @@ def test_only_charzero_derives_a_box():
 def test_pbw_reads_no_tensor_vectors():
     """Sections, symbols and products in ``pbw`` work on module vectors: the
     coproduct is applied split by split, never through the tensor API."""
-    tensor_api = {"HyperMonomial", "tensor_act", "tensor_leg_act", "tensor_of"}
+    tensor_api = {"tensor_act", "tensor_leg_act", "tensor_of"}
     found = set()
     for node in ast.walk(_tree(PACKAGE / "pbw.py")):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -125,6 +125,33 @@ def test_module_vectors_have_one_route_each():
     imported = {alias.name for node in ast.walk(_tree(PACKAGE / "tensorfilt.py"))
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "mul" not in imported
+
+
+def _names(node):
+    """The identifiers a node defines, imports, reads or spells out."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.alias)):
+        return {node.name}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set()
+
+
+def test_a_monomial_has_one_format_and_one_check():
+    """A monomial is a side and an exponent tuple: no source defines or names
+    a ``HyperMonomial``, and ``weylmod._monomial``, the one check, is called
+    once each by the four entry points that take a monomial."""
+    named = [path.name for path in SOURCES for node in ast.walk(_tree(path))
+             if "HyperMonomial" in _names(node)]
+    assert not named
+    callers = sorted((path.name, scope) for path in SOURCES
+                     for scope in _calls(path, "_monomial"))
+    assert callers == [("weylmod.py", "WeylModuleP.act"),
+                       ("weylmod.py", "WeylModuleP.monomial_coords"),
+                       ("weylmod.py", "tensor_act"), ("weylmod.py", "tensor_leg_act")]
 
 
 def test_symbols_are_read_off_essential_components():

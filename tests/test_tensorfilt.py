@@ -29,7 +29,7 @@ from weylpbw import (
 )
 from weylpbw import linalg, tensorfilt
 from weylpbw.pbw import monomials_of_degree
-from weylpbw.weylmod import HyperMonomial, f_zero, tensor_act
+from weylpbw.weylmod import f_zero, tensor_act
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ def test_norm_vector_membership(a1):
     p = 2
     m = WeylModuleP.build(a1, (2,), p, 100)
     f0 = f_zero(1, p)
-    f0v = m.act(f0, m.highest_vector())
+    f0v = m.act("F", f0, m.highest_vector())
     tvec = tensor_of((f0v, f0v), reduce=m.reduce)
     assert vv_level_contains((m, m), tvec, 1)
     assert not vv_level_contains((m, m), tvec, 0)
@@ -208,7 +208,7 @@ def condition2_filtration(label, p):
     system = build_root_system(label)
     m = v_gamma(system, p)
     f0 = f_zero(system.n_pos, p)
-    group = tuple(2 * v for v in system.monomial_depth(f0.exponents))
+    group = tuple(2 * v for v in system.monomial_depth(f0))
     return InducedFiltration((m, m), up_to=(p - 1) * system.n_pos, weight_group=group)
 
 
@@ -236,7 +236,7 @@ def per_monomial_delta_orbit(filt):
             dt = filt.system.monomial_depth(t)
             if w is not None and any(x > y for x, y in zip(dt, w)):
                 continue
-            vec = tensor_act(filt.mods, HyperMonomial("F", t), start)
+            vec = tensor_act(filt.mods, "F", t, start)
             if vec:
                 out.append((dt, vec))
     return out
@@ -293,7 +293,7 @@ def test_condition2_filtration_keeps_its_vectors(label, p):
     system = build_root_system(label)
     m = WeylModuleP.build(system, gamma_weight(system, p), p)
     f0 = f_zero(system.n_pos, p)
-    group = tuple(2 * v for v in system.monomial_depth(f0.exponents))
+    group = tuple(2 * v for v in system.monomial_depth(f0))
     filt = InducedFiltration((m, m), up_to=(p - 1) * system.n_pos, weight_group=group)
     payload = [[n, [[[list(ta), list(tb)], block] for (ta, tb), block in sorted(vec.items())]]
                for n, vec in filt.kept]
@@ -464,7 +464,7 @@ def test_each_check_builds_each_lattice_once(build, check, expected, lattice_bui
 
 def test_membership_builds_no_lattice(a1, lattice_builds):
     m = WeylModuleP.build(a1, (2,), 2, 100)
-    f0v = m.act(f_zero(1, 2), m.highest_vector())
+    f0v = m.act("F", f_zero(1, 2), m.highest_vector())
     assert vv_level_contains((m, m), tensor_of((f0v, f0v), reduce=m.reduce), 1)
     assert lattice_builds == [(2,)]          # the leg built here, nothing more
 
@@ -543,10 +543,10 @@ def test_product_order_equality_acts_only_inside_the_box(a2, monkeypatch):
     t_box = tuple(x + y for x, y in zip(mods[0].box, mods[1].box))
     seen = []
 
-    def spy(mods, mono, vec):
+    def spy(mods, side, s, vec):
         [((block, _), _)] = vec.items()
-        seen.append(tuple(d + t for d, t in zip(block, a2.monomial_depth(mono.exponents))))
-        return tensor_act(mods, mono, vec)
+        seen.append(tuple(d + t for d, t in zip(block, a2.monomial_depth(s))))
+        return tensor_act(mods, side, s, vec)
 
     monkeypatch.setattr(tensorfilt, "tensor_act", spy)
     report = product_order_equality(mods)

@@ -15,11 +15,11 @@ from tensor3 import iterated_coproduct, triple_of
 from test_charzero import GOLDEN_PAYLOAD_DIGESTS
 
 import weylpbw
+from weylpbw import weylmod
 from weylpbw import (AdmissibleLattice, InvariantError, WeylModuleP, build_root_system,
                      essential_set, pbw_filtration, tensor_act, tensor_of)
 from weylpbw.weylmod import (
     DualModuleP,
-    HyperMonomial,
     f_zero,
     is_prime,
     tensor_leg_act,
@@ -31,21 +31,62 @@ def test_is_prime():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
-def test_hyper_monomial_validation():
-    with pytest.raises(ValueError):
-        HyperMonomial("X", (1,))
-    with pytest.raises(ValueError):
-        HyperMonomial("F", (-1,))
-    assert f_zero(3, 5) == HyperMonomial("F", (4, 4, 4))
-    assert HyperMonomial("F", (1, 2)).degree == 3
-    assert [type(e) for e in HyperMonomial("E", [True, 2]).exponents] == [int, int]
+def _monomial_entries():
+    """The four entry points that take a monomial, each as a call (side, s)
+    on A1 x A1 V(1, 1) over GF(3); ``monomial_coords`` lowers only, so it
+    reads s alone."""
+    m = WeylModuleP.build(build_root_system([[2, 0], [0, 2]]), (1, 1), 3, 100)
+    v = m.highest_vector()
+    t = tensor_of((v, v))
+    return {
+        "act": lambda side, s: m.act(side, s, v),
+        "monomial_coords": lambda side, s: m.monomial_coords(s),
+        "tensor_leg_act": lambda side, s: tensor_leg_act((m, m), 1, side, s, t),
+        "tensor_act": lambda side, s: tensor_act((m, m), side, s, t),
+    }
+
+
+def test_monomial_validation():
+    for entry, call in _monomial_entries().items():
+        if entry != "monomial_coords":
+            with pytest.raises(ValueError, match="side must be 'E' or 'F'"):
+                call("X", (1, 0))
+        with pytest.raises(ValueError, match="natural numbers"):
+            call("F", (-1, 0))
+        with pytest.raises(ValueError, match="root count"):
+            call("F", (1,))
+        assert call("F", [True, 1]) == call("F", (1, 1)), entry   # a boolean is an int
+    a1a1 = build_root_system([[2, 0], [0, 2]])
+    assert [type(e) for e in weylmod._monomial(a1a1, "E", [True, 2])] == [int, int]
+    assert f_zero(3, 5) == (4, 4, 4)
 
 
 @pytest.mark.parametrize("exponents", [(1.5, 0), (1.0, 0), ("1", 0), (None,)])
-def test_hyper_monomial_rejects_non_integral_exponents(exponents):
-    """An exponent that is not an integer is refused, never truncated."""
+def test_monomial_rejects_non_integral_exponents(exponents):
+    """An exponent that is not an integer is refused, never truncated, by
+    every entry point."""
+    for call in _monomial_entries().values():
+        with pytest.raises(ValueError, match="natural numbers"):
+            call("F", exponents)
+
+
+def test_monomial_coords_refuses_a_float_exponent_after_its_int_twin():
+    """The table of F^s v is keyed by s, and 1.0 hashes as 1: a float
+    exponent is refused whether or not its integer twin was computed
+    before, on this module or another."""
+    a2 = build_root_system("A2")
+    m = WeylModuleP.build(a2, (1, 1), None, 100)
+    assert m.monomial_coords((0, 0, 1)) == [1]
+    for module in (m, WeylModuleP.build(a2, (1, 1), None, 100)):
+        with pytest.raises(ValueError, match="natural numbers"):
+            module.monomial_coords((0, 0, 1.0))
+
+
+@pytest.mark.parametrize("s", [("1", 0, 0), (None, 0, 0)])
+def test_monomial_coords_refuses_a_non_number_with_a_value_error(s):
+    m = WeylModuleP.build(build_root_system("A2"), (1, 1), None, 100)
     with pytest.raises(ValueError, match="natural numbers"):
-        HyperMonomial("F", exponents)
+        m.monomial_coords(s)
 
 
 def test_composite_p_rejected():
@@ -64,11 +105,10 @@ def test_divided_powers_a1():
     a1 = build_root_system("A1")
     m = WeylModuleP.build(a1, (2,), None, 100)
     v = m.highest_vector()
-    F1, F2 = HyperMonomial("F", (1,)), HyperMonomial("F", (2,))
-    assert m.act(F1, v) == {(1,): [1]}
-    assert m.act(F1, m.act(F1, v)) == {(2,): [2]}   # F F v = 2 F^(2) v
-    assert m.act(F2, v) == {(2,): [1]}
-    assert not m.act(HyperMonomial("F", (3,)), v)
+    assert m.act("F", (1,), v) == {(1,): [1]}
+    assert m.act("F", (1,), m.act("F", (1,), v)) == {(2,): [2]}   # F F v = 2 F^(2) v
+    assert m.act("F", (2,), v) == {(2,): [1]}
+    assert not m.act("F", (3,), v)
 
 
 def test_leg_apply_takes_no_zeroth_power():
@@ -192,9 +232,8 @@ def test_module_is_freed_by_refcount():
         assert pbw_filtration(m, 4).top_dim == m.dim
         d = DualModuleP(m)
         xi = {(2, 2): [1]}
-        f_all = HyperMonomial("F", (1, 1, 1))
-        assert d.act(f_all, xi)
-        assert tensor_act((m, d), f_all, tensor_of((m.highest_vector(), xi)))
+        assert d.act("F", (1, 1, 1), xi)
+        assert tensor_act((m, d), "F", (1, 1, 1), tensor_of((m.highest_vector(), xi)))
         del m, es, d
         assert ref() is None
     finally:
@@ -205,10 +244,10 @@ def test_monomial_coords_highest():
     g2 = build_root_system("G2")
     m = WeylModuleP(AdmissibleLattice.build(g2, (1, 0)), None)
     assert m.monomial_coords((0, 0, 0, 0, 0, 0)) == [1]
-    theta = HyperMonomial("F", (1, 0, 0, 0, 0, 0))
-    fv = m.act(theta, m.highest_vector())
+    theta = (1, 0, 0, 0, 0, 0)
+    fv = m.act("F", theta, m.highest_vector())
     assert list(fv) == [(3, 2)]   # depth of the highest positive root
-    assert m.monomial_coords(theta.exponents) == fv[(3, 2)]
+    assert m.monomial_coords(theta) == fv[(3, 2)]
     assert m.monomial_coords((2, 0, 0, 0, 0, 0)) is None   # F_theta^(2) kills v
 
 
@@ -231,10 +270,9 @@ def test_divided_power_multiplicativity(label, weight, p):
     for pos in range(system.n_pos):
         for a in range(1, 4):
             for b in range(1, 4):
-                mono = lambda side, k: HyperMonomial(
-                    side, tuple(k if i == pos else 0 for i in range(system.n_pos)))
-                lhs = m.act(mono("F", a), m.act(mono("F", b), v))
-                rhs = _scale(m, math.comb(a + b, a), m.act(mono("F", a + b), v))
+                mono = lambda k: tuple(k if i == pos else 0 for i in range(system.n_pos))
+                lhs = m.act("F", mono(a), m.act("F", mono(b), v))
+                rhs = _scale(m, math.comb(a + b, a), m.act("F", mono(a + b), v))
                 assert lhs == rhs, (label, pos, a, b)
 
 
@@ -243,7 +281,7 @@ def test_vector_weight():
     m = WeylModuleP.build(g2, (1, 0), None, 100)
     v = m.highest_vector()
     assert m.vector_weight(v) == (1, 0)
-    fv = m.act(HyperMonomial("F", (0, 0, 0, 0, 0, 1)), v)
+    fv = m.act("F", (0, 0, 0, 0, 0, 1), v)
     assert m.vector_weight(fv) == (-1, 1)          # lam - alpha1
     assert m.vector_weight({}) is None
 
@@ -254,16 +292,15 @@ def test_dual_is_antipode_twisted():
     m = WeylModuleP.build(a1, (2,), None, 100)
     d = DualModuleP(m)
     xi = {(2,): [1]}
-    F1, E1 = HyperMonomial("F", (1,)), HyperMonomial("E", (1,))
-    assert d.act(F1, xi) == {(1,): [-2]}
-    assert d.act(E1, xi) == {}
-    for mono in (F1, E1, HyperMonomial("F", (2,))):
-        sign = (-1) ** mono.degree
+    assert d.act("F", (1,), xi) == {(1,): [-2]}
+    assert d.act("E", (1,), xi) == {}
+    for side, s in (("F", (1,)), ("E", (1,)), ("F", (2,))):
+        sign = (-1) ** sum(s)
         for t in m.dims:
             for r in range(m.dims[t]):
                 u = {t: [1 if i == r else 0 for i in range(m.dims[t])]}
-                lhs = d.pair(d.act(mono, xi), u)
-                rhs = sign * d.pair(xi, m.act(mono, u))
+                lhs = d.pair(d.act(side, s, xi), u)
+                rhs = sign * d.pair(xi, m.act(side, s, u))
                 assert lhs == rhs
 
 
@@ -271,7 +308,7 @@ def test_dual_act_rejects_wrong_length():
     a1 = build_root_system("A1")
     d = DualModuleP(WeylModuleP.build(a1, (2,), None, 100))
     with pytest.raises(ValueError, match="root count"):
-        d.act(HyperMonomial("F", (1, 0)), {(2,): [1]})
+        d.act("F", (1, 0), {(2,): [1]})
 
 
 def test_dual_functional_weights():
@@ -296,22 +333,21 @@ def test_tensor_coproduct_a1():
     a1 = build_root_system("A1")
     m = WeylModuleP.build(a1, (1,), None, 100)
     t = tensor_of((m.highest_vector(), m.highest_vector()))
-    F1, F2 = HyperMonomial("F", (1,)), HyperMonomial("F", (2,))
-    assert tensor_act((m, m), F1, t) == {((0,), (1,)): [[1]], ((1,), (0,)): [[1]]}
+    assert tensor_act((m, m), "F", (1,), t) == {((0,), (1,)): [[1]], ((1,), (0,)): [[1]]}
     # F^(2) (v x v): only the split (1, 1) survives on V(1) x V(1)
-    assert tensor_act((m, m), F2, t) == {((1,), (1,)): [[1]]}
-    assert tensor_leg_act((m, m), 0, F1, t) == {((1,), (0,)): [[1]]}
-    assert tensor_leg_act((m, m), 1, F1, t) == {((0,), (1,)): [[1]]}
+    assert tensor_act((m, m), "F", (2,), t) == {((1,), (1,)): [[1]]}
+    assert tensor_leg_act((m, m), 0, "F", (1,), t) == {((1,), (0,)): [[1]]}
+    assert tensor_leg_act((m, m), 1, "F", (1,), t) == {((0,), (1,)): [[1]]}
 
 
 def _random_monomials(rng, n_pos, count):
-    """``count`` monomials of either side with two or three nonzero
-    exponents in 1..2."""
+    """``count`` monomials (side, exponents) of either side with two or
+    three nonzero exponents in 1..2."""
     for _ in range(count):
         expo = [0] * n_pos
         for pos in rng.sample(range(n_pos), rng.choice([2, 3])):
             expo[pos] = rng.randint(1, 2)
-        yield HyperMonomial(rng.choice("EF"), tuple(expo))
+        yield rng.choice("EF"), tuple(expo)
 
 
 def _mixed_legs(m):
@@ -335,12 +371,12 @@ def test_tensor_leg_act_matches_the_factor_by_factor_action(label, weight, p):
         vecs = [{t: [entry() for _ in range(m.dims[t])] for t in rng.sample(list(m.dims), 3)}
                 for _ in range(2)]
         tvec = tensor_of(tuple(vecs), reduce=m.reduce)
-        for mono in _random_monomials(rng, m.system.n_pos, 12):
+        for side, s in _random_monomials(rng, m.system.n_pos, 12):
             for idx in (0, 1, 1):
                 acted = list(vecs)
-                acted[idx] = legs[idx].act(mono, vecs[idx])
+                acted[idx] = legs[idx].act(side, s, vecs[idx])
                 want = tensor_of(tuple(acted), reduce=m.reduce)
-                assert tensor_leg_act(legs, idx, mono, tvec) == want, (legs, idx, mono)
+                assert tensor_leg_act(legs, idx, side, s, tvec) == want, (legs, idx, side, s)
                 nonzero += bool(want)
     assert nonzero
 
@@ -374,14 +410,14 @@ def test_tensor_act_is_the_coproduct_of_each_factor_in_turn(label, weight, p):
     nonzero = 0
     for legs in _mixed_legs(m):
         tvec = _tensor_sum(pure(), pure(), m.reduce)
-        for mono in _random_monomials(rng, n_pos, 6):
+        for side, s in _random_monomials(rng, n_pos, 6):
             want = tvec
             for pos in range(n_pos - 1, -1, -1):
-                k = mono.exponents[pos]
+                k = s[pos]
                 if k:
                     factor = tuple(k if i == pos else 0 for i in range(n_pos))
-                    want = tensor_act(legs, HyperMonomial(mono.side, factor), want)
-            assert tensor_act(legs, mono, tvec) == want, (legs, mono)
+                    want = tensor_act(legs, side, factor, want)
+            assert tensor_act(legs, side, s, tvec) == want, (legs, side, s)
             nonzero += bool(want)
     assert nonzero
 
@@ -411,11 +447,9 @@ def test_tensor_act_is_the_sum_over_every_split(label, weights, p):
             want = {}
             for b in itertools.product(*(range(k + 1) for k in expo)):
                 a = tuple(k - j for k, j in zip(expo, b))
-                acted = (legs[0].act(HyperMonomial(side, a), vecs[0]),
-                         legs[1].act(HyperMonomial(side, b), vecs[1]))
+                acted = (legs[0].act(side, a, vecs[0]), legs[1].act(side, b, vecs[1]))
                 want = _tensor_sum(want, tensor_of(acted, reduce=small.reduce), small.reduce)
-            got = tensor_act(legs, HyperMonomial(side, tuple(expo)),
-                             tensor_of(tuple(vecs), reduce=small.reduce))
+            got = tensor_act(legs, side, expo, tensor_of(tuple(vecs), reduce=small.reduce))
             assert got == want, (legs, side, expo)
             nonzero += bool(want)
     assert nonzero
