@@ -10,8 +10,9 @@ entry c in column c and zero past its end. Over Q they keep primitive
 integer lists; over GF(p) they pack each row into one int of fixed-width
 lanes, one lane per column, and store each pivot shifted so that its
 leading lane sits at bit 0: a reduction step is one multiply-add and one
-shift on a row that shrinks as its low lanes clear. Dense matrices are
-lists of row lists.
+shift on a row that shrinks as its low lanes clear. ``Lanes`` is the one
+codec of such ints, shared with the tensor filtration, which builds its
+spanning vectors as packed lanes. Dense matrices are lists of row lists.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 # struct codes of the lane widths, in bytes, that struct packs whole; wider
-# lanes (p >= 2**32) go through int.to_bytes one lane at a time
-_LANE_CODES = {2: "H", 4: "I", 8: "Q"}
+# lanes go through int.to_bytes one lane at a time
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -38,6 +39,75 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
+
+
+def lane_bytes(bound: int) -> int:
+    """The narrowest of 1, 2, 4, 8, 16, ... bytes that holds ``bound`` >= 0."""
+    width = 1
+    while bound >> (8 * width):
+        width *= 2
+    return width
+
+
+class Lanes:
+    """A sequence of ints as one int of fixed-width lanes: entry i in bits
+    [i*bits, (i+1)*bits), ``nbytes`` bytes per lane.
+
+    ``pack`` and ``unpack`` take lanes in [0, 2**bits). ``encode`` and
+    ``decode`` take signed entries of absolute value below ``half``, 2**(bits
+    - 1), written as the plain sum of v_i * 2**(i*bits): sums and products of
+    encoded ints encode the sums and convolutions of their entries, so long as
+    every entry of the result stays below ``half``. Decoding biases every lane
+    by ``half``, which puts it in [0, 2**bits), unpacks and takes the bias
+    off; no lane borrows from the next.
+    """
+
+    def __init__(self, nbytes: int):
+        self.nbytes = nbytes
+        self.bits = 8 * nbytes
+        self.half = 1 << (self.bits - 1)
+        self._half_lane = self.half.to_bytes(nbytes, "little")
+        self._code = _LANE_CODES.get(nbytes)
+
+    @classmethod
+    def signed(cls, bound: int) -> "Lanes":
+        """The narrowest lanes whose ``encode`` and ``decode`` hold every
+        entry of absolute value at most ``bound``."""
+        return cls(lane_bytes(2 * bound))
+
+    def pack(self, lanes: Sequence[int]) -> int:
+        if self._code is None:
+            width = self.nbytes
+            return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in lanes),
+                                  "little")
+        return int.from_bytes(struct.pack(f"<{len(lanes)}{self._code}", *lanes), "little")
+
+    def unpack(self, x: int, n: int | None = None) -> Sequence[int]:
+        """The first n lanes of x, lowest first; all of them when n is None."""
+        width = self.nbytes
+        if n is None:
+            n = -(-x.bit_length() // self.bits)
+        raw = x.to_bytes(n * width, "little")
+        if self._code is None:
+            return [int.from_bytes(raw[i:i + width], "little")
+                    for i in range(0, len(raw), width)]
+        return struct.unpack(f"<{n}{self._code}", raw)
+
+    def _bias(self, n: int) -> int:
+        """``half`` in each of n lanes."""
+        return int.from_bytes(self._half_lane * n, "little")
+
+    def encode(self, values: Sequence[int]) -> int:
+        return self.pack([v + self.half for v in values]) - self._bias(len(values))
+
+    def decode(self, x: int, n: int, p: int | None = None) -> List[int]:
+        """The n entries ``encode`` wrote into x, reduced into [0, p) when p
+        is given."""
+        half = self.half
+        lanes = self.unpack(x + self._bias(n), n)
+        if p is None:
+            return [v - half for v in lanes]
+        return [(v - half) % p for v in lanes]
 
 
 class RowSpaceGF:
@@ -63,41 +133,24 @@ class RowSpaceGF:
 
     def __init__(self, p: int):
         self.p = p
-        word = 1
-        while (p - 1) >> (8 * word):
-            word *= 2
-        self.lane_bytes = 2 * word
-        self.lane_bits = bits = 16 * word
+        self.lanes = Lanes(2 * lane_bytes(p - 1))
+        self.lane_bits = bits = self.lanes.bits
         # (p - 1) + budget * (p - 1)**2 < 2**bits: the most steps between normalisations
         self.budget = ((1 << bits) - p) // (p - 1) ** 2
-        self._code = _LANE_CODES.get(self.lane_bytes)
         self.pivots: Dict[int, int] = {}
 
     def _lanes(self, x: int) -> Sequence[int]:
         """The lanes of a packed row, lowest column first."""
-        width = self.lane_bytes
-        n = -(-x.bit_length() // self.lane_bits)
-        raw = x.to_bytes(n * width, "little")
-        if self._code is None:
-            return [int.from_bytes(raw[i:i + width], "little")
-                    for i in range(0, len(raw), width)]
-        return struct.unpack(f"<{n}{self._code}", raw)
-
-    def _pack(self, lanes: List[int]) -> int:
-        if self._code is None:
-            width = self.lane_bytes
-            return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in lanes),
-                                  "little")
-        return int.from_bytes(struct.pack(f"<{len(lanes)}{self._code}", *lanes), "little")
+        return self.lanes.unpack(x)
 
     def _normalised(self, x: int, scale: int = 1) -> int:
         """x with every lane multiplied by ``scale`` and reduced into [0, p)."""
         p = self.p
-        return self._pack([v * scale % p for v in self._lanes(x)])
+        return self.lanes.pack([v * scale % p for v in self._lanes(x)])
 
     def _packed(self, row: Sequence[int]) -> int:
         p = self.p
-        return self._pack([v % p for v in row])
+        return self.lanes.pack([v % p for v in row])
 
     def _reduce(self, x: int) -> Tuple[int, int]:
         """(c, y): y is 0 if x lies in the span; else x reduced until its

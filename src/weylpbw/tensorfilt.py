@@ -10,17 +10,24 @@ the tensor module, beyond which every monomial acts as zero). Spanning sets
 use lowering monomials only — the cyclic vector is highest-weight — and the
 raising/lowering stability of the levels is then *checked*, not presupposed.
 
-The coproduct orbit Delta(F^t).(v (x) w) is computed once per filtration,
-from module vectors: the divided-power coproduct is an algebra map, so
-Delta(F^t).(v (x) w) is the sum of the outer products F^a.v (x) F^b.w over
-a + b = t. Each leg lists its nonzero F^a.v once, block by block inside
-the box (clipped to the weight group in a restricted run): the a of a block
-come from ``pbw.monomials_with_depth`` and their vectors from
-``WeylModuleP.monomial_coords``, which shares their tails. The orbit is
-formed one total depth at a time and listed by degree and lexicographically
-in t. A leg monomial F^s acts on a spanning vector as one composed matrix
-per block (``weylmod.tensor_leg_act``). The orbit and the kept vectors store each
-block as a tuple of row tuples, and each equal key, row and block once.
+No coproduct orbit is formed. The divided-power coproduct is an algebra
+map, so (F^s (x) 1) . Delta(F^t) . (v (x) w) is the sum of the outer
+products F^s F^a.v (x) F^b.w over a + b = t. Each leg lists its nonzero
+F^a.v once, block by block inside the box (clipped to the weight group in a
+restricted run): the a of a block come from ``pbw.monomials_with_depth``
+and their vectors from ``WeylModuleP.monomial_coords``, which shares their
+tails. For each leg monomial F^s, the sweep applies F^s to each block of
+the first leg's list as one composed matrix (``weylmod._monomial_matrix``
+and ``linalg.mat_mul``), and builds the vectors of all its t at once as
+packed lanes (``linalg.Lanes``): with the entries of F^s F^a.v spread one
+every dim_b lanes, one integer product with the encoded F^b.w is their
+outer product, laid out row-major. The lanes are as wide as an exact bound
+on the entries needs; signed entries (over Q) stay apart because decoding
+biases every lane by half its range, and over GF(p) it reduces them mod p.
+Each nonzero vector is decoded once into the dense row its weight's row
+space takes, and only one that raises the rank becomes a {(block, block):
+block} tensor vector; the kept vectors store each block as a tuple of row
+tuples, and each equal key, row and block once.
 
 Every spanning vector is a weight vector, so ranks are swept one total
 weight at a time with exact elimination (no probabilistic shortcuts); over
@@ -48,16 +55,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from operator import add, le
+from operator import add, le, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cache import input_hash
 from .charzero import DIM_CAP_DEFAULT
-from .linalg import mat_mul, pivot_prefix, row_space
+from .linalg import Lanes, mat_mul, pivot_prefix, row_space
 from .pbw import monomials_of_degree, monomials_with_depth, pbw_filtration
 from .rootsys import ResourceCapError
-from .weylmod import (TensorVector, WeylModuleP, _tidy, f_zero, tensor_act,
-                      tensor_leg_act, tensor_of)
+from .weylmod import (LegTable, TensorVector, WeylModuleP, _monomial_matrix, f_zero,
+                      tensor_act, tensor_leg_act, tensor_of)
 
 Weight = Tuple[int, ...]
 
@@ -119,7 +126,9 @@ class _WeightSpan:
     A vector becomes one dense row of its weight's space: each block pair
     gets a column offset the first time it is seen, and its dim_a x dim_b
     block is laid out row-major from there. Ranks and memberships do not
-    depend on the order in which block pairs arrive.
+    depend on the order in which block pairs arrive. A vector is given as a
+    tensor vector, or as the pair (weight, {block pair: row-major entries})
+    the filtration's sweep decodes.
     """
 
     def __init__(self, p: Optional[int]):
@@ -128,35 +137,43 @@ class _WeightSpan:
         self._offsets: Dict[Weight, Dict[tuple, int]] = {}
         self._widths: Dict[Weight, int] = {}
 
-    def _flatten(self, group: Weight, tvec: TensorVector) -> List[int]:
+    def _row(self, vec) -> Tuple[Optional[Weight], List[int]]:
+        """The weight of a nonzero vector and its dense row; (None, []) for
+        the zero tensor vector."""
+        if isinstance(vec, tuple):
+            group, flats = vec
+        else:
+            group = _total_depth(vec)
+            if group is None:
+                return None, []
+            flats = {key: [v for vals in block for v in vals] for key, block in vec.items()}
         offsets = self._offsets.setdefault(group, {})
-        for key, block in tvec.items():
+        for key, flat in flats.items():
             if key not in offsets:
                 offsets[key] = self._widths.get(group, 0)
-                self._widths[group] = offsets[key] + len(block) * len(block[0])
+                self._widths[group] = offsets[key] + len(flat)
         row = [0] * self._widths[group]
-        for key, block in tvec.items():
-            flat = [v for vals in block for v in vals]
+        for key, flat in flats.items():
             row[offsets[key]:offsets[key] + len(flat)] = flat
-        return row
+        return group, row
 
-    def insert(self, tvec: TensorVector) -> bool:
-        group = _total_depth(tvec)
+    def insert(self, vec) -> bool:
+        group, row = self._row(vec)
         if group is None:
             return False
         space = self._spaces.get(group)
         if space is None:
             space = self._spaces[group] = row_space(self.p)
-        return space.insert(self._flatten(group, tvec))
+        return space.insert(row)
 
     def contains(self, tvec: TensorVector, k: int) -> bool:
         """Membership of a nonzero weight vector in the span of the first k
         vectors that raised the rank of its weight's space."""
-        group = _total_depth(tvec)
+        group, row = self._row(tvec)
         space = self._spaces.get(group)
         if space is None:
             return False
-        return pivot_prefix(space, k).contains(self._flatten(group, tvec))
+        return pivot_prefix(space, k).contains(row)
 
     @property
     def rank(self) -> int:
@@ -239,9 +256,18 @@ class InducedFiltration:
         self.t_box = tuple(map(add, a.box, b.box))   # lam - w0(lam) is linear in lam
         self.s_max = sum(self.s_box)
         self.requested = self.s_max if up_to is None else up_to
-        # one object per distinct key, row and block the filtration stores
+        # each leg's nonzero F^a.v inside the componentwise max of the swept
+        # groups (t_box in a full run), listed once; a square shares one list
+        room = tuple(map(max, zip(*self.groups)))
+        self._left = _leg_orbit(a, room)
+        self._right = self._left if b is a else _leg_orbit(b, room)
+        # an entry of a spanning vector sums one product per a of one block
+        self._terms = max(map(len, self._left.values()), default=0)
+        self._right_top = max((abs(v) for ys in self._right.values() for _, y in ys
+                               for v in y), default=0)
+        self._encoded: Dict[int, Tuple[Lanes, Dict[Weight, list]]] = {}
+        # one object per distinct key, row and block the kept vectors hold
         self._shared: Dict[tuple, tuple] = {}
-        self._tpairs = self._delta_orbit()
         self.span = _WeightSpan(p)
         self.kept: List[Tuple[int, TensorVector]] = []
         # the degrees of the kept vectors, one ascending list per total weight
@@ -249,89 +275,105 @@ class InducedFiltration:
         self.level_dims: List[int] = []
         self._sweep(min(self.requested, self.s_max))
 
-    def _delta_orbit(self) -> List[Tuple[Weight, TensorVector]]:
-        """The nonzero Delta(F^t).(v (x) w), with their depths, for every t
-        whose depth fits the componentwise max of the swept groups,
-        by degree and then lexicographically in t.
+    def _moved(self, s: Tuple[int, ...], da: Weight,
+               table: LegTable) -> Optional[Tuple[Weight, list]]:
+        """F^s applied to the F^a.v of block da of the first leg: the block
+        they land in and [(a, F^s F^a.v)], through F^s's one composed matrix
+        on da (kept in ``table``, the monomial's); None when F^s kills da."""
+        a = self.mods[0]
+        xs = self._left[da]
+        if not any(s):
+            return da, xs
+        hit = _monomial_matrix(a, "F", s, table, da)
+        if hit is None:
+            return None
+        ta, mat = hit
+        prods = mat_mul([x for _, x in xs], list(zip(*mat)))
+        return ta, [(e, list(map(a.reduce, row))) for (e, _), row in zip(xs, prods)]
 
-        The coproduct is an algebra map, so Delta(F^t).(v (x) w) is the sum
-        of F^a.v (x) F^b.w over a + b = t: one outer product of module
-        vectors per split. The F^a.v and F^b.w inside the box are listed once
-        per leg (a square shares one list), grouped by block, and the orbit
-        is formed one depth at a time: each pair of blocks (da, db) whose
-        depths sum to it adds its outer products to the t they sum to, and
-        block (da, db) of t is X^T Y, with the rows of X the F^a.v and the
-        rows of Y the F^b.w of its splits (``weylmod._tidy`` drops it if zero).
+    def _lanes(self, bound: int) -> Tuple[Lanes, Dict[Weight, list]]:
+        """The narrowest lanes that hold every entry up to ``bound``, and the
+        second leg's F^b.w encoded in them: block -> [(b, encoded F^b.w)]."""
+        lanes = Lanes.signed(bound)
+        hit = self._encoded.get(lanes.nbytes)
+        if hit is None:
+            hit = self._encoded[lanes.nbytes] = (lanes, {
+                db: [(e, lanes.encode(y)) for e, y in ys] for db, ys in self._right.items()})
+        return hit
+
+    def _spanning(self, n: int) -> Iterator[Tuple[Weight, Dict[tuple, List[int]]]]:
+        """The nonzero spanning vectors (F^s (x) 1) . Delta(F^t) . (v (x) w)
+        with deg s = n and depth(s) + depth(t) a swept group, in sweep order:
+        s by s, and for each s by degree and then lexicographically in t.
+        Each comes as (its group, {block pair: row-major entries}), summed
+        over the splits a + b = t as packed lanes (see the module
+        docstring). An entry sums at most ``_terms`` products, one per a of
+        its block, which bounds the lane width.
         """
-        # the componentwise max of the swept groups: t_box in a full run
-        room = tuple(map(max, zip(*self.groups)))
-        a, b = self.mods
-        left = _leg_orbit(a, room)
-        right = left if b is a else _leg_orbit(b, room)
-        # the pairs of blocks (da, db) of each depth da + db that fits the box
-        pairs: Dict[Weight, List[Tuple[Weight, Weight]]] = {}
-        for da in left:
-            for db in right:
-                dt = tuple(map(add, da, db))
-                if all(map(le, dt, room)):
-                    pairs.setdefault(dt, []).append((da, db))
-        p = self.p
-        found = []
-        for dt, keys in pairs.items():
-            # one depth at a time: t -> (da, db) -> the F^a.v and the F^b.w
-            # of the splits of t there
-            splits: Dict[Tuple[int, ...], Dict[tuple, Tuple[list, list]]] = {}
-            for key in keys:
-                ys = right[key[1]]
-                for ea, x in left[key[0]]:
-                    for eb, y in ys:
-                        by_block = splits.setdefault(tuple(map(add, ea, eb)), {})
-                        pair = by_block.get(key)
-                        if pair is None:
-                            pair = by_block[key] = ([], [])
-                        pair[0].append(x)
-                        pair[1].append(y)
-            for t, by_block in splits.items():
-                vec = _tidy({key: mat_mul(list(zip(*xs)), ys)
-                             for key, (xs, ys) in by_block.items()}, p)
-                if vec:
-                    found.append((t, dt, self._stored(vec)))
-        found.sort(key=lambda item: (sum(item[0]), item[0]))
-        return [(dt, vec) for _, dt, vec in found]
+        (a, b), p = self.mods, self.p
+        depth = self.system.monomial_depth
+        for s in monomials_of_degree(self.system, self.s_box, n):
+            ds = depth(s)
+            table: LegTable = {}
+            moved: Dict[Weight, Optional[Tuple[Weight, list]]] = {}
+            # the block pairs (da, db) that F^s carries into a swept group
+            pairs = []
+            for g in self.groups:
+                dt = tuple(map(sub, g, ds))
+                for da in self._left:
+                    db = tuple(map(sub, dt, da))
+                    if db in self._right:
+                        if da not in moved:
+                            moved[da] = self._moved(s, da, table)
+                        if moved[da] is not None:
+                            pairs.append((g, da, db))
+            if not pairs:
+                continue
+            top = max(abs(v) for hit in moved.values() if hit is not None
+                      for _, x in hit[1] for v in x)
+            lanes, right = self._lanes(self._terms * top * self._right_top)
+            rows: Dict[Tuple[int, ...], Tuple[Weight, Dict[tuple, int]]] = {}
+            for g, da, db in pairs:
+                ta, xs = moved[da]
+                key = (ta, db)
+                step = b.dims[db] * lanes.bits
+                ys = right[db]
+                for ea, x in xs:
+                    spread = sum(v << (i * step) for i, v in enumerate(x) if v)
+                    if spread:
+                        for eb, y in ys:
+                            accs = rows.setdefault(tuple(map(add, ea, eb)), (g, {}))[1]
+                            accs[key] = accs.get(key, 0) + spread * y
+            for t in sorted(rows, key=lambda t: (sum(t), t)):
+                g, accs = rows[t]
+                flats = {}
+                for key, acc in accs.items():
+                    flat = lanes.decode(acc, a.dims[key[0]] * b.dims[key[1]], p)
+                    if any(flat):
+                        flats[key] = flat
+                if flats:
+                    yield g, flats
 
-    def _stored(self, tvec: TensorVector) -> TensorVector:
-        """``tvec`` as the filtration stores it: each block a tuple of row
-        tuples, with every key, row and block equal to one stored before
-        replaced by that one, so that repeats cost no memory."""
+    def _stored(self, flats: Dict[tuple, List[int]]) -> TensorVector:
+        """A kept vector as the filtration stores it: {block pair: block},
+        each block a tuple of row tuples, with every key, row and block equal
+        to one stored before replaced by that one, so that repeats cost no
+        memory."""
         share = self._shared.setdefault
+        dims = self.mods[1].dims
         out = {}
-        for key, block in tvec.items():
-            block = tuple([share(row, row) for row in map(tuple, block)])
+        for key, flat in flats.items():
+            block = tuple([share(row, row) for row in zip(*[iter(flat)] * dims[key[1]])])
             out[share(key, key)] = share(block, block)
         return out
-
-    def _spanning(self, n: int) -> Iterator[TensorVector]:
-        """The spanning vectors (F^s (x) 1) . Delta(F^t) . (v (x) w) with
-        deg s = n and depth(s) + depth(t) a swept group, in sweep order: for
-        each s, the orbit entries whose depth F^s carries into a swept group
-        (any other pair gives the zero vector or an unswept group)."""
-        for s in monomials_of_degree(self.system, self.s_box, n):
-            ds = self.system.monomial_depth(s)
-            # the orbit depths that F^s carries into a swept group
-            wanted = {tuple(x - y for x, y in zip(g, ds)) for g in self.groups}
-            for dt, base in self._tpairs:
-                if dt in wanted:
-                    vec = tensor_leg_act(self.mods, 0, "F", s, base)
-                    if vec:
-                        yield vec
 
     def _sweep(self, top: int) -> None:
         for n in range(top + 1):
             if len(self.kept) < self.cap:
-                for vec in self._spanning(n):
-                    if self.span.insert(vec):
-                        self.kept.append((n, self._stored(vec)))
-                        self._kept_degrees.setdefault(_total_depth(vec), []).append(n)
+                for g, flats in self._spanning(n):
+                    if self.span.insert((g, flats)):
+                        self.kept.append((n, self._stored(flats)))
+                        self._kept_degrees.setdefault(g, []).append(n)
                         if len(self.kept) == self.cap:
                             break
             self.level_dims.append(self.span.rank)

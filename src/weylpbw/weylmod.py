@@ -36,8 +36,9 @@ matrix products: ``leg_apply``, the one kernel both classes share with their
 ``act``, is M.coords. A monomial on one tensor leg (``tensor_leg_act``)
 composes its factors' matrices on each source block, last root first,
 reduces the product once and applies it, M.X on leg 0 and X.M^T on leg 1;
-the leg keeps the composed matrices of the monomial last asked for, since a
-sweep applies one monomial to many vectors in a row. ``tensor_act`` sums
+the leg keeps the composed matrices of the monomial last asked for. The
+induced filtration's sweep applies the same composed matrices
+(``_monomial_matrix``) to module vectors instead. ``tensor_act`` sums
 ``tensor_leg_act`` over the splits a + b = t, X^b on leg 1 then X^a on leg 0,
 skipping a split once some k*beta of it leaves the leg's ``box``.
 
@@ -52,9 +53,9 @@ nonzero position of s, F^s v is F_j^(s_j) applied to F^r v, r being s with
 that exponent set to 0. ``monomial_coords`` keeps a table s -> F^s v (None
 once it dies) on the module, so each miss is one single-factor ``act`` on a
 tail already in the table, and the table lives as long as the module. The
-module sweeps, each leg of the coproduct orbit of a tensor filtration and
-the structural tensor checks read their F^s v from it; outside this module
-nothing calls ``act``.
+module sweeps, each leg of a tensor filtration's sweep and the structural
+tensor checks read their F^s v from it; outside this module nothing calls
+``act``.
 
 Module vectors are sparse maps {block key -> dense coordinate list}; tensor
 vectors are sparse maps {(block, block) -> dense dim_a x dim_b block}, a

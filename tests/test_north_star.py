@@ -187,3 +187,23 @@ def test_only_the_filtration_set_up_reads_its_weight_group():
     readers = {r for r in readers if not r.startswith("InducedFiltrationTable.")}
     assert readers == {"InducedFiltration.__init__", "InducedFiltration.table",
                        "InducedFiltration.contains_at"}
+
+
+def test_the_induced_filtration_builds_its_vectors_from_module_vectors():
+    """The sweep forms each spanning vector from the legs' F^a.v as packed
+    lanes: ``tensorfilt`` defines no coproduct orbit, ``InducedFiltration``
+    applies no monomial to a tensor vector, and the lane codec is the one
+    ``struct`` user."""
+    tensorfilt = PACKAGE / "tensorfilt.py"
+    orbit = [node for node in ast.walk(_tree(tensorfilt))
+             if _names(node) & {"_delta_orbit", "_tpairs"}]
+    assert not orbit
+    for name in ("tensor_leg_act", "tensor_act"):
+        callers = [scope for scope in _calls(tensorfilt, name)
+                   if scope.split(".")[0] == "InducedFiltration"]
+        assert not callers, f"InducedFiltration calls {name}"
+    importers = sorted({path.name for path in SOURCES for node in ast.walk(_tree(path))
+                        if (isinstance(node, ast.Import)
+                            and "struct" in [alias.name for alias in node.names])
+                        or (isinstance(node, ast.ImportFrom) and node.module == "struct")})
+    assert importers == ["linalg.py"]

@@ -19,8 +19,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from weylpbw import (AdmissibleLattice, DualModuleP, HWModuleQ, WeylModuleP,  # noqa: E402
                      build_root_system, essential_set, pbw_filtration, stable_dumps)
-from weylpbw.linalg import (RowSpaceGF, inverse_pair, mat_mul, pivot_prefix,  # noqa: E402
-                            rank_dense, row_space, solve_dense)
+from weylpbw.linalg import (Lanes, RowSpaceGF, inverse_pair, mat_mul,  # noqa: E402
+                            pivot_prefix, rank_dense, row_space, solve_dense)
 from weylpbw.pbw import (Polynomial, monomials_of_degree, monomials_with_depth,  # noqa: E402
                          sn_divided_action, sweep_key)
 from weylpbw.weylmod import tensor_act, tensor_leg_act, tensor_of  # noqa: E402
@@ -185,6 +185,30 @@ def test_row_space_gf_lane_budget():
     """The lane budget: the steps a lane absorbs between normalisations."""
     assert [RowSpaceGF(p).budget for p in (2, 3, 251, 257)] == [65534, 16383, 1, 65535]
     assert RowSpaceGF(2**61 - 1).lane_bits == 128
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**70), st.data())
+def test_lanes_encode_sums_and_outer_products(bound, data):
+    """A sum of products, each an x spread one every len(y) lanes times an
+    encoded y, decodes to the sum of their row-major outer products (mod p
+    when p is given) while every entry stays within the lanes' bound."""
+    lanes = Lanes.signed(bound)
+    assert 2 * bound < 2 ** lanes.bits
+    # x_i * y_j summed over ``terms`` pairs stays within the bound
+    terms = data.draw(st.integers(1, 3))
+    cap = math.isqrt(bound // terms)
+    vec = st.lists(st.integers(-cap, cap), min_size=1, max_size=4)
+    pairs = [(data.draw(vec), data.draw(vec)) for _ in range(terms)]
+    n = min(len(x) for x, _ in pairs)
+    m = min(len(y) for _, y in pairs)
+    pairs = [(x[:n], y[:m]) for x, y in pairs]
+    step = m * lanes.bits
+    total = sum(sum(v << (i * step) for i, v in enumerate(x)) * lanes.encode(y)
+                for x, y in pairs)
+    want = [sum(x[i] * y[j] for x, y in pairs) for i in range(n) for j in range(m)]
+    assert lanes.decode(total, n * m) == want
+    assert lanes.decode(total, n * m, 5) == [v % 5 for v in want]
 
 
 # -- the action kernel: module, dual and tensor actions ------------------------
@@ -492,6 +516,53 @@ def test_serre_relations_have_nonzero_terms(label, weight):
                    for i, j in itertools.permutations(range(lattice.system.rank), 2)
                    for t in lattice.dims
                    for _, mat in _serre_terms(lattice, side, i, j, t)), (label, side)
+
+
+def _simple_commutator_terms(lattice, i, t):
+    """E_i F_i and -F_i E_i on block t of the lattice, for the simple root i,
+    each composed from the simple generators along the blocks (the rightmost
+    factor first); a term with a factor that leaves the module is left out."""
+    system = lattice.system
+    simple = system.pos_index[tuple(int(r == i) for r in range(system.rank))]
+    up = tuple(a + int(c == i) for c, a in enumerate(t))
+    down = tuple(a - int(c == i) for c, a in enumerate(t))
+    e, f = lattice.e_gen, lattice.f_gen
+    terms = []
+    for first, then, sign in ((f.get((simple, t)), e.get((simple, up)), 1),
+                              (e.get((simple, t)), f.get((simple, down)), -1)):
+        if first is not None and then is not None:
+            terms.append([[sign * v for v in row] for row in mat_mul(then, first)])
+    return terms
+
+
+@settings(deadline=None, max_examples=40)
+@given(serre_modules())
+def test_simple_commutators_act_as_the_block_weight(module):
+    """[E_i, F_i] = H_i on every block of the integral lattice: E_i F_i -
+    F_i E_i is the block weight's i-th coordinate, <mu, alpha_i^vee>, times
+    the identity, over Z."""
+    lattice = AdmissibleLattice.build(*module)
+    for i in range(lattice.system.rank):
+        for t, dim in lattice.dims.items():
+            h = lattice.weights[t][i]
+            total = [[h * int(r == c) for c in range(dim)] for r in range(dim)]
+            for term in _simple_commutator_terms(lattice, i, t):
+                total = [list(map(operator.sub, r, s)) for r, s in zip(total, term)]
+            assert not any(map(any, total)), (module, i, t)
+
+
+@pytest.mark.parametrize("label,weight", [("A2", (1, 1)), ("A3", (1, 0, 1)), ("B2", (1, 1)),
+                                          ("C3", (2, 0, 0)), ("G2", (1, 1))])
+def test_simple_commutators_have_nonzero_terms(label, weight):
+    """The relation above is not met vacuously: on each adjoint-like module
+    some block has both E_i F_i and F_i E_i nonzero, and some block with a
+    nonzero weight coordinate has a nonzero term."""
+    lattice = AdmissibleLattice.build(label, weight)
+    cases = [(lattice.weights[t][i], [mat for mat in _simple_commutator_terms(lattice, i, t)
+                                      if any(map(any, mat))])
+             for i in range(lattice.system.rank) for t in lattice.dims]
+    assert any(len(terms) == 2 for _, terms in cases), label
+    assert any(h and terms for h, terms in cases), label
 
 
 # -- the PBW sweeps: forced enumeration tail and early stops -------------------

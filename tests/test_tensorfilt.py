@@ -27,9 +27,9 @@ from weylpbw import (
     tensor_of,
     vv_level_contains,
 )
-from weylpbw import linalg, tensorfilt
+from weylpbw import linalg, tensorfilt, weylmod
 from weylpbw.pbw import monomials_of_degree
-from weylpbw.weylmod import f_zero, tensor_act
+from weylpbw.weylmod import f_zero, tensor_act, tensor_leg_act
 
 
 @pytest.fixture(scope="module")
@@ -224,21 +224,30 @@ MEMBERSHIP_CASES = {
 }
 
 
-def per_monomial_delta_orbit(filt):
-    """Delta(F^t).(v (x) w) one whole monomial t at a time, over the unclipped
-    box by degree, dropping the t outside the weight group afterwards."""
+def per_monomial_spanning_vectors(filt):
+    """The nonzero (F^s (x) 1) . Delta(F^t) . (v (x) w), each leg monomial
+    and each coproduct monomial acting whole, in the sweep's order: by the
+    degree n of s up to the levels swept, s in ``monomials_of_degree`` order,
+    and for each s by degree and then lexicographically in t, over the t of
+    the unclipped box whose depth lands the vector in a swept group."""
     a, b = filt.mods
     start = tensor_of((a.highest_vector(), b.highest_vector()), reduce=a.reduce)
-    out = []
-    w = filt.weight_group
+    depth = filt.system.monomial_depth
+    orbit = []
     for d in range(sum(filt.t_box) + 1):
         for t in monomials_of_degree(filt.system, filt.t_box, d):
-            dt = filt.system.monomial_depth(t)
-            if w is not None and any(x > y for x, y in zip(dt, w)):
-                continue
             vec = tensor_act(filt.mods, "F", t, start)
             if vec:
-                out.append((dt, vec))
+                orbit.append((depth(t), vec))
+    out = []
+    for n in range(min(filt.requested, filt.s_max) + 1):
+        for s in monomials_of_degree(filt.system, filt.s_box, n):
+            ds = depth(s)
+            for dt, base in orbit:
+                if tuple(map(operator.add, ds, dt)) in filt.groups:
+                    vec = tensor_leg_act(filt.mods, 0, "F", s, base)
+                    if vec:
+                        out.append(vec)
     return out
 
 
@@ -259,32 +268,59 @@ ORBIT_CASES = {
 
 
 @pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
-def test_delta_orbit_matches_the_per_monomial_action(make):
-    """The orbit formed from the module vectors F^a.v and F^b.w of each leg
-    gives the same depths, vectors and order as acting with each whole
-    monomial t on v (x) w. The box it is clipped to, the sum of the legs'
-    boxes, is that of V(lam + mu)."""
+def test_sweep_inserts_the_per_monomial_spanning_vectors(make, monkeypatch):
+    """The rows the sweep builds from the legs' module vectors are, in
+    order, the nonzero leg-monomial actions on the whole-monomial coproduct
+    orbit of v (x) w, as far as the sweep goes: to the last level, or to the
+    vector that fills its space. The box of t, the sum of the legs' boxes,
+    is that of V(lam + mu)."""
+    inserted = []
+    insert = tensorfilt._WeightSpan.insert
+
+    def spy(self, vec):
+        inserted.append(vec)
+        return insert(self, vec)
+    monkeypatch.setattr(tensorfilt._WeightSpan, "insert", spy)
     filt = make()
+    monkeypatch.undo()
     total = tuple(x + y for x, y in zip(filt.lam, filt.mu))
     assert filt.t_box == filt.system.depth_vector(total)
     assert filt.s_box == filt.system.depth_vector(filt.lam)
-    orbit = filt._delta_orbit()
-    # the orbit stores tuple rows, the action returns list rows
-    as_lists = [(dt, {key: [list(row) for row in block] for key, block in vec.items()})
-                for dt, vec in orbit]
-    assert as_lists == per_monomial_delta_orbit(filt)
-    assert orbit == filt._tpairs
-    assert orbit or filt.weight_group == (-1, 0)
+    dims = filt.mods[1].dims
+    got = []
+    for group, flats in inserted:
+        vec = {key: [flat[i:i + dims[key[1]]] for i in range(0, len(flat), dims[key[1]])]
+               for key, flat in flats.items()}
+        assert tensorfilt._total_depth(vec) == group
+        got.append(vec)
+    want = per_monomial_spanning_vectors(filt)
+    assert got == want[:len(got)]
+    assert len(got) == len(want) or len(filt.kept) == filt.cap
+    assert got or filt.weight_group == (-1, 0)
 
 
-# sha256 of the kept vectors of the condition-2 filtration, in sweep order:
-# each as [degree, [[[depth_a, depth_b], block], ...]] with its blocks sorted
-# by key, through stable_dumps. The pinned traced counts are ranks, blind to
-# which vectors are kept; this digest moves with the order of the coproduct
-# orbit, the spanning loop or the row space.
+def kept_digest(filt):
+    """sha256 of a filtration's kept vectors, in sweep order: each as
+    [degree, [[[depth_a, depth_b], block], ...]] with its blocks sorted by
+    key, through stable_dumps."""
+    payload = [[n, [[[list(ta), list(tb)], block] for (ta, tb), block in sorted(vec.items())]]
+               for n, vec in filt.kept]
+    return hashlib.sha256(stable_dumps(payload).encode("ascii")).hexdigest()
+
+
+# The kept vectors of the condition-2 filtration. The pinned traced counts
+# are ranks, blind to which vectors are kept; this digest moves with the
+# order of the spanning loop or the row space.
 CONDITION2_KEPT_DIGESTS = {
     ("A2", 3): (276, "194ed54d2dd7ef54f59b77a1fd84ca27729dd010505f6ed079d8dd4050a2ec39"),
     ("B2", 2): (218, "caef40919d7d3299bb7ecc76f982fea2dddd8d2bd0e211cd742f62634425dad0"),
+}
+
+# The same for two sweeps condition 2 never runs: a full one over GF(3), and
+# one over Q, whose entries are signed integers.
+KEPT_DIGESTS = {
+    "A2-gf3": (24, "4215928d0c05fd2d2f6b5ca19ec22d113d7cc74136f7f3fcd3fe57947ae3e602"),
+    "B2-qq": (20, "425f25a3b216686af15c310c45d2bd72332b99e125d5263689e060b8b89186b9"),
 }
 
 
@@ -295,10 +331,29 @@ def test_condition2_filtration_keeps_its_vectors(label, p):
     f0 = f_zero(system.n_pos, p)
     group = tuple(2 * v for v in system.monomial_depth(f0))
     filt = InducedFiltration((m, m), up_to=(p - 1) * system.n_pos, weight_group=group)
-    payload = [[n, [[[list(ta), list(tb)], block] for (ta, tb), block in sorted(vec.items())]]
-               for n, vec in filt.kept]
-    digest = hashlib.sha256(stable_dumps(payload).encode("ascii")).hexdigest()
-    assert (len(filt.kept), digest) == CONDITION2_KEPT_DIGESTS[label, p]
+    assert (len(filt.kept), kept_digest(filt)) == CONDITION2_KEPT_DIGESTS[label, p]
+
+
+@pytest.mark.parametrize("case", KEPT_DIGESTS)
+def test_full_and_rational_filtrations_keep_their_vectors(case):
+    filt = ORBIT_CASES[case]()
+    assert (len(filt.kept), kept_digest(filt)) == KEPT_DIGESTS[case]
+
+
+def test_check_condition2_makes_no_tensor_leg_products(monkeypatch):
+    """The condition-2 sweep builds its vectors from the legs' module
+    vectors; it applies no monomial to a tensor vector."""
+    calls = []
+    leg_act = weylmod.tensor_leg_act
+
+    def spy(*args):
+        calls.append(1)
+        return leg_act(*args)
+    for module in (weylmod, tensorfilt):
+        monkeypatch.setattr(module, "tensor_leg_act", spy)
+    report = check_condition2(v_gamma(build_root_system("A2"), 3))
+    assert report.verdict
+    assert not calls
 
 
 def test_check_condition2_frees_its_filtration_by_refcount(monkeypatch):
@@ -324,9 +379,9 @@ def test_check_condition2_frees_its_filtration_by_refcount(monkeypatch):
 
 def test_condition2_sweep_stays_under_its_memory_bound():
     """check_condition2 on V(gamma) of A2 at p = 3 keeps the traced peak of
-    everything it allocates under 3 MB: the coproduct orbit is formed one
-    depth at a time, and the orbit and the kept vectors store each equal
-    key, row and block once."""
+    everything it allocates under 3 MB: no coproduct orbit is stored, the
+    spanning vectors of one leg monomial at a time are held as packed
+    lanes, and the kept vectors store each equal key, row and block once."""
     m = v_gamma(build_root_system("A2"), 3)
     gc.collect()
     tracemalloc.start()
